@@ -93,7 +93,9 @@ type hwRun struct {
 	// Wall-clock accounting for the request trace: the engine runs in
 	// chunks between bus stalls, so the gate span is recorded at
 	// completion from the first chunk's start and the accumulated busy
-	// time (bus waits excluded). Zero/unused when the run is untraced.
+	// time. Busy time counts the host time spent clocking, stall cycles
+	// included; only the bus waits in DE time lie outside it. Zero/unused
+	// when the run is untraced.
 	wallStart int64
 	wallBusy  int64
 }
@@ -156,7 +158,14 @@ func (cs *CoSim) pumpHW(mi int, ex *hwExec, r *cfsm.Reaction, run *hwRun, key ec
 			Write:  write,
 			Done: func() {
 				wait := uint64((cs.kernel.Now() - reqStart) / period)
+				var stallStart int64
+				if cs.spans != nil {
+					stallStart = cs.spans.Now()
+				}
 				run.exec.Stall(wait)
+				if cs.spans != nil {
+					run.wallBusy += cs.spans.Now() - stallStart
+				}
 				if write {
 					for i := range data {
 						run.exec.CreditWrite(addr + uint32(i))

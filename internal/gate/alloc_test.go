@@ -1,21 +1,30 @@
-package gate
+package gate_test
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/cfsm"
+	"repro/internal/gate"
+	"repro/internal/hwsyn"
+)
 
 // TestCycleZeroAlloc is the PR 3 alloc-guard for the gate simulator: on a
 // warmed-up netlist, Cycle must run the launch/settle/capture path without
 // allocating, whatever the input activity.
 func TestCycleZeroAlloc(t *testing.T) {
-	n := NewNetlist("alloc")
+	n := gate.NewNetlist("alloc")
 	a := n.Input("a")
 	b := n.Input("b")
 	x := n.Xor2(a, b)
 	y := n.And2(a, b)
 	q := n.Flop(n.Or2(x, y), false, "q")
 	n.Inv(q)
-	s := sim(t, n)
+	s, err := gate.NewSim(n, 3.3)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	in := InputVector{false, false}
+	in := gate.InputVector{false, false}
 	s.Cycle(in) // warm up
 	i := 0
 	avg := testing.AllocsPerRun(1000, func() {
@@ -26,5 +35,69 @@ func TestCycleZeroAlloc(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("gate.Sim.Cycle allocates %v allocs/op, want 0", avg)
+	}
+}
+
+// zeroMem is a shared memory that reads zero and drops writes.
+type zeroMem struct{}
+
+func (zeroMem) MemRead(uint32) cfsm.Value   { return 0 }
+func (zeroMem) MemWrite(uint32, cfsm.Value) {}
+
+// TestSteadyZeroAlloc pins the fixed-point fast-forward at zero
+// allocations: Steady and Advance with recording off, and Exec.Stall on an
+// engine parked on the memory port, where every stall cycle is steady.
+func TestSteadyZeroAlloc(t *testing.T) {
+	n := gate.NewNetlist("steady-alloc")
+	a := n.Input("a")
+	n.Inv(n.Flop(a, false, "q"))
+	s, err := gate.NewSim(n, 3.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := gate.InputVector{true}
+	s.Cycle(in)
+	s.Cycle(in)
+	if !s.Steady(in) {
+		t.Fatal("a held input must reach a fixed point")
+	}
+	if avg := testing.AllocsPerRun(1000, func() {
+		if s.Steady(in) {
+			s.Advance(1000)
+		}
+	}); avg != 0 {
+		t.Fatalf("gate.Sim.Steady+Advance allocate %v allocs/op, want 0", avg)
+	}
+
+	b := cfsm.NewBuilder("stall")
+	st := b.State("s")
+	goIn := b.Input("GO")
+	v := b.Var("V", 0)
+	b.On(st, goIn).Do(cfsm.MemRead(v, cfsm.Const(0)))
+	m := b.MustBuild()
+	mod, err := hwsyn.Synthesize(m, hwsyn.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := hwsyn.NewDriver(mod, 3.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Post(0, 0)
+	r, _ := m.React(zeroMem{})
+	e, err := d.Begin(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, needMem, err := e.Run(); err != nil || !needMem {
+		t.Fatalf("engine must park on its memory read (needMem %v, err %v)", needMem, err)
+	}
+	e.Stall(10) // settle into the wait
+	evals := d.Sim.Evals()
+	if avg := testing.AllocsPerRun(1000, func() { e.Stall(1000) }); avg != 0 {
+		t.Fatalf("hwsyn.Exec.Stall allocates %v allocs/op, want 0", avg)
+	}
+	if d.Sim.Evals() != evals {
+		t.Fatal("stalls on a parked engine must be steady (no gate evaluations)")
 	}
 }

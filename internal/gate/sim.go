@@ -67,6 +67,11 @@ type Sim struct {
 	insFlat    []NetID        // flattened gate inputs (N-ary fallback only)
 	swE        []units.Energy // net -> SwitchEnergy(cap_[net], Vdd, 1)
 	evals      uint64
+
+	// forced is set by ForceFlop and cleared by the next Cycle: until then
+	// gates may be pending re-evaluation and a forced next state need not
+	// be the one the D nets would capture, so the state is not steady.
+	forced bool
 }
 
 // hotGate is everything the settle loop needs about one gate, packed into
@@ -411,6 +416,7 @@ func (s *Sim) Reset() {
 	s.cycles = 0
 	s.energy = 0
 	s.evals = 0
+	s.forced = false
 	s.history = s.history[:0]
 	for i := range s.toggles {
 		s.toggles[i] = 0
@@ -568,6 +574,7 @@ func (s *Sim) Cycle(in InputVector) units.Energy {
 
 	// Capture next state.
 	s.capture()
+	s.forced = false
 
 	s.cycles++
 	s.energy += e
@@ -579,6 +586,48 @@ func (s *Sim) Cycle(in InputVector) units.Energy {
 	return e
 }
 
+// Steady reports whether the simulator sits at a fixed point for input
+// vector in: every flop's captured next state equals its Q, no forced state
+// awaits settling, and every primary input already holds its value in in.
+// A Cycle from a steady state launches nothing, applies nothing and settles
+// nothing, so it dissipates exactly the clock energy and leaves the state
+// steady — which is what lets Advance skip the gate work.
+func (s *Sim) Steady(in InputVector) bool {
+	if s.forced {
+		return false
+	}
+	for wi, qw := range s.qVal {
+		if qw != s.nextQ[wi] {
+			return false
+		}
+	}
+	for i, id := range s.N.Inputs {
+		if s.bit(id) != in[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// Advance clocks n cycles through a fixed point without gate work and
+// returns the energy of one of them, the clock energy. The caller must
+// have checked Steady for the held input vector. Totals, history and
+// metrics match n Cycle calls bit for bit: the per-cycle energy is added n
+// times in sequence (n·e would round differently), and nets, toggles and
+// evaluation counts stay as they are.
+func (s *Sim) Advance(n uint64) units.Energy {
+	e := units.SwitchEnergy(s.ClockCap, s.Vdd, uint64(len(s.N.DFFs)))
+	for i := uint64(0); i < n; i++ {
+		s.energy += e
+		if s.record {
+			s.history = append(s.history, e)
+		}
+	}
+	s.cycles += n
+	mCycles.Add(n)
+	return e
+}
+
 // Value returns the current value of a net.
 func (s *Sim) Value(id NetID) bool { return s.bit(id) }
 
@@ -586,8 +635,10 @@ func (s *Sim) Value(id NetID) bool { return s.bit(id) }
 // the captured next-state — without charging switching energy. This is an
 // estimator-side state synchronization (used when acceleration techniques
 // skip executions and the register state must be re-aligned with the
-// behavioral model), not a physical event.
+// behavioral model), not a physical event. The simulator is not Steady
+// again until the next Cycle.
 func (s *Sim) ForceFlop(i int, v bool) {
+	s.forced = true
 	ff := s.N.DFFs[i]
 	if s.bit(ff.Q) != v {
 		s.flip(ff.Q)

@@ -118,11 +118,9 @@ func (d *Driver) VarValue(vi int) uint32 {
 // IdleCycles clocks the engine n cycles with no stimulus (idle power).
 func (d *Driver) IdleCycles(n uint64) units.Energy {
 	d.set(d.Mod.Go, false)
-	var e units.Energy
-	for i := uint64(0); i < n; i++ {
-		e += d.Sim.Cycle(d.in)
-	}
-	return e
+	e := Exec{d: d}
+	e.hold(n)
+	return e.stats.Energy
 }
 
 // Exec is one in-flight transition execution. The simulation master resumes
@@ -198,10 +196,39 @@ func (e *Exec) Done() bool { return e.done }
 // Stall burns n idle clock cycles (the engine waiting for the bus).
 func (e *Exec) Stall(n uint64) {
 	e.d.set(e.d.Mod.MemAck, false)
-	for i := uint64(0); i < n; i++ {
+	e.hold(n)
+	e.stats.StallCycles += n
+}
+
+// hold clocks n cycles with the input vector held. Once the netlist is
+// steady and no output-present pulse is high, every remaining cycle would
+// repeat the last one — clock energy only, no toggles, no emissions — so the
+// simulator advances through them without gate work, and the per-cycle
+// energy is added n times in sequence exactly as n cycle calls would.
+func (e *Exec) hold(n uint64) {
+	sim := e.d.Sim
+	for ; n > 0; n-- {
+		if sim.Steady(e.d.in) && !e.pulsing() {
+			ce := sim.Advance(n)
+			e.stats.Cycles += n
+			for ; n > 0; n-- {
+				e.stats.Energy += ce
+			}
+			return
+		}
 		e.cycle()
 	}
-	e.stats.StallCycles += n
+}
+
+// pulsing reports whether any output-present pulse is high; each cycle it
+// stays high records an emission.
+func (e *Exec) pulsing() bool {
+	for _, pulse := range e.d.Mod.OutPresent {
+		if e.d.Sim.Value(pulse) {
+			return true
+		}
+	}
+	return false
 }
 
 // CreditRead supplies read data for an address (e.g. a whole fetched DMA

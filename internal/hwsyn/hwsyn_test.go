@@ -1,6 +1,7 @@
 package hwsyn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -342,6 +343,26 @@ func TestIdleCycles(t *testing.T) {
 	if d.Sim.Cycles() != 10 {
 		t.Fatalf("cycles = %d, want 10", d.Sim.Cycles())
 	}
+
+	// IdleCycles advances through the fixed point of the held vector; a
+	// twin clocked one Sim.Cycle at a time must agree bit for bit, over the
+	// cycles above and over a longer stretch after them.
+	twin := hw(t, counterMachine(100))
+	twin.set(twin.Mod.Go, false)
+	check := func(got units.Energy, n uint64) {
+		t.Helper()
+		var want units.Energy
+		for i := uint64(0); i < n; i++ {
+			want += twin.Sim.Cycle(twin.in)
+		}
+		if math.Float64bits(float64(got)) != math.Float64bits(float64(want)) ||
+			math.Float64bits(float64(d.Sim.Energy())) != math.Float64bits(float64(twin.Sim.Energy())) {
+			t.Fatalf("IdleCycles(%d) = %v (total %v), cycle by cycle %v (total %v)",
+				n, got, d.Sim.Energy(), want, twin.Sim.Energy())
+		}
+	}
+	check(e, 10)
+	check(d.IdleCycles(1000), 1000)
 }
 
 func TestUnsupportedOpsRejected(t *testing.T) {

@@ -37,13 +37,7 @@ func execVia(eng Engine, r *cfsm.Reaction, mem MemHandler) (ExecStats, error) {
 }
 
 func varValueOf(eng Engine, vi int) uint32 {
-	switch e := eng.(type) {
-	case DriverEngine:
-		return e.VarValue(vi)
-	case *LaneEngine:
-		return e.VarValue(vi)
-	}
-	panic("unknown engine")
+	return eng.(interface{ VarValue(int) uint32 }).VarValue(vi)
 }
 
 type transResult struct {
@@ -52,10 +46,15 @@ type transResult struct {
 }
 
 // runSeq replays a deterministic stimulus sequence (seeded inputs, seeded
-// bus-wait latencies, periodic SyncVars forcing) on an engine and records
-// per-transition stats and register state. The same seed on two engines of
-// the same machine must produce bit-identical records.
+// bus-wait latencies of 0-5 cycles, periodic SyncVars forcing) on an engine
+// and records per-transition stats and register state. The same seed on two
+// engines of the same machine must produce bit-identical records.
 func runSeq(eng Engine, seed int64, nTrans int, solo func(i int) bool) ([]transResult, error) {
+	return runSeqWaits(eng, seed, nTrans, solo, 5)
+}
+
+// runSeqWaits is runSeq with bus waits drawn from 0..maxWait cycles.
+func runSeqWaits(eng Engine, seed int64, nTrans int, solo func(i int) bool, maxWait int) ([]transResult, error) {
 	m := eng.Module().M
 	rng := rand.New(rand.NewSource(seed))
 	shm := sharedMem{}
@@ -79,7 +78,7 @@ func runSeq(eng Engine, seed int64, nTrans int, solo func(i int) bool) ([]transR
 			return nil, fmt.Errorf("machine %s did not react", m.Name)
 		}
 		mem := func(addr, wdata uint32, write bool) (uint32, uint64) {
-			wait := uint64(rng.Intn(6))
+			wait := uint64(rng.Intn(maxWait + 1))
 			if write {
 				return 0, wait
 			}
