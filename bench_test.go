@@ -8,7 +8,6 @@
 package repro
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -18,9 +17,7 @@ import (
 	"repro/internal/bus"
 	"repro/internal/cachesim"
 	"repro/internal/cfsm"
-	"repro/internal/cfsmtest"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/explore"
 	"repro/internal/hwsyn"
@@ -30,12 +27,6 @@ import (
 	"repro/internal/sparc"
 	"repro/internal/swsyn"
 	"repro/internal/systems"
-	"repro/internal/units"
-
-	// Register the compiled and packed64 estimator backends for the sweep
-	// benchmarks.
-	_ "repro/internal/compiled"
-	_ "repro/internal/packed64"
 )
 
 // tableDMASizes is the row axis of Tables 1 and 2.
@@ -209,203 +200,6 @@ func BenchmarkAutomotive(b *testing.B) {
 	}
 }
 
-// BenchmarkPackedSweep compares the estimator backends at Workers=1, so
-// wall-time differences are pure backend differences. Reports are
-// bit-identical either way; speedup = interpreted ns/op / packed64 ns/op.
-//
-// Two sweeps:
-//
-//   - Co: the plain Table 1 sweep (one TCP/IP co-estimation per DMA size).
-//     ISS-dominated, so lane packing only shares the gate-level tail.
-//   - Gate: the gate-level sweep — the same Table 1 DMA axis with the whole
-//     partition mapped to hardware, replicated across the Fig 7 priority
-//     permutations and two packet counts to fill all 64 lanes, on warm
-//     shared artifacts (the serving path). This is the workload the packed
-//     engine targets: one union-dirty plane evaluation advances every lane,
-//     so throughput grows with lane count (≥4x at 64 lanes).
-func BenchmarkPackedSweep(b *testing.B) {
-	coBuild := func(i int) (*core.System, core.Config, error) {
-		p := systems.DefaultTCPIP()
-		p.Packets = 12
-		p.DMASize = tableDMASizes[i]
-		sys, cfg := systems.TCPIP(p)
-		return sys, cfg, nil
-	}
-	gateMk := func(i int) (*core.System, core.Config) {
-		p := systems.DefaultTCPIP()
-		p.Packets = 12 + i/36
-		p.DMASize = tableDMASizes[i%6]
-		p.PriorityPerm = (i / 6) % 6
-		sys, cfg := systems.TCPIP(p)
-		for name, pc := range sys.Procs {
-			pc.Mapping = core.HW
-			sys.Procs[name] = pc
-		}
-		return sys, cfg
-	}
-	gateSpec, gateCfg := gateMk(0)
-	gateCS, err := core.NewShared(gateSpec, gateCfg, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	gateArt := gateCS.Artifacts()
-	gateBuild := func(i int) (*core.System, core.Config, error) {
-		sys, cfg := gateMk(i)
-		return sys, cfg, nil
-	}
-
-	sweeps := []struct {
-		name  string
-		n     int
-		opts  engine.Options
-		build engine.BuildFunc
-	}{
-		{"Co", len(tableDMASizes), engine.Options{Workers: 1}, coBuild},
-		{"Gate", 64, engine.Options{Workers: 1, Artifacts: gateArt}, gateBuild},
-	}
-	for _, sw := range sweeps {
-		for _, backend := range []string{"interpreted", "packed64"} {
-			opts := sw.opts
-			opts.Backend = backend
-			b.Run(sw.name+"/"+backend, func(b *testing.B) {
-				var gateExecs uint64
-				for i := 0; i < b.N; i++ {
-					results, err := engine.RunReports(context.Background(), sw.n, opts, sw.build)
-					if err != nil {
-						b.Fatal(err)
-					}
-					for _, r := range results {
-						gateExecs += r.Value.GateExecs
-					}
-				}
-				b.ReportMetric(float64(gateExecs)/b.Elapsed().Seconds(), "gate-execs/s")
-			})
-		}
-	}
-}
-
-// BenchmarkCompiledSweep compares the interpreted and compiled estimator
-// backends at Workers=1 on an ISS-dominated sweep: every machine maps to
-// software and each reaction is a looped arithmetic kernel dominated by
-// comparisons, min/max and muxes — the operators swsyn expands into long
-// branchless ALU runs, so nearly all simulated work is straight-line ISS
-// execution that the threaded-code tier fuses into micro-op runs. The sweep
-// runs on warm shared artifacts, so the block cache — like the gate
-// netlists — is compiled once and reused by every point. Reports are
-// bit-identical either way; speedup = interpreted ns/op / compiled ns/op.
-func BenchmarkCompiledSweep(b *testing.B) {
-	const n = 4
-	mkMachine := func(name string, seed int64) *cfsm.CFSM {
-		rng := rand.New(rand.NewSource(seed))
-		bd := cfsm.NewBuilder(name)
-		st := bd.State("s")
-		in := bd.Input("IN")
-		out := bd.Output("OUT")
-		const nv = 4
-		vars := make([]int, nv)
-		for i := range vars {
-			vars[i] = bd.Var(fmt.Sprintf("V%d", i), cfsm.Value(rng.Intn(cfsmtest.Mask+1)))
-		}
-		// Balanced operator tree: comparison-heavy, each node a handful of
-		// branchless ALU instructions in the synthesized image.
-		ops := []cfsm.OpKind{cfsm.AMIN, cfsm.AMAX, cfsm.ALT, cfsm.AGE,
-			cfsm.AADD, cfsm.AXOR, cfsm.AMUX}
-		var tree func(d int) *cfsm.Expr
-		tree = func(d int) *cfsm.Expr {
-			if d == 0 {
-				switch rng.Intn(3) {
-				case 0:
-					return cfsm.Const(cfsm.Value(rng.Intn(cfsmtest.Mask + 1)))
-				case 1:
-					return bd.V(vars[rng.Intn(nv)])
-				default:
-					return bd.EvVal(in)
-				}
-			}
-			op := ops[rng.Intn(len(ops))]
-			if op == cfsm.AMUX {
-				return cfsm.Fn(op, tree(d-1), tree(d-1), tree(d-1))
-			}
-			return cfsm.Fn(op, tree(d-1), tree(d-1))
-		}
-		var body []cfsm.Stmt
-		for k := 0; k < 3; k++ {
-			body = append(body, cfsm.Set(vars[rng.Intn(nv)], tree(4)))
-		}
-		bd.On(st, in).Do(
-			cfsm.Repeat(cfsm.Const(7), cfsm.Repeat(cfsm.Const(7), body...)),
-			cfsm.Emit(out, bd.V(vars[0])),
-		)
-		return bd.MustBuild()
-	}
-
-	// The specs are generated once — a sweep regenerating its systems per
-	// point would benchmark the builder, not the backends.
-	specs := make([]*core.System, n)
-	for i := range specs {
-		net := cfsm.NewNet()
-		procs := make(map[string]core.ProcessConfig, 3)
-		for mi := 0; mi < 3; mi++ {
-			name := fmt.Sprintf("m%d", mi)
-			m := mkMachine(name, int64(100+mi))
-			net.Add(m)
-			net.EnvInputByName(fmt.Sprintf("IN%d", mi), name, "IN")
-			net.EnvOutput(fmt.Sprintf("OUT%d", mi), net.MachineIndex(name), m.OutputIndex("OUT"))
-			procs[name] = core.ProcessConfig{Mapping: core.SW, Priority: mi + 1}
-		}
-		sys := &core.System{Name: "swdense", Net: net, Procs: procs}
-		srng := rand.New(rand.NewSource(int64(i)))
-		for k := 0; k < 40; k++ {
-			sys.Stimuli = append(sys.Stimuli, core.Stimulus{
-				At:    units.Time(k+1) * 50 * units.Microsecond,
-				Input: fmt.Sprintf("IN%d", srng.Intn(3)),
-				Value: cfsm.Value(srng.Intn(cfsmtest.Mask + 1)),
-			})
-		}
-		specs[i] = sys
-	}
-
-	// The sweep config drops the icache model: its per-fetch cost is
-	// identical in both tiers and only dilutes the backend comparison.
-	mkCfg := func() core.Config {
-		cfg := core.DefaultConfig()
-		cfg.ICache = false
-		return cfg
-	}
-
-	// Warm shared artifacts: compile the image and its block cache once.
-	cfg0 := mkCfg()
-	cfg0.CompiledISS = true
-	warmCS, err := core.NewShared(specs[0].Clone(), cfg0, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := warmCS.Run(); err != nil {
-		b.Fatal(err)
-	}
-	art := warmCS.Artifacts()
-
-	build := func(i int) (*core.System, core.Config, error) {
-		return specs[i].Clone(), mkCfg(), nil
-	}
-	for _, backend := range []string{"interpreted", "compiled"} {
-		opts := engine.Options{Workers: 1, Backend: backend, Artifacts: art}
-		b.Run(backend, func(b *testing.B) {
-			var insts uint64
-			for i := 0; i < b.N; i++ {
-				results, err := engine.RunReports(context.Background(), n, opts, build)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, r := range results {
-					insts += r.Value.ISSInsts
-				}
-			}
-			b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "inst/s")
-		})
-	}
-}
-
 // ---- substrate microbenchmarks ----
 
 // BenchmarkISS measures raw instruction-set simulation speed.
@@ -425,40 +219,6 @@ func BenchmarkISS(b *testing.B) {
 	prog := a.MustAssemble()
 	cpu := iss.New(iss.SPARCliteTiming(), iss.SPARCliteModel(), iss.NewMem())
 	cpu.LoadProgram(prog)
-	b.ResetTimer()
-	var insts uint64
-	for i := 0; i < b.N; i++ {
-		_, st, err := cpu.Call(0x1000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		insts += st.Insts
-	}
-	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "inst/s")
-}
-
-// BenchmarkISSCompiled is BenchmarkISS with a threaded-code block cache
-// attached: the same program, timing and power models, but dispatch runs
-// fused per-block closures instead of the decode-switch interpreter.
-func BenchmarkISSCompiled(b *testing.B) {
-	a := sparc.NewAsm(0x1000)
-	a.Label("entry")
-	a.Movi(sparc.O0, 0)
-	a.Movi(sparc.O1, 4000)
-	a.Label("loop")
-	a.Op3(sparc.ADD, sparc.O0, sparc.O0, sparc.O1)
-	a.Op3i(sparc.XOR, sparc.O2, sparc.O0, 0x55)
-	a.Op3i(sparc.SUBCC, sparc.O1, sparc.O1, 1)
-	a.Branch(sparc.BNE, "loop", false)
-	a.Nop()
-	a.Retl()
-	a.Nop()
-	prog := a.MustAssemble()
-	cpu := iss.New(iss.SPARCliteTiming(), iss.SPARCliteModel(), iss.NewMem())
-	cpu.LoadProgram(prog)
-	if err := cpu.AttachBlocks(iss.CompileBlocks(prog, cpu.Timing, cpu.Power)); err != nil {
-		b.Fatal(err)
-	}
 	b.ResetTimer()
 	var insts uint64
 	for i := 0; i < b.N; i++ {

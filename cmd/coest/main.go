@@ -65,14 +65,13 @@ func main() {
 		paramFile = flag.String("params", "", "macro-model parameter file (skips characterization; implies -macromodel)")
 		attribRep = flag.Bool("attrib", false, "print the hierarchical energy attribution ledger")
 		shadow    = flag.Float64("shadow-rate", 0, "shadow-audit this fraction of accelerated serves on the reference estimator (0..1)")
-		backend   = flag.String("backend", "", "estimator backend: interpreted (default), compiled or packed64 (bit-identical reports)")
 		serveURL  = flag.String("serve", "", "delegate the estimation to a coestd daemon at this base URL (e.g. http://localhost:8350)")
 		deadline  = flag.Duration("deadline", 0, "with -serve: per-request wall-clock deadline (0 = server default)")
 	)
 	flag.Parse()
 
 	if *serveURL != "" {
-		if err := runRemote(*serveURL, *file, *system, *backend, *packets, *dma,
+		if err := runRemote(*serveURL, *file, *system, *packets, *dma,
 			*useCache, *useMacro, *useSamp, *deadline, *asJSON); err != nil {
 			fatal(err)
 		}
@@ -83,10 +82,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *backend != "" {
-		opts = append(opts, coest.WithBackend(*backend))
-	}
-
 	switch *mode {
 	case "co":
 	case "separate":
@@ -127,10 +122,10 @@ func main() {
 	if *waveform || *vcdPath != "" || *waveCSV != "" {
 		opts = append(opts, coest.WithWaveform(10*time.Microsecond))
 	}
-	if *trace {
-		opts = append(opts, coest.WithTrace(func(s string) { fmt.Println(s) }))
-	}
 	var sinks []coest.TraceSink
+	if *trace {
+		sinks = append(sinks, coest.NewTextTraceSink(func(s string) { fmt.Println(s) }))
+	}
 	var sinkFiles []*os.File
 	for _, spec := range []struct {
 		path string
@@ -467,14 +462,13 @@ func writeJSON(w io.Writer, rep *coest.Report) error {
 // front) through the coestclient library instead of running it in process.
 // Only the knobs in the service's wire API travel; flags outside it (modes,
 // waveforms, traces) stay local-only.
-func runRemote(base, file, system, backend string, packets, dma int, ecache, macro, sampling bool, deadline time.Duration, asJSON bool) error {
+func runRemote(base, file, system string, packets, dma int, ecache, macro, sampling bool, deadline time.Duration, asJSON bool) error {
 	if file != "" {
 		return fmt.Errorf("-serve estimates named case-study systems only (got -file)")
 	}
 	cli := coestclient.New(base)
 	resp, err := cli.Estimate(context.Background(), coestapi.Request{
 		System:     system,
-		Backend:    backend,
 		Packets:    packets,
 		DeadlineMS: int(deadline / time.Millisecond),
 		Points: []coestapi.PointSpec{{
@@ -511,7 +505,7 @@ func runRemote(base, file, system, backend string, packets, dma int, ecache, mac
 	if resp.Shard != "" {
 		where += " (shard " + resp.Shard + ")"
 	}
-	fmt.Printf("system %s via %s: %s, %s backend\n", resp.System, where, warmth, resp.Backend)
+	fmt.Printf("system %s via %s: %s\n", resp.System, where, warmth)
 	if resp.Degraded {
 		fmt.Printf("  DEGRADED answer (%s): macro-model fast tier, see error budget below\n", resp.DegradedReason)
 	}

@@ -27,10 +27,6 @@ import (
 	"repro/internal/report"
 	"repro/internal/systems"
 	"repro/internal/telemetry"
-
-	// Register the non-default estimator backends for -backend.
-	_ "repro/internal/compiled"
-	_ "repro/internal/packed64"
 )
 
 func main() {
@@ -40,7 +36,6 @@ func main() {
 		ecache    = flag.Bool("ecache", false, "accelerate each point with energy caching")
 		attrib    = flag.Bool("attrib", false, "enable the energy attribution ledger on every point")
 		shadow    = flag.Float64("shadow-rate", 0, "shadow-audit this fraction of accelerated serves (0..1)")
-		backend   = flag.String("backend", "", "estimator backend: interpreted (default), compiled or packed64 (bit-identical reports)")
 		workers   = flag.Int("j", runtime.NumCPU(), "parallel co-estimations")
 		verbose   = flag.Bool("v", false, "print per-point progress metrics to stderr")
 		debugAddr = flag.String("debug-addr", "", "serve /metrics and /debug/pprof/ on this address during the sweep (e.g. localhost:6060)")
@@ -128,14 +123,8 @@ func main() {
 		}
 	}
 
-	be, err := engine.LookupBackend(*backend)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "explore: %v\n", err)
-		os.Exit(1)
-	}
-
 	var summary engine.SweepSummary
-	opts := engine.Options{Workers: *workers, Backend: *backend}
+	opts := engine.Options{Workers: *workers}
 	opts.OnPoint = func(m engine.PointMetrics) {
 		summary.Observe(m)
 		if *verbose {
@@ -148,7 +137,6 @@ func main() {
 		man = telemetry.NewManifest("explore", os.Args[1:], map[string]any{
 			"packets": *packets, "dma": dmas, "ecache": *ecache, "workers": *workers,
 		})
-		man.Backend = be.Name()
 	}
 
 	start := time.Now()

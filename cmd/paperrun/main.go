@@ -24,10 +24,6 @@ import (
 
 	"repro/internal/paper"
 	"repro/internal/telemetry"
-
-	// Register the non-default estimator backends the grid may name.
-	_ "repro/internal/compiled"
-	_ "repro/internal/packed64"
 )
 
 func main() {
@@ -45,7 +41,6 @@ func main() {
 		repeats   = flag.Int("repeats", 0, "override the spec's repeat count")
 		packets   = flag.Int("packets", 0, "override the spec's packet count")
 		seed      = flag.Int64("seed", 0, "override the spec's workload seed")
-		workersN  = flag.Int("j", 0, "override the spec's sweep worker pool size")
 		printSpec = flag.Bool("print-spec", false, "print the built-in default spec as JSON and exit")
 		traceChr  = flag.String("trace-chrome", "", "write the run's span trace as a Chrome/Perfetto trace_event file")
 	)
@@ -104,9 +99,6 @@ func main() {
 	}
 	if *seed != 0 {
 		spec.Seed = *seed
-	}
-	if *workersN > 0 {
-		spec.Workers = *workersN
 	}
 
 	ctx := context.Background()

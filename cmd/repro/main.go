@@ -29,14 +29,9 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/macromodel"
 	"repro/internal/telemetry"
-
-	// Register the non-default estimator backends for -backend.
-	_ "repro/internal/compiled"
-	_ "repro/internal/packed64"
 )
 
 func main() {
@@ -56,7 +51,6 @@ func main() {
 		packets   = flag.Int("packets", 0, "packets per Table 1/2 run")
 		repeats   = flag.Int("repeats", 0, "wall-time measurement repeats")
 		dmaList   = flag.String("dma", "", "comma-separated DMA sizes for Tables 1/2")
-		backend   = flag.String("backend", "", "estimator backend for the sweeps: interpreted (default), compiled or packed64")
 		workers   = flag.Int("j", 0, "sweep worker pool size (0 = GOMAXPROCS; use 1 for quietest wall-time columns)")
 		debugAddr = flag.String("debug-addr", "", "serve /metrics and /debug/pprof/ on this address while experiments run (e.g. localhost:6060)")
 		traceChr  = flag.String("trace-chrome", "", "write the experiments' span trace as a Chrome/Perfetto trace_event file")
@@ -112,10 +106,6 @@ func main() {
 		p.Repeats = *repeats
 	}
 	p.Workers = *workers
-	if _, err := engine.LookupBackend(*backend); err != nil {
-		fatal(err)
-	}
-	p.Backend = *backend
 	if *dmaList != "" {
 		p.DMASizes = nil
 		for _, s := range strings.Split(*dmaList, ",") {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cfsm"
 	"repro/internal/hwsyn"
-	"repro/internal/iss"
 	"repro/internal/swsyn"
 )
 
@@ -35,14 +34,6 @@ type Artifacts struct {
 	HWWidth int
 	Image   *swsyn.Compiled          // nil when no process maps to software
 	HW      map[string]*hwsyn.Module // by machine name
-
-	// SWBlocks is the threaded-code translation of Image under the run's
-	// timing/power models, populated when the run executed with
-	// Config.CompiledISS. Sharing it across a warm session means the
-	// program is translated once: every rebound run attaches the same
-	// compiled blocks (BlockCache is concurrency-safe). It is dropped
-	// silently when a later run's models no longer match.
-	SWBlocks *iss.BlockCache
 }
 
 // Artifacts extracts the synthesis products of a built co-simulation for
@@ -50,13 +41,10 @@ type Artifacts struct {
 // CoSim's machines until rebound; treat them as read-only.
 func (cs *CoSim) Artifacts() *Artifacts {
 	a := &Artifacts{HWWidth: cs.cfg.HWWidth, Image: cs.image}
-	if cs.cpu != nil {
-		a.SWBlocks = cs.cpu.BlockCache()
-	}
 	if len(cs.hw) > 0 {
 		a.HW = make(map[string]*hwsyn.Module, len(cs.hw))
 		for mi, ex := range cs.hw {
-			a.HW[cs.sys.Net.Machines[mi].Name] = ex.driver.Module()
+			a.HW[cs.sys.Net.Machines[mi].Name] = ex.driver.Mod
 		}
 	}
 	return a

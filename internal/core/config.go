@@ -22,7 +22,6 @@ import (
 	"repro/internal/cfsm"
 	"repro/internal/compact"
 	"repro/internal/ecache"
-	"repro/internal/hwsyn"
 	"repro/internal/iss"
 	"repro/internal/macromodel"
 	"repro/internal/rtos"
@@ -156,7 +155,7 @@ func (m Mode) String() string {
 //
 // Copy semantics: a Config is a value, but not every field is. Plain
 // assignment shares the Bus.Priority map, the model pointers (Timing,
-// Power, Accel.MacromodelTable) and the callbacks (Sink, Trace, PathEnergy), so
+// Power, Accel.MacromodelTable) and the callbacks (Sink, PathEnergy), so
 // two runs started from the same copied Config can race on the map and
 // interleave on the callbacks. Sweep workers must therefore start from
 // Clone(), which deep-copies the mutable state; the model pointers are
@@ -179,15 +178,6 @@ type Config struct {
 
 	Timing *iss.TimingModel
 	Power  *iss.PowerModel
-
-	// CompiledISS switches the software estimator to the threaded-code
-	// execution tier: the SPARC image's basic blocks are translated once
-	// into pre-bound closures and dispatched by block instead of being
-	// re-interpreted per instruction. Estimation output is bit-identical to
-	// the interpreter — this is the "compiled" estimator backend's seam.
-	// The block cache rides Artifacts, so warm sessions translate once and
-	// reuse across runs.
-	CompiledISS bool
 
 	HWWidth int
 	HWVdd   units.Voltage
@@ -220,16 +210,8 @@ type Config struct {
 	// dispatches, estimator invocations, cache hits, bus grants, ...) —
 	// the source-level visibility the PTOLEMY master provides in the
 	// paper's tool, as structured telemetry.Event values. The run does not
-	// close the sink; its owner does. When both Sink and Trace are set the
-	// stream fans out to both.
+	// close the sink; its owner does.
 	Sink telemetry.Sink
-
-	// Trace, if set, receives one rendered line per master-level event.
-	//
-	// Deprecated: Trace is the legacy stringly callback, kept as a thin
-	// adapter over the typed event stream (each Event is rendered with
-	// Event.String). New code should consume Sink instead.
-	Trace func(string)
 
 	// KeepBusTrace retains the per-grant bus trace for inspection
 	// (implicitly on when Accel.BusCompaction is set).
@@ -247,15 +229,6 @@ type Config struct {
 	// separate baseline estimates components offline, outside the event
 	// stream).
 	Attribution bool
-
-	// HWEngineFactory, if set, supplies the hardware execution engine for
-	// each synthesized module instead of the default per-run gate-level
-	// Driver. This is the seam the packed64 estimator backend uses to bind
-	// the run's hardware machines to lanes of a shared 64-wide bit-parallel
-	// column; estimation semantics are unchanged (engines must be
-	// observationally identical to a Driver). The factory is invoked during
-	// construction, once per hardware machine, in machine order.
-	HWEngineFactory func(mod *hwsyn.Module, vdd units.Voltage) (hwsyn.Engine, error)
 
 	// SWECache / HWECache, when non-nil and Accel.ECache is set, are used
 	// as this run's energy caches instead of fresh ones — the persistence

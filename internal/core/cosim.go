@@ -48,7 +48,7 @@ type ObservedEvent struct {
 
 // hwExec is the per-HW-machine execution state.
 type hwExec struct {
-	driver  hwsyn.Engine
+	driver  *hwsyn.Driver
 	busy    bool
 	pending int
 	stale   bool // registers out of sync (a cached skip happened)
@@ -112,9 +112,8 @@ type CoSim struct {
 	issCalls  uint64
 	gateExecs uint64
 
-	// trc is the typed event stream; nil (the no-op tracer) when neither
-	// Config.Sink nor the legacy Config.Trace callback is set and no
-	// attribution ledger is attached.
+	// trc is the typed event stream; nil (the no-op tracer) when
+	// Config.Sink is unset and no attribution ledger is attached.
 	trc *telemetry.Tracer
 
 	// spans is the request-trace scope extracted once from RunContext's
@@ -176,13 +175,9 @@ func NewShared(sys *System, cfg Config, art *Artifacts) (*CoSim, error) {
 		swSync:  make(map[int]bool),
 		samples: make(map[ecache.Key]*sampleState),
 	}
-	// The legacy Trace callback rides the typed stream as a text sink; the
-	// attribution ledger, when enabled, is one more fan-out target of the
-	// same stream.
+	// The attribution ledger, when enabled, is one more fan-out target of
+	// the run's event stream.
 	sink := cfg.Sink
-	if cfg.Trace != nil {
-		sink = telemetry.Multi(sink, telemetry.NewTextSink(cfg.Trace))
-	}
 	if cfg.Attribution {
 		infos := make([]attrib.MachineInfo, len(sys.Net.Machines))
 		for mi, m := range sys.Net.Machines {
@@ -237,22 +232,6 @@ func NewShared(sys *System, cfg Config, art *Artifacts) (*CoSim, error) {
 		cs.cpu.Reset(swsyn.StackTop)
 		cs.cpu.LoadProgram(img.Prog)
 		img.InitMemory(mem)
-		if cfg.CompiledISS {
-			// Reuse the session's threaded-code translation when it was built
-			// from exactly this image and model pair; translate fresh
-			// otherwise. Blocks compile lazily — RunContext front-loads the
-			// reachable set once per cache.
-			bc := (*iss.BlockCache)(nil)
-			if art != nil && art.SWBlocks != nil &&
-				art.SWBlocks.Matches(img.Prog, cfg.Timing, cfg.Power) {
-				bc = art.SWBlocks
-			} else {
-				bc = iss.CompileBlocks(img.Prog, cfg.Timing, cfg.Power)
-			}
-			if err := cs.cpu.AttachBlocks(bc); err != nil {
-				return nil, err
-			}
-		}
 	}
 
 	// Hardware synthesis + gate simulators (modules may come rebound from
@@ -266,18 +245,11 @@ func NewShared(sys *System, cfg Config, art *Artifacts) (*CoSim, error) {
 		if err != nil {
 			return nil, err
 		}
-		var eng hwsyn.Engine
-		if cfg.HWEngineFactory != nil {
-			eng, err = cfg.HWEngineFactory(mod, cfg.HWVdd)
-		} else {
-			var drv *hwsyn.Driver
-			drv, err = hwsyn.NewDriver(mod, cfg.HWVdd)
-			eng = hwsyn.DriverEngine{Driver: drv}
-		}
+		drv, err := hwsyn.NewDriver(mod, cfg.HWVdd)
 		if err != nil {
 			return nil, err
 		}
-		cs.hw[mi] = &hwExec{driver: eng}
+		cs.hw[mi] = &hwExec{driver: drv}
 	}
 
 	// Integration architecture. The priority map is copied before defaults
@@ -371,7 +343,7 @@ func (cs *CoSim) SWProgram() *sparc.Program {
 func (cs *CoSim) HWNetlists() map[string]*gate.Netlist {
 	out := make(map[string]*gate.Netlist, len(cs.hw))
 	for mi, ex := range cs.hw {
-		out[cs.sys.Net.Machines[mi].Name] = ex.driver.Module().N
+		out[cs.sys.Net.Machines[mi].Name] = ex.driver.Mod.N
 	}
 	return out
 }
@@ -555,21 +527,6 @@ func (cs *CoSim) RunContext(ctx context.Context) (*Report, error) {
 	}
 	mRuns.Inc()
 	cs.spans = telemetry.SpanScopeFrom(ctx)
-	if cs.cpu != nil {
-		if bc := cs.cpu.BlockCache(); bc != nil && !bc.Precompiled() {
-			// Front-load the statically reachable block set so first-run
-			// dispatch stays on the fast path; the span makes translation
-			// cost visible on request traces. Runs at most once per cache —
-			// warm sessions skip it entirely.
-			mark := cs.spans.Begin("iss_compile", cs.sys.Name)
-			var entries []uint32
-			for _, mc := range cs.image.Machines {
-				entries = append(entries, mc.Entries...)
-			}
-			n := bc.Precompile(entries)
-			mark.End(uint64(n), 0)
-		}
-	}
 	cs.scheduleStimuli()
 	interrupted := cs.kernel.RunUntilInterrupted(cs.cfg.MaxSimTime, ctx.Done())
 	if cs.err != nil {

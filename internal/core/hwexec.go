@@ -87,7 +87,7 @@ func (cs *CoSim) startHW(mi int, ex *hwExec) {
 
 // hwRun tracks one incremental engine execution.
 type hwRun struct {
-	exec   hwsyn.Execution
+	exec   *hwsyn.Exec
 	memIdx int // consumption pointer into the reaction's MemOps
 
 	// Wall-clock accounting for the request trace: the engine runs in

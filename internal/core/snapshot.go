@@ -15,12 +15,6 @@ import (
 // fresh process without invoking swsyn.Compile or hwsyn.Synthesize — the
 // compile counters stay flat, which is the whole point of shipping
 // snapshots between fleet shards.
-//
-// The threaded-code block cache (Artifacts.SWBlocks) is not part of the
-// state: compiled blocks are Go closures over live model state and cannot
-// cross a process boundary. A restored session re-translates lazily on its
-// first compiled-backend run, exactly like a session whose timing models
-// changed.
 type ArtifactsState struct {
 	HWWidth int
 	Image   *swsyn.CompiledState

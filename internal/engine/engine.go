@@ -24,11 +24,13 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/telemetry"
 )
 
 // Options configures a pool run.
@@ -46,11 +48,6 @@ type Options struct {
 	// index, wall time and error.
 	OnPoint func(PointMetrics)
 
-	// Backend names the estimator backend RunReports/RunOutcomes dispatch
-	// to. Empty means the default "interpreted" backend; unknown names fail
-	// with ErrUnknownBackend. The generic Run ignores it.
-	Backend string
-
 	// Artifacts, if set, are compile-once synthesis products every point
 	// rebinds instead of recompiling (the warm-session path). They must
 	// have been built from the same system with the same HWWidth as the
@@ -58,10 +55,9 @@ type Options struct {
 	Artifacts *core.Artifacts
 
 	// OnRun, if set, receives each point's completed co-simulation (after
-	// a successful run, before the point is reported done). Backends may
-	// invoke it concurrently from worker goroutines; the callback
-	// synchronizes itself. Sessions use it to retain the last run for
-	// cache-report inspection.
+	// a successful run, before the point is reported done). Workers invoke
+	// it concurrently; the callback synchronizes itself. Sessions use it to
+	// retain the last run for cache-report inspection.
 	OnRun func(i int, cs *core.CoSim)
 }
 
@@ -179,26 +175,35 @@ dispatch:
 	return out, nil
 }
 
+// BuildFunc describes point i of a sweep: a fresh System (simulations
+// mutate network state, so points cannot share one) and the point's Config
+// (cloned by the engine before use).
+type BuildFunc func(i int) (*core.System, core.Config, error)
+
+// PointOutcome is one sweep point's result in a keep-going run: failures
+// ride the outcome instead of aborting the batch.
+type PointOutcome struct {
+	Index  int
+	Report *core.Report
+	Err    error
+}
+
 // RunReports is Run specialized to co-estimations: build(i) describes point
-// i, the selected backend (Options.Backend) constructs and runs it, and the
-// full per-point estimator metrics (ISS instructions, gate evaluations,
-// energy-cache hits, bus-trace compaction ratio) flow into the OnPoint
-// hook. A point failure cancels the remaining points and the lowest-index
-// error is returned, wrapped as "point %d: ...", with the completed points.
+// i, a core.CoSim per point runs it, and the full per-point estimator
+// metrics (ISS instructions, gate evaluations, energy-cache hits, bus-trace
+// compaction ratio) flow into the OnPoint hook. A point failure cancels the
+// remaining points and the lowest-index error is returned, wrapped as
+// "point %d: ...", with the completed points.
 //
 // build(i) must return a fresh System on every call — simulations mutate the
 // CFSM network state, so points cannot share one System value. The returned
 // Config is cloned by the engine before use (see core.Config.Clone), so
 // builds may derive all points from one shared base Config.
 func RunReports(ctx context.Context, n int, opts Options, build BuildFunc) ([]Result[*core.Report], error) {
-	be, err := LookupBackend(opts.Backend)
-	if err != nil {
-		return nil, err
-	}
 	if n <= 0 {
 		return nil, ctx.Err()
 	}
-	outs, err := be.Run(ctx, n, opts, true, build)
+	outs, err := runPointwise(ctx, n, opts, true, build)
 	results := make([]Result[*core.Report], 0, len(outs))
 	for _, o := range outs {
 		if o.Err == nil && o.Report != nil {
@@ -206,4 +211,87 @@ func RunReports(ctx context.Context, n int, opts Options, build BuildFunc) ([]Re
 		}
 	}
 	return results, err
+}
+
+// runPointwise runs every point as one full co-simulation (a core.CoSim
+// per point) over the bounded worker pool, returning outcomes in index
+// order. The OnPoint hook receives the full estimator metrics.
+//
+// With failFast, the first (lowest-index) point error cancels the remaining
+// points and is returned wrapped as "point %d: ..." alongside the outcomes
+// that did complete (Sweep semantics). Without it, per-point errors ride
+// the outcomes, every dispatched point yields an outcome, and only context
+// cancellation produces a call-level error (EstimateBatch semantics).
+func runPointwise(ctx context.Context, n int, opts Options, failFast bool, build BuildFunc) ([]PointOutcome, error) {
+	hook := opts.OnPoint
+	inner := opts
+	inner.OnPoint = nil // fired below with full estimator metrics instead
+	var mu sync.Mutex
+	results, err := Run(ctx, n, inner, func(ctx context.Context, i int) (PointOutcome, error) {
+		start := time.Now()
+		rep, perr := runPoint(ctx, i, opts, build)
+		if perr != nil && failFast {
+			perr = fmt.Errorf("point %d: %w", i, perr)
+		}
+		if hook != nil {
+			m := PointMetrics{Index: i, Total: n, Wall: time.Since(start), Err: perr}
+			if rep != nil {
+				m.Fill(rep)
+			}
+			mu.Lock()
+			hook(m)
+			mu.Unlock()
+		}
+		if failFast {
+			return PointOutcome{Index: i, Report: rep}, perr
+		}
+		// Keep-going: the failure rides the outcome, not the batch.
+		return PointOutcome{Index: i, Report: rep, Err: perr}, nil
+	})
+	outs := make([]PointOutcome, 0, len(results))
+	for _, r := range results {
+		outs = append(outs, r.Value)
+	}
+	return outs, err
+}
+
+func runPoint(ctx context.Context, i int, opts Options, build BuildFunc) (*core.Report, error) {
+	ctx, span := telemetry.StartSpanWith(ctx, "point", "", int64(i))
+	defer span.End()
+	sys, cfg, err := build(i)
+	if err != nil {
+		return nil, err
+	}
+	cfg = cfg.Clone()
+	// Cold points compile (synthesize SW image + HW netlists); warm points
+	// rebind the session's shared artifacts. The span name says which.
+	buildName := "compile"
+	if opts.Artifacts != nil {
+		buildName = "rebind"
+	}
+	_, bspan := telemetry.StartSpan(ctx, buildName)
+	cs, err := core.NewShared(sys, cfg, opts.Artifacts)
+	bspan.End()
+	if err != nil {
+		return nil, err
+	}
+	// The run context reaches the simulation loop: a cancelled sweep aborts
+	// in-flight points within one event quantum instead of letting them run
+	// to completion.
+	rep, err := cs.RunContext(ctx)
+	if err == nil && opts.OnRun != nil {
+		opts.OnRun(i, cs)
+	}
+	return rep, err
+}
+
+// RunOutcomes runs every point with keep-going semantics: per-point
+// failures land in their outcome, the batch continues, and the returned
+// slice has one entry per dispatched point in index order. Only context
+// cancellation (partial outcome set) produces a call-level error.
+func RunOutcomes(ctx context.Context, n int, opts Options, build BuildFunc) ([]PointOutcome, error) {
+	if n <= 0 {
+		return nil, ctx.Err()
+	}
+	return runPointwise(ctx, n, opts, false, build)
 }

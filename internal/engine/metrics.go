@@ -63,8 +63,8 @@ func (m PointMetrics) String() string {
 		m.ISSInsts, m.GateEvals, ecache, m.CompactionRatio)
 }
 
-// Fill copies the estimator counters out of a finished report. Backends
-// use it to populate the OnPoint record.
+// Fill copies the estimator counters out of a finished report into the
+// OnPoint record.
 func (m *PointMetrics) Fill(rep *core.Report) {
 	m.ISSInsts = rep.ISSInsts
 	m.GateEvals = rep.GateExecs

@@ -39,10 +39,6 @@ type Params struct {
 	// Energies are identical at any worker count; wall-time columns are
 	// quietest at Workers = 1.
 	Workers int
-	// Backend names the estimator backend the sweeps run on ("" =
-	// "interpreted"). Energies are identical on every backend; wall times
-	// differ (that is the point of "packed64").
-	Backend string
 	// Ctx, when non-nil, is the context the sweeps run under — cancellation
 	// plus any telemetry span scope it carries (the spans show up in a
 	// -trace-chrome flame graph as per-point children of the caller's root).
@@ -51,7 +47,7 @@ type Params struct {
 
 // opts returns the engine options the experiment sweeps run under.
 func (p Params) opts() engine.Options {
-	return engine.Options{Workers: p.Workers, Backend: p.Backend}
+	return engine.Options{Workers: p.Workers}
 }
 
 // ctx returns the run context (Background when the caller set none).

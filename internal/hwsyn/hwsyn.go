@@ -90,10 +90,6 @@ type Module struct {
 
 	entries []int // entry step per transition
 	steps   []step
-
-	// fp memoizes Fingerprint. Synthesize sets it before the module
-	// escapes, so reads never race; Rebind's shallow copy carries it.
-	fp uint64
 }
 
 // NumSteps returns the micro-program length (including idle and done steps).
@@ -116,7 +112,6 @@ func Synthesize(m *cfsm.CFSM, cfg Config) (*Module, error) {
 	if err := sy.build(); err != nil {
 		return nil, err
 	}
-	sy.mod.fp = sy.mod.fingerprint()
 	return sy.mod, nil
 }
 

@@ -8,8 +8,8 @@ import (
 )
 
 // ModuleState is the serializable form of a synthesized Module: the netlist,
-// port bindings and micro-program entry table — everything the drivers
-// (exec, packed) consult at simulation time — plus the machine identity
+// port bindings and micro-program entry table — everything the driver
+// consults at simulation time — plus the machine identity
 // (name, transition count) validated at restore. The private micro-step
 // list is deliberately absent: it is consumed during netlist construction
 // and never read again, so a restored module is simulation-equivalent
@@ -69,10 +69,7 @@ func (mod *Module) State() ModuleState {
 }
 
 // ModuleFromState rebuilds a module from its exported state, bound to the
-// live machine instance m. No synthesis happens; the structural fingerprint
-// is recomputed from the restored netlist (it never covers the dropped
-// micro-steps), so packed-lane compatibility with the snapshot origin is
-// preserved bit-for-bit.
+// live machine instance m. No synthesis happens.
 func ModuleFromState(st ModuleState, m *cfsm.CFSM) (*Module, error) {
 	if m.Name != st.Name {
 		return nil, fmt.Errorf("hwsyn: snapshot module is %q, restored machine is %q", st.Name, m.Name)
@@ -102,6 +99,5 @@ func ModuleFromState(st ModuleState, m *cfsm.CFSM) (*Module, error) {
 		VarRegs:    st.VarRegs,
 		entries:    st.Entries,
 	}
-	mod.fp = mod.fingerprint()
 	return mod, nil
 }

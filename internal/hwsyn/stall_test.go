@@ -12,16 +12,31 @@ import (
 	"repro/internal/gate"
 )
 
-// cycleEngine is the reference for Exec.Stall's steady advance: a Driver
-// whose stalls clock one gate.Sim.Cycle per stall cycle.
-type cycleEngine struct{ DriverEngine }
+// execution is one in-flight transition: an *Exec, or the cycle-by-cycle
+// reference's cycleExec.
+type execution interface {
+	Run() (req Req, needMem bool, err error)
+	Stall(n uint64)
+	CreditRead(addr, data uint32)
+	CreditWrite(addr uint32)
+	Stats() ExecStats
+}
 
-func (c cycleEngine) Begin(r *cfsm.Reaction) (Execution, error) {
+// engine is what the stall tests drive: a *Driver (an engine[*Exec]) or
+// the cycle-by-cycle reference cycleDriver (an engine[cycleExec]).
+type engine[E execution] interface {
+	Begin(r *cfsm.Reaction) (E, error)
+	SyncVars(vals []uint32)
+	VarValue(vi int) uint32
+}
+
+// cycleDriver is the reference for Exec.Stall's steady advance: a Driver
+// whose stalls clock one gate.Sim.Cycle per stall cycle.
+type cycleDriver struct{ *Driver }
+
+func (c cycleDriver) Begin(r *cfsm.Reaction) (cycleExec, error) {
 	e, err := c.Driver.Begin(r)
-	if err != nil {
-		return nil, err
-	}
-	return cycleExec{e}, nil
+	return cycleExec{e}, err
 }
 
 type cycleExec struct{ *Exec }
@@ -32,6 +47,88 @@ func (e cycleExec) Stall(n uint64) {
 		e.cycle()
 	}
 	e.stats.StallCycles += n
+}
+
+// execVia drives one transition with the same Begin/Run/Stall/Credit loop
+// the co-simulation core uses.
+func execVia[E execution](eng engine[E], r *cfsm.Reaction, mem MemHandler) (ExecStats, error) {
+	e, err := eng.Begin(r)
+	if err != nil {
+		return ExecStats{}, err
+	}
+	for {
+		req, needMem, err := e.Run()
+		if err != nil {
+			return e.Stats(), err
+		}
+		if !needMem {
+			return e.Stats(), nil
+		}
+		rdata, wait := mem(req.Addr, req.WData, req.Write)
+		e.Stall(wait)
+		if req.Write {
+			e.CreditWrite(req.Addr)
+		} else {
+			e.CreditRead(req.Addr, rdata)
+		}
+	}
+}
+
+type transResult struct {
+	st   ExecStats
+	vars []uint32
+}
+
+// runSeqWaits replays a deterministic stimulus sequence on machine m through
+// an engine — seeded inputs, seeded bus waits of 0..maxWait cycles, and
+// periodic SyncVars forcing — and records per-transition stats and register
+// state. The same seed on two engines of the same machine must produce
+// bit-identical records.
+func runSeqWaits[E execution](eng engine[E], m *cfsm.CFSM, seed int64, nTrans, maxWait int) ([]transResult, error) {
+	rng := rand.New(rand.NewSource(seed))
+	shm := sharedMem{}
+	for a := uint32(0); a < 64; a++ {
+		shm[a] = cfsm.Value(rng.Intn(cfsmtest.Mask + 1))
+	}
+	var out []transResult
+	for i := 0; i < nTrans; i++ {
+		if i%3 == 1 {
+			// Force divergent register state through ForceFlop, like the
+			// acceleration paths do after skipped executions.
+			vals := make([]uint32, len(m.VarNames))
+			for vi := range vals {
+				vals[vi] = uint32(rng.Intn(256))
+			}
+			eng.SyncVars(vals)
+		}
+		m.Post(0, cfsm.Value(rng.Intn(cfsmtest.Mask+1)))
+		r, ok := m.React(shm)
+		if !ok {
+			return nil, fmt.Errorf("machine %s did not react", m.Name)
+		}
+		mem := func(addr, wdata uint32, write bool) (uint32, uint64) {
+			wait := uint64(rng.Intn(maxWait + 1))
+			if write {
+				return 0, wait
+			}
+			for _, op := range r.MemOps {
+				if !op.Write && op.Addr == addr {
+					return uint32(op.Data), wait
+				}
+			}
+			return 0, wait
+		}
+		st, err := execVia(eng, r, mem)
+		if err != nil {
+			return nil, err
+		}
+		vars := make([]uint32, len(m.VarNames))
+		for vi := range vars {
+			vars[vi] = eng.VarValue(vi)
+		}
+		out = append(out, transResult{st, vars})
+	}
+	return out, nil
 }
 
 // TestStallMatchesCycleByCycle pins Exec.Stall to the one-cycle-per-stall
@@ -49,7 +146,7 @@ func TestStallMatchesCycleByCycle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run := func(engine func(*Driver) Engine) []transResult {
+		run := func(cycleByCycle bool) []transResult {
 			m, err := mod.Rebind(base.Clone())
 			if err != nil {
 				t.Fatal(err)
@@ -58,14 +155,19 @@ func TestStallMatchesCycleByCycle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := runSeqWaits(engine(d), seed, 12, nil, 300)
+			var res []transResult
+			if cycleByCycle {
+				res, err = runSeqWaits(cycleDriver{d}, m.M, seed, 12, 300)
+			} else {
+				res, err = runSeqWaits(d, m.M, seed, 12, 300)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
 			return res
 		}
-		got := run(func(d *Driver) Engine { return DriverEngine{d} })
-		want := run(func(d *Driver) Engine { return cycleEngine{DriverEngine{d}} })
+		got := run(false)
+		want := run(true)
 		for i := range want {
 			g, w := got[i], want[i]
 			if math.Float64bits(float64(g.st.Energy)) != math.Float64bits(float64(w.st.Energy)) ||

@@ -42,43 +42,3 @@ func TestCallZeroAlloc(t *testing.T) {
 		t.Fatalf("iss.CPU.Call steady state allocates %v allocs/op, want 0", avg)
 	}
 }
-
-// TestCompiledCallZeroAlloc is the same guard for the threaded-code tier:
-// after the first Call compiled the hot blocks (and warmed pages and the
-// spill stack), steady-state dispatch — block lookup, fused thunks, tails
-// and the telemetry flush — must not allocate per Call.
-func TestCompiledCallZeroAlloc(t *testing.T) {
-	a := sparc.NewAsm(0x1000)
-	a.Label("entry")
-	a.Save(-96)
-	a.Movi(sparc.O0, 0)
-	a.Movi(sparc.O1, 50)
-	a.Label("loop")
-	a.Op3(sparc.ADD, sparc.O0, sparc.O0, sparc.O1)
-	a.Op3i(sparc.XOR, sparc.O2, sparc.O0, 0x55)
-	a.Store(sparc.ST, sparc.O0, sparc.SP, 64)
-	a.Load(sparc.LD, sparc.O3, sparc.SP, 64)
-	a.Op3i(sparc.SUBCC, sparc.O1, sparc.O1, 1)
-	a.Branch(sparc.BNE, "loop", false)
-	a.Nop()
-	a.Restore()
-	a.Retl()
-	a.Nop()
-	c := New(SPARCliteTiming(), SPARCliteModel(), NewMem())
-	c.LoadProgram(a.MustAssemble())
-	if err := c.AttachBlocks(CompileBlocks(c.prog, c.Timing, c.Power)); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, _, err := c.Call(0x1000); err != nil { // warm: compiles the blocks
-		t.Fatal(err)
-	}
-	avg := testing.AllocsPerRun(200, func() {
-		if _, _, err := c.Call(0x1000); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("compiled iss.CPU.Call steady state allocates %v allocs/op, want 0", avg)
-	}
-}

@@ -82,7 +82,6 @@ type CPU struct {
 	// MaxInsts bounds a single Call (runaway-code guard).
 	MaxInsts uint64
 
-	prog     *sparc.Program
 	progBase uint32
 	dec      []decoded
 
@@ -101,11 +100,6 @@ type CPU struct {
 	pendingLoad sparc.Reg // G0 = none
 
 	instCount [sparc.NumOpcodes]uint64
-
-	// blocks, when attached, switches execution to the threaded-code tier;
-	// cx is its run state (see compile.go).
-	blocks *BlockCache
-	cx     cexec
 }
 
 // New returns a CPU with the given models and memory, reset and ready.
@@ -136,21 +130,8 @@ func (c *CPU) LoadProgram(p *sparc.Program) {
 	for i, w := range p.Words {
 		c.Mem.Write32(p.Base+uint32(i)*4, w)
 	}
-	c.prog = p
 	c.progBase = p.Base
 	c.dec = predecode(p, c.Timing)
-	c.blocks = nil // any attached block cache is stale for the new program
-}
-
-// run dispatches to the threaded-code tier when a block cache is attached
-// and nothing needs per-fetch observation; otherwise it interprets. Both
-// tiers are bit-identical (including the energy accumulation order) — only
-// throughput differs.
-func (c *CPU) run(limit uint64) (uint64, error) {
-	if c.blocks != nil && c.FetchHook == nil {
-		return c.runCompiled(limit)
-	}
-	return c.runInterp(limit)
 }
 
 // Stats returns the cumulative statistics since construction.

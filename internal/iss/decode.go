@@ -55,13 +55,13 @@ func predecode(p *sparc.Program, t *TimingModel) []decoded {
 	return dec
 }
 
-// runInterp executes up to limit instructions from the predecoded stream, stopping
+// run executes up to limit instructions from the predecoded stream, stopping
 // early when the CPU halts or an execution fault occurs. It reports how many
 // Step-equivalents ran (a halt probe counts as one, matching the historical
 // Step loop). All per-instruction state lives in locals; architectural state
 // is synced back to the CPU before returning. Statistics accumulate in the
 // same order as always, so energies stay bit-identical.
-func (c *CPU) runInterp(limit uint64) (executed uint64, err error) {
+func (c *CPU) run(limit uint64) (executed uint64, err error) {
 	dec := c.dec
 	base := c.progBase
 	n := uint32(len(dec))

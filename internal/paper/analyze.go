@@ -20,7 +20,6 @@ type GroupKey struct {
 	Experiment string
 	Kind       string
 	Variant    string
-	Backend    string
 	DMA        int
 }
 
@@ -59,7 +58,7 @@ type Analysis struct {
 	groups map[GroupKey][]stats.Running // indexed like metricNames
 }
 
-// Analyze groups the rows by (experiment, kind, variant, backend, dma) and
+// Analyze groups the rows by (experiment, kind, variant, dma) and
 // folds every repeat into running statistics.
 func Analyze(rows []Row) *Analysis {
 	a := &Analysis{groups: make(map[GroupKey][]stats.Running)}
@@ -67,7 +66,7 @@ func Analyze(rows []Row) *Analysis {
 		if a.RunID == "" {
 			a.RunID = r.RunID
 		}
-		k := GroupKey{Experiment: r.Experiment, Kind: r.Kind, Variant: r.Variant, Backend: r.Backend, DMA: r.DMA}
+		k := GroupKey{Experiment: r.Experiment, Kind: r.Kind, Variant: r.Variant, DMA: r.DMA}
 		g, ok := a.groups[k]
 		if !ok {
 			g = make([]stats.Running, len(metricNames))
@@ -116,7 +115,7 @@ func (a *Analysis) mustStat(k GroupKey, metric string) Stat {
 func (a *Analysis) WriteGroupedCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{
-		"experiment", "kind", "variant", "backend", "dma",
+		"experiment", "kind", "variant", "dma",
 		"metric", "n", "mean", "std", "ci95", "min", "max",
 	}); err != nil {
 		return err
@@ -125,7 +124,7 @@ func (a *Analysis) WriteGroupedCSV(w io.Writer) error {
 		for _, m := range metricNames {
 			s, _ := a.Stat(k, m)
 			if err := cw.Write([]string{
-				k.Experiment, k.Kind, k.Variant, k.Backend, strconv.Itoa(k.DMA),
+				k.Experiment, k.Kind, k.Variant, strconv.Itoa(k.DMA),
 				m, strconv.Itoa(s.N), ftoa(s.Mean), ftoa(s.Std), ftoa(s.CI95), ftoa(s.Min), ftoa(s.Max),
 			}); err != nil {
 				return err
@@ -189,8 +188,8 @@ var tableTitles = map[string]string{
 
 // RenderTables writes the generated Markdown tables of the analysis: the
 // paper's Tables 1-3 (per-DMA base-vs-accelerated energy, accuracy, error
-// budget, and wall-time speedup), the backend speedup table, the serving
-// warmth table, and the waveform peaks.
+// budget, and wall-time speedup), the serving warmth table, and the
+// waveform peaks.
 func (a *Analysis) RenderTables(w io.Writer) error {
 	fmt.Fprintf(w, "# Generated paper tables (run %s)\n\n", a.RunID)
 	fmt.Fprintf(w, "Generated by `cmd/paperrun` from results.csv — do not edit. Energies are\n")
@@ -202,9 +201,6 @@ func (a *Analysis) RenderTables(w io.Writer) error {
 		for _, id := range a.experiments(kind) {
 			a.renderTableKind(w, kind, id)
 		}
-	}
-	for _, id := range a.experiments(KindBackends) {
-		a.renderBackends(w, id)
 	}
 	for _, id := range a.experiments(KindServing) {
 		a.renderServing(w, id)
@@ -256,32 +252,6 @@ func (a *Analysis) renderTableKind(w io.Writer, kind, id string) {
 			dma, energyString(baseE), energyString(accelE), fmtPct(err),
 			energyString(a.mustStat(*p.accel, "budget_bound_j").Mean),
 			fmtWall(baseW), fmtWall(accelW), fmtSpeedup(baseW.Mean, accelW.Mean))
-	}
-}
-
-// renderBackends writes the backend speedup table.
-func (a *Analysis) renderBackends(w io.Writer, id string) {
-	fmt.Fprintf(w, "\n## Backend speedup (`%s`)\n\n", id)
-	fmt.Fprintln(w, "| backend | sweep wall | speedup | total energy | ISS calls |")
-	fmt.Fprintln(w, "|---|---:|---:|---:|---:|")
-	keys := a.expKeys(id)
-	// Speedups are relative to the interpreted reference backend, or to the
-	// first backend listed when it isn't part of the comparison.
-	var ref float64
-	for _, k := range keys {
-		if k.Backend == "interpreted" {
-			ref = a.mustStat(k, "wall_ns").Mean
-		}
-	}
-	if ref == 0 && len(keys) > 0 {
-		ref = a.mustStat(keys[0], "wall_ns").Mean
-	}
-	for _, k := range keys {
-		wall := a.mustStat(k, "wall_ns")
-		fmt.Fprintf(w, "| %s | %s | %s | %s | %.0f |\n",
-			k.Backend, fmtWall(wall), fmtSpeedup(ref, wall.Mean),
-			energyString(a.mustStat(k, "energy_j").Mean),
-			a.mustStat(k, "iss_calls").Mean)
 	}
 }
 

@@ -65,13 +65,7 @@ type Drift struct {
 }
 
 func (d Drift) String() string {
-	where := fmt.Sprintf("%s/%s", d.Key.Experiment, d.Key.Variant)
-	if d.Key.Backend != "" {
-		where += "/" + d.Key.Backend
-	}
-	if d.Key.DMA >= 0 {
-		where += fmt.Sprintf("/dma=%d", d.Key.DMA)
-	}
+	where := fmt.Sprintf("%s/%s/dma=%d", d.Key.Experiment, d.Key.Variant, d.Key.DMA)
 	if d.Rel < 0 {
 		return fmt.Sprintf("%s: group missing from fresh run", where)
 	}

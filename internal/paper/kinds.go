@@ -42,14 +42,6 @@ func buildSystem(system string, packets, dma int, seed int64) (*coest.System, er
 	return nil, fmt.Errorf("paper: unknown system %q", system)
 }
 
-// sessionOpts returns the compile-time options of an experiment's sessions.
-func sessionOpts(e Experiment) []coest.Option {
-	if e.Backend == "" {
-		return nil
-	}
-	return []coest.Option{coest.WithBackend(e.Backend)}
-}
-
 // runKind dispatches one experiment to its executor, writing the
 // human-readable rendering to log.
 func (r *Runner) runKind(ctx context.Context, e Experiment, log io.Writer) ([]Row, error) {
@@ -65,8 +57,6 @@ func (r *Runner) runKind(ctx context.Context, e Experiment, log io.Writer) ([]Ro
 	case KindTable3:
 		return r.runTable(ctx, e, log, "sampling",
 			[]coest.Option{coest.WithSampling(), coest.WithBusCompaction(32, 4), coest.WithAttribution()})
-	case KindBackends:
-		return r.runBackends(ctx, e, log)
 	case KindServing:
 		return r.runServing(ctx, e, log)
 	case KindWaveform:
@@ -82,7 +72,6 @@ func (r *Runner) baseRow(e Experiment, variant string, dma, rep int) Row {
 		Experiment: e.ID,
 		Kind:       e.Kind,
 		System:     e.system(),
-		Backend:    e.Backend,
 		Variant:    variant,
 		DMA:        dma,
 		Packets:    e.packets(r.Spec),
@@ -109,7 +98,7 @@ func (r *Runner) runTable(ctx context.Context, e Experiment, log io.Writer, acce
 				span.End()
 				return nil, err
 			}
-			sess, err := coest.NewSession(sys, sessionOpts(e)...)
+			sess, err := coest.NewSession(sys)
 			if err != nil {
 				span.End()
 				return nil, fmt.Errorf("paper: %s dma %d: %w", e.ID, dma, err)
@@ -184,62 +173,6 @@ func renderTableLog(w io.Writer, e Experiment, accelName string, rows []Row) {
 	t.Render(w)
 }
 
-// runBackends times the same unaccelerated DMA sweep on every named
-// backend and cross-checks the summed energies are identical — backends
-// are throughput knobs, never accuracy knobs, and this experiment is the
-// standing proof.
-func (r *Runner) runBackends(ctx context.Context, e Experiment, log io.Writer) ([]Row, error) {
-	var rows []Row
-	dma := e.dmaSizes(r.Spec)
-	repeats := e.repeats(r.Spec)
-	var refEnergy float64
-	refSet := false
-	for _, backend := range e.Backends {
-		for rep := 0; rep < repeats; rep++ {
-			grid := coest.Grid{N: len(dma), Build: func(i int) (*coest.System, error) {
-				return buildSystem(e.system(), e.packets(r.Spec), dma[i], r.Spec.Seed)
-			}}
-			start := time.Now()
-			results, err := coest.Sweep(ctx, grid,
-				coest.WithBackend(backend), coest.WithWorkers(r.workers()))
-			wall := time.Since(start)
-			if err != nil {
-				return nil, fmt.Errorf("paper: %s backend %s: %w", e.ID, backend, err)
-			}
-			row := r.baseRow(e, "sweep", -1, rep)
-			row.Backend = backend
-			row.WallNS = wall.Nanoseconds()
-			for _, pt := range results {
-				row.EnergyJ += pt.Report.Total.Joules()
-				row.SWJ += pt.Report.SWEnergy.Joules()
-				row.HWJ += pt.Report.HWEnergy.Joules()
-				row.BusJ += pt.Report.BusEnergy.Joules()
-				row.SimNS += int64(pt.Report.SimulatedTime)
-				row.ISSCalls += pt.Report.ISSCalls
-				row.ISSInsts += pt.Report.ISSInsts
-				row.GateExecs += pt.Report.GateExecs
-			}
-			if !refSet {
-				refEnergy, refSet = row.EnergyJ, true
-			} else if relDiff(row.EnergyJ, refEnergy) > 1e-12 {
-				return nil, fmt.Errorf(
-					"paper: %s: backend %s swept %.15g J, reference backend swept %.15g J — backends must be bit-identical",
-					e.ID, backend, row.EnergyJ, refEnergy)
-			}
-			rows = append(rows, row)
-		}
-	}
-	fmt.Fprintf(log, "%s (%s): unaccelerated %d-point sweep per backend\n", e.ID, e.Kind, len(dma))
-	t := report.NewTable("backend", "repeat", "sweep wall", "total energy", "iss calls")
-	for _, row := range rows {
-		t.Row(row.Backend, row.Repeat,
-			time.Duration(row.WallNS).Round(time.Microsecond).String(),
-			energyString(row.EnergyJ), row.ISSCalls)
-	}
-	t.Render(log)
-	return rows, nil
-}
-
 // Serving-experiment variants.
 const (
 	servCold       = "cold"            // coest.Estimate: compile + run
@@ -265,7 +198,7 @@ func (r *Runner) runServing(ctx context.Context, e Experiment, log io.Writer) ([
 
 		cold := r.baseRow(e, servCold, dma, rep)
 		start := time.Now()
-		coldRep, err := coest.Estimate(ctx, sys, sessionOpts(e)...)
+		coldRep, err := coest.Estimate(ctx, sys)
 		coldWall := time.Since(start)
 		if err != nil {
 			return nil, fmt.Errorf("paper: %s cold: %w", e.ID, err)
@@ -273,7 +206,7 @@ func (r *Runner) runServing(ctx context.Context, e Experiment, log io.Writer) ([
 		cold.fill(coldRep)
 		cold.WallNS = coldWall.Nanoseconds()
 
-		sess, err := coest.NewSession(sys, sessionOpts(e)...)
+		sess, err := coest.NewSession(sys)
 		if err != nil {
 			return nil, fmt.Errorf("paper: %s session: %w", e.ID, err)
 		}
@@ -332,8 +265,7 @@ func (r *Runner) runWaveform(ctx context.Context, e Experiment, log io.Writer) (
 		if err != nil {
 			return nil, err
 		}
-		opts := append(sessionOpts(e), coest.WithWaveform(10*time.Microsecond))
-		repThe, err := coest.Estimate(ctx, sys, opts...)
+		repThe, err := coest.Estimate(ctx, sys, coest.WithWaveform(10*time.Microsecond))
 		if err != nil {
 			return nil, fmt.Errorf("paper: %s: %w", e.ID, err)
 		}

@@ -8,10 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	// The tiny test grid names the non-default backends.
-	_ "repro/internal/compiled"
-	_ "repro/internal/packed64"
 )
 
 // tinySpec is a fast everything-kind grid for runner tests.
@@ -24,7 +20,7 @@ func tinySpec() *Spec {
 		DMASizes: []int{4, 8},
 		Experiments: []Experiment{
 			{ID: "t1", Kind: KindTable1},
-			{ID: "bk", Kind: KindBackends, Backends: []string{"interpreted", "packed64"}},
+			{ID: "t3", Kind: KindTable3},
 			{ID: "sv", Kind: KindServing},
 			{ID: "wf", Kind: KindWaveform},
 		},
@@ -44,8 +40,7 @@ func TestSpecValidate(t *testing.T) {
 		func(s *Spec) { s.Experiments[0].ID = "" },
 		func(s *Spec) { s.Experiments[1].ID = s.Experiments[0].ID },
 		func(s *Spec) { s.Experiments[0].Kind = "table9" },
-		func(s *Spec) { s.Experiments[3].Backends = []string{"interpreted"} }, // backends kind needs >= 2
-		func(s *Spec) { s.Experiments[0].System = "prodcons" },                // table kinds are tcpip-only
+		func(s *Spec) { s.Experiments[0].System = "prodcons" }, // table kinds are tcpip-only
 		func(s *Spec) { s.Experiments[0].System = "nosuch" },
 		func(s *Spec) { s.Experiments[0].DMASizes = []int{0} },
 	}
@@ -71,7 +66,7 @@ func TestLoadSpecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Name != "lajolo-rdl00" || len(s.Experiments) != 6 {
+	if s.Name != "lajolo-rdl00" || len(s.Experiments) != 5 {
 		t.Fatalf("round-tripped spec = %+v", s)
 	}
 	if _, err := LoadSpec(filepath.Join(t.TempDir(), "absent.json")); err == nil {
@@ -89,7 +84,7 @@ func TestResultsCSVRoundTrip(t *testing.T) {
 			BudgetBoundJ: 1e-10, BudgetCI95J: 1.6e-11, BudgetUncal: true,
 			AttribTotalJ: 1.25e-5, PeakW: 0.29, PeakAtNS: 10000,
 		},
-		{RunID: "r1", Experiment: "bk", Kind: KindBackends, Backend: "packed64", Variant: "sweep", DMA: -1},
+		{RunID: "r1", Experiment: "sv", Kind: KindServing, System: "prodcons", Variant: servCachedWarm, DMA: 16},
 	}
 	var sb strings.Builder
 	if err := WriteResults(&sb, rows); err != nil {
@@ -143,6 +138,23 @@ func TestAnalyzeStats(t *testing.T) {
 	if _, ok := a.Stat(GroupKey{Experiment: "zz"}, "energy_j"); ok {
 		t.Fatal("unknown group found")
 	}
+
+	// Variants of one experiment at one DMA size group apart, in
+	// first-appearance order.
+	sv := func(variant string, rep int) Row {
+		return Row{Experiment: "sv", Kind: KindServing, Variant: variant, DMA: 4, Repeat: rep, EnergyJ: 1e-6}
+	}
+	a = Analyze([]Row{sv(servCold, 0), sv(servWarm, 0), sv(servCold, 1), sv(servWarm, 1)})
+	want := []GroupKey{
+		{Experiment: "sv", Kind: KindServing, Variant: servCold, DMA: 4},
+		{Experiment: "sv", Kind: KindServing, Variant: servWarm, DMA: 4},
+	}
+	if keys := a.Keys(); len(keys) != len(want) || keys[0] != want[0] || keys[1] != want[1] {
+		t.Fatalf("serving keys = %+v, want %+v", keys, want)
+	}
+	if s, _ := a.Stat(want[1], "energy_j"); s.N != 2 {
+		t.Fatalf("warm group holds %d repeats, want 2", s.N)
+	}
 }
 
 func TestCheckGate(t *testing.T) {
@@ -172,6 +184,14 @@ func TestCheckGate(t *testing.T) {
 	res = Check(base, base[:1], tol)
 	if res.OK() {
 		t.Fatal("missing group passed")
+	}
+	serving := append(append([]Row(nil), base...),
+		Row{Experiment: "sv", Kind: KindServing, Variant: servCold, DMA: 4, EnergyJ: 1},
+		Row{Experiment: "sv", Kind: KindServing, Variant: servWarm, DMA: 4, EnergyJ: 1})
+	res = Check(serving, serving[:3], tol)
+	if res.OK() || len(res.Drifts) != 1 ||
+		res.Drifts[0].String() != "sv/warm/dma=4: group missing from fresh run" {
+		t.Fatalf("missing serving variant not caught: %+v", res.Drifts)
 	}
 	extra := append(append([]Row(nil), base...),
 		Row{Experiment: "new", Kind: KindServing, Variant: servCold, EnergyJ: 1})
@@ -207,7 +227,7 @@ func TestRunnerEndToEnd(t *testing.T) {
 	}
 	for _, f := range []string{
 		"manifest.json", "results.csv",
-		"logs/t1.log", "logs/bk.log", "logs/sv.log", "logs/wf.log",
+		"logs/t1.log", "logs/t3.log", "logs/sv.log", "logs/wf.log",
 		"analysis/summary_grouped.csv", "analysis/tables.md", "analysis/waveform-wf.csv",
 	} {
 		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
@@ -219,9 +239,9 @@ func TestRunnerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 2 dma x 2 repeats x 2 variants + 2 backends x 2 repeats +
+	// 2 tables x 2 dma x 2 repeats x 2 variants +
 	// 4 serving variants x 2 + 2 waveform repeats.
-	if want := 8 + 4 + 8 + 2; len(rows) != want {
+	if want := 16 + 8 + 2; len(rows) != want {
 		t.Fatalf("got %d rows, want %d", len(rows), want)
 	}
 	for _, row := range rows {
@@ -253,7 +273,7 @@ func TestRunnerEndToEnd(t *testing.T) {
 	for _, p := range man.Phases {
 		phases[p.Name] = true
 	}
-	for _, want := range []string{"t1", "bk", "sv", "wf", "analyze"} {
+	for _, want := range []string{"t1", "t3", "sv", "wf", "analyze"} {
 		if !phases[want] {
 			t.Errorf("manifest missing phase %s (got %v)", want, man.Phases)
 		}
@@ -264,7 +284,7 @@ func TestRunnerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"Table 1", "Backend speedup", "Serving warmth", "Peak power", "run t0"} {
+	for _, want := range []string{"Table 1", "Table 3", "Serving warmth", "Peak power", "run t0"} {
 		if !strings.Contains(string(tb), want) {
 			t.Errorf("tables.md missing %q", want)
 		}

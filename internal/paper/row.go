@@ -10,18 +10,17 @@ import (
 	"repro/pkg/coest"
 )
 
-// Row is one measurement of the harness: a single estimation (or, for
-// KindBackends, one whole sweep) joined with its provenance — the run id
+// Row is one measurement of the harness: a single estimation joined with
+// its provenance — the run id
 // linking back to manifest.json, the grid coordinates that produced it, and
 // the live error budget / attribution rollup of the accelerated report.
 type Row struct {
 	RunID      string // timestamp id of the run directory (joins manifest.json)
 	Experiment string // experiment id from the spec
-	Kind       string // experiment kind (table1, backends, ...)
+	Kind       string // experiment kind (table1, serving, ...)
 	System     string // subject system (tcpip, ...)
-	Backend    string // estimator backend ("" = interpreted default)
-	Variant    string // measurement variant: base, ecache, macro, sampling, sweep, cold, warm, ...
-	DMA        int    // DMA block size of the point; -1 for whole-sweep rows
+	Variant    string // measurement variant: base, ecache, macro, sampling, cold, warm, ...
+	DMA        int    // DMA block size of the point
 	Packets    int    // workload packets
 	Repeat     int    // 0-based independent repeat index
 	Seed       int64  // workload seed policy (spec.Seed)
@@ -74,10 +73,10 @@ func (r *Row) fill(rep *coest.Report) {
 	}
 }
 
-// rowHeader is the results.csv column order. Append-only: the analyzer
-// reads by name, so new columns never break committed baselines.
+// rowHeader is the results.csv column order. The reader finds columns by
+// name, so committed baselines with added or retired columns still load.
 var rowHeader = []string{
-	"run_id", "experiment", "kind", "system", "backend", "variant",
+	"run_id", "experiment", "kind", "system", "variant",
 	"dma", "packets", "repeat", "seed",
 	"energy_j", "sw_j", "hw_j", "bus_j", "sim_ns", "wall_ns",
 	"iss_calls", "iss_insts", "gate_execs",
@@ -93,7 +92,7 @@ func btoa(v bool) string    { return strconv.FormatBool(v) }
 // record renders the row in rowHeader order.
 func (r *Row) record() []string {
 	return []string{
-		r.RunID, r.Experiment, r.Kind, r.System, r.Backend, r.Variant,
+		r.RunID, r.Experiment, r.Kind, r.System, r.Variant,
 		itoa(int64(r.DMA)), itoa(int64(r.Packets)), itoa(int64(r.Repeat)), itoa(r.Seed),
 		ftoa(r.EnergyJ), ftoa(r.SWJ), ftoa(r.HWJ), ftoa(r.BusJ), itoa(r.SimNS), itoa(r.WallNS),
 		utoa(r.ISSCalls), utoa(r.ISSInsts), utoa(r.GateExecs),
@@ -170,7 +169,6 @@ func ReadResults(r io.Reader) ([]Row, error) {
 			Experiment: get(rec, "experiment"),
 			Kind:       get(rec, "kind"),
 			System:     get(rec, "system"),
-			Backend:    get(rec, "backend"),
 			Variant:    get(rec, "variant"),
 			DMA:        int(pi(rec, "dma")),
 			Packets:    int(pi(rec, "packets")),

@@ -31,14 +31,6 @@ type Runner struct {
 	dir   string
 }
 
-// workers resolves the sweep worker-pool bound.
-func (r *Runner) workers() int {
-	if r.Spec.Workers > 0 {
-		return r.Spec.Workers
-	}
-	return 1
-}
-
 // energyString renders a joule column the way reports do.
 func energyString(j float64) string { return units.Energy(j).String() }
 

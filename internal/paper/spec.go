@@ -3,7 +3,7 @@
 //
 // Where cmd/repro renders each table once as prose, this package executes a
 // declarative experiment grid (experiments.json: scenario knobs, sweep axes,
-// estimator backends, repeat counts, seed policy) through pkg/coest Sessions
+// repeat counts, seed policy) through pkg/coest Sessions
 // and writes a timestamped run directory
 //
 //	paper_runs/<stamp>/
@@ -14,7 +14,7 @@
 //
 // so every published number carries its configuration snapshot and live
 // error budget. The analyzer groups repeats into statistics and renders the
-// paper's Tables 1-3 plus the backend-speedup and warm-vs-cold serving
+// paper's Tables 1-3 plus the warm-vs-cold serving and peak-power
 // tables as Markdown; Check diffs a fresh run against a committed baseline
 // run with per-metric-class tolerances, turning the evaluation into a
 // regression gate.
@@ -38,10 +38,6 @@ const (
 	// comparison (paper §4.3, rendered as a third table): base vs
 	// sampled+compacted runs over the DMA axis.
 	KindTable3 = "table3"
-	// KindBackends times the same base sweep on every named estimator
-	// backend and cross-checks that the energies are identical — the
-	// backend speedup table.
-	KindBackends = "backends"
 	// KindServing measures cold Estimate vs warm Session.Estimate vs a
 	// repeat request on a persistent energy cache — the serving table.
 	KindServing = "serving"
@@ -55,7 +51,6 @@ var kinds = map[string]bool{
 	KindTable1:   true,
 	KindTable2:   true,
 	KindTable3:   true,
-	KindBackends: true,
 	KindServing:  true,
 	KindWaveform: true,
 }
@@ -69,8 +64,8 @@ type Experiment struct {
 	// Kind selects the executor (see the Kind constants).
 	Kind string `json:"kind"`
 	// System names the subject system ("tcpip", "prodcons", "automotive");
-	// table and backend kinds require "tcpip" (their axes are the TCP/IP
-	// subsystem's). Empty means tcpip.
+	// table kinds require "tcpip" (their axes are the TCP/IP subsystem's).
+	// Empty means tcpip.
 	System string `json:"system,omitempty"`
 	// Packets overrides the spec-level packet count.
 	Packets int `json:"packets,omitempty"`
@@ -78,11 +73,6 @@ type Experiment struct {
 	DMASizes []int `json:"dma_sizes,omitempty"`
 	// Repeats overrides the spec-level repeat count.
 	Repeats int `json:"repeats,omitempty"`
-	// Backend runs the experiment's estimations on a named backend
-	// (table/serving/waveform kinds). Empty = the registry default.
-	Backend string `json:"backend,omitempty"`
-	// Backends is the backend set a KindBackends experiment compares.
-	Backends []string `json:"backends,omitempty"`
 }
 
 // Spec is the declarative experiment grid loaded from experiments.json.
@@ -99,10 +89,6 @@ type Spec struct {
 	// and every result row, so a number can always be traced back to the
 	// exact stimuli that produced it.
 	Seed int64 `json:"seed"`
-	// Workers bounds the sweep worker pool of KindBackends sweeps. The
-	// serial measurements (tables, serving) always run one at a time so
-	// wall-time columns stay quiet; 0 means 1.
-	Workers int `json:"workers,omitempty"`
 	// Packets is the default packet count per run.
 	Packets int `json:"packets"`
 	// DMASizes is the default Table 1-3 row axis.
@@ -112,21 +98,18 @@ type Spec struct {
 }
 
 // DefaultSpec is the paper-scale grid: the Tables 1-3 axes at 12 packets,
-// three repeats, all registered backends.
+// three repeats.
 func DefaultSpec() *Spec {
 	return &Spec{
 		Name:     "lajolo-rdl00",
 		Repeats:  3,
 		Seed:     1,
-		Workers:  1,
 		Packets:  12,
 		DMASizes: []int{2, 4, 8, 16, 32, 64},
 		Experiments: []Experiment{
 			{ID: "table1-ecache", Kind: KindTable1},
 			{ID: "table2-macro", Kind: KindTable2},
 			{ID: "table3-sampling", Kind: KindTable3},
-			{ID: "backend-speedup", Kind: KindBackends,
-				Backends: []string{"interpreted", "compiled", "packed64"}},
 			{ID: "serving-warmth", Kind: KindServing},
 			{ID: "peak-power", Kind: KindWaveform},
 		},
@@ -177,9 +160,6 @@ func (s *Spec) Validate() error {
 		seen[e.ID] = true
 		if !kinds[e.Kind] {
 			return fmt.Errorf("experiment %q: unknown kind %q", e.ID, e.Kind)
-		}
-		if e.Kind == KindBackends && len(e.Backends) < 2 {
-			return fmt.Errorf("experiment %q: kind %q needs at least 2 backends", e.ID, e.Kind)
 		}
 		switch sys := e.system(); sys {
 		case "tcpip":

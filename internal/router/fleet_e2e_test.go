@@ -82,7 +82,7 @@ func TestFleetEndToEnd(t *testing.T) {
 	hw := telemetry.Default.Counter("coest_hw_syntheses_total", "")
 	sw0, hw0 := sw.Value(), hw.Value()
 
-	post := func(path string, v any) (int, *serve.Response, []byte) {
+	post := func(path string, v any) (int, *coestapi.Response, []byte) {
 		t.Helper()
 		body, err := json.Marshal(v)
 		if err != nil {
@@ -100,7 +100,7 @@ func TestFleetEndToEnd(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			return resp.StatusCode, nil, raw
 		}
-		var out serve.Response
+		var out coestapi.Response
 		if err := json.Unmarshal(raw, &out); err != nil {
 			t.Fatalf("%s: %v in %s", path, err, raw)
 		}
@@ -110,7 +110,7 @@ func TestFleetEndToEnd(t *testing.T) {
 	// --- 1: sticky placement + compile-once ---------------------------------
 	const packets = 5
 	owner := rt.Owner("", packets)
-	req := serve.Request{Packets: packets}
+	req := coestapi.Request{Packets: packets}
 	for i := 0; i < 2; i++ {
 		code, resp, raw := post("/estimate", req)
 		if code != http.StatusOK {
@@ -161,7 +161,7 @@ func TestFleetEndToEnd(t *testing.T) {
 	}
 
 	// --- 3: learn paths on the owner, replicate through the shared tier -----
-	ereq := serve.Request{Packets: packets, Points: []serve.PointSpec{{ECache: true}}}
+	ereq := coestapi.Request{Packets: packets, Points: []coestapi.PointSpec{{ECache: true}}}
 	var issFirst uint64
 	for i := 0; i < 4; i++ {
 		code, resp, raw := post("/estimate", ereq)

@@ -45,7 +45,7 @@ func newStubShard(name string) *stubShard {
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(&coestapi.Response{
 			Version: coestapi.Version, System: coestapi.CanonicalSystem(req.System),
-			Shard: s.name, Backend: "interpreted", Warm: true,
+			Shard: s.name, Warm: true,
 			Points: []coestapi.PointResult{{TotalJ: 1}},
 		})
 	}))

@@ -11,18 +11,17 @@ import (
 // trace id (the X-Coest-Trace-Id value), so a log line joins against
 // /debug/requests and any downstream trace store.
 type accessRecord struct {
-	Time    string  `json:"time"` // RFC3339Nano
-	Trace   string  `json:"trace,omitempty"`
-	Method  string  `json:"method"`
-	Path    string  `json:"path"`
-	Status  int     `json:"status"`
-	DurMS   float64 `json:"dur_ms"`
-	System  string  `json:"system,omitempty"`
-	Backend string  `json:"backend,omitempty"`
-	Points  int     `json:"points,omitempty"`
-	Warm    bool    `json:"warm,omitempty"`
-	Error   string  `json:"error,omitempty"`
-	Slow    bool    `json:"slow,omitempty"`
+	Time   string  `json:"time"` // RFC3339Nano
+	Trace  string  `json:"trace,omitempty"`
+	Method string  `json:"method"`
+	Path   string  `json:"path"`
+	Status int     `json:"status"`
+	DurMS  float64 `json:"dur_ms"`
+	System string  `json:"system,omitempty"`
+	Points int     `json:"points,omitempty"`
+	Warm   bool    `json:"warm,omitempty"`
+	Error  string  `json:"error,omitempty"`
+	Slow   bool    `json:"slow,omitempty"`
 }
 
 // accessLogger serializes JSONL access lines onto one writer. Requests

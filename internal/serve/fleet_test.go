@@ -36,7 +36,7 @@ func postRaw(t *testing.T, url, path string, v any) (int, http.Header, []byte) {
 // unsupported_version envelope; current-major minors pass.
 func TestVersionNegotiation(t *testing.T) {
 	_, ts := startServer(t, serve.Config{})
-	code, _, body := postRaw(t, ts.URL, "/estimate", serve.Request{Version: "v2", Packets: 2})
+	code, _, body := postRaw(t, ts.URL, "/estimate", coestapi.Request{Version: "v2", Packets: 2})
 	if code != http.StatusBadRequest {
 		t.Fatalf("v2 status = %d, want 400", code)
 	}
@@ -44,7 +44,7 @@ func TestVersionNegotiation(t *testing.T) {
 	if err := json.Unmarshal(body, &env); err != nil || env.Error.Code != coestapi.CodeUnsupportedVersion {
 		t.Fatalf("v2 body = %s", body)
 	}
-	code, _, _ = postRaw(t, ts.URL, "/estimate", serve.Request{Version: "v1.3", Packets: 2})
+	code, _, _ = postRaw(t, ts.URL, "/estimate", coestapi.Request{Version: "v1.3", Packets: 2})
 	if code != http.StatusOK {
 		t.Fatalf("v1.3 status = %d, want 200", code)
 	}
@@ -65,8 +65,7 @@ func TestErrorEnvelopes(t *testing.T) {
 			t.Fatalf("%s: body %s, want code %s", path, body, wantCode)
 		}
 	}
-	check("/estimate", serve.Request{System: "nonesuch"}, http.StatusBadRequest, coestapi.CodeBadRequest)
-	check("/estimate", serve.Request{Backend: "quantum"}, http.StatusBadRequest, coestapi.CodeBadRequest)
+	check("/estimate", coestapi.Request{System: "nonesuch"}, http.StatusBadRequest, coestapi.CodeBadRequest)
 	check("/snapshot", coestapi.SnapshotRequest{System: "tcpip", Packets: 99}, http.StatusNotFound, coestapi.CodeNotFound)
 	check("/nonesuch", struct{}{}, http.StatusNotFound, coestapi.CodeNotFound)
 }
@@ -80,7 +79,7 @@ func TestDegradedFastTier(t *testing.T) {
 
 	// Warm the session and the process-wide macro tables through the full
 	// tier first; the degraded tier never characterizes on its own.
-	code, _, warm := post(t, ts.URL, serve.Request{Packets: 3, Points: []serve.PointSpec{{Macro: true}}})
+	code, _, warm := post(t, ts.URL, coestapi.Request{Packets: 3, Points: []coestapi.PointSpec{{Macro: true}}})
 	if code != http.StatusOK || warm.Points[0].Error != "" {
 		t.Fatalf("warmup: status %d, resp %+v", code, warm)
 	}
@@ -88,7 +87,7 @@ func TestDegradedFastTier(t *testing.T) {
 	// Saturate the single worker with long requests and probe until a probe
 	// observes the saturated server. The slow request may itself be shed or
 	// answered degraded when a probe wins the slot race; relaunch until done.
-	slow, _ := json.Marshal(serve.Request{Packets: 150, NoDegraded: true})
+	slow, _ := json.Marshal(coestapi.Request{Packets: 150, NoDegraded: true})
 	slowc := make(chan int, 8)
 	launch := func() {
 		go func() {
@@ -104,7 +103,7 @@ func TestDegradedFastTier(t *testing.T) {
 	}
 	launch()
 
-	var degraded *serve.Response
+	var degraded *coestapi.Response
 	var shedStatus int
 	var shedBody []byte
 	deadline := time.Now().Add(30 * time.Second)
@@ -118,9 +117,9 @@ func TestDegradedFastTier(t *testing.T) {
 		default:
 		}
 		if degraded == nil {
-			code, _, body := postRaw(t, ts.URL, "/estimate", serve.Request{Packets: 3})
+			code, _, body := postRaw(t, ts.URL, "/estimate", coestapi.Request{Packets: 3})
 			if code == http.StatusOK {
-				var resp serve.Response
+				var resp coestapi.Response
 				if err := json.Unmarshal(body, &resp); err != nil {
 					t.Fatal(err)
 				}
@@ -130,7 +129,7 @@ func TestDegradedFastTier(t *testing.T) {
 			}
 		}
 		if shedStatus == 0 {
-			code, _, body := postRaw(t, ts.URL, "/estimate", serve.Request{Packets: 3, NoDegraded: true})
+			code, _, body := postRaw(t, ts.URL, "/estimate", coestapi.Request{Packets: 3, NoDegraded: true})
 			if code == http.StatusTooManyRequests {
 				shedStatus, shedBody = code, body
 			}
@@ -178,7 +177,7 @@ func TestSnapshotRestoreOverHTTP(t *testing.T) {
 	_, origin := startServer(t, serve.Config{})
 
 	// Warm the origin: two ecache runs accumulate learned path state.
-	req := serve.Request{Packets: 4, Points: []serve.PointSpec{{ECache: true}}}
+	req := coestapi.Request{Packets: 4, Points: []coestapi.PointSpec{{ECache: true}}}
 	for i := 0; i < 2; i++ {
 		if code, _, _ := post(t, origin.URL, req); code != http.StatusOK {
 			t.Fatalf("origin warmup %d failed: %d", i, code)

@@ -5,14 +5,17 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"testing"
 	"time"
 
 	"repro/internal/serve"
 	"repro/internal/telemetry"
 	"repro/pkg/coest"
+	"repro/pkg/coest/coestapi"
 )
 
 func startServer(t *testing.T, cfg serve.Config) (*serve.Server, *httptest.Server) {
@@ -30,7 +33,7 @@ func startServer(t *testing.T, cfg serve.Config) (*serve.Server, *httptest.Serve
 	return s, ts
 }
 
-func post(t *testing.T, url string, req serve.Request) (int, http.Header, *serve.Response) {
+func post(t *testing.T, url string, req coestapi.Request) (int, http.Header, *coestapi.Response) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -45,7 +48,7 @@ func post(t *testing.T, url string, req serve.Request) (int, http.Header, *serve
 		io.Copy(io.Discard, httpResp.Body)
 		return httpResp.StatusCode, httpResp.Header, nil
 	}
-	var resp serve.Response
+	var resp coestapi.Response
 	if err := json.NewDecoder(httpResp.Body).Decode(&resp); err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +62,7 @@ func post(t *testing.T, url string, req serve.Request) (int, http.Header, *serve
 func TestWarmSessionBitIdentical(t *testing.T) {
 	_, ts := startServer(t, serve.Config{})
 
-	req := serve.Request{System: "tcpip", Packets: 2}
+	req := coestapi.Request{System: "tcpip", Packets: 2}
 	code, _, first := post(t, ts.URL, req)
 	if code != http.StatusOK {
 		t.Fatalf("first request: status %d", code)
@@ -113,7 +116,7 @@ func TestWarmSessionBitIdentical(t *testing.T) {
 // the ISS.
 func TestWarmECacheFewerISSCalls(t *testing.T) {
 	_, ts := startServer(t, serve.Config{})
-	req := serve.Request{System: "tcpip", Packets: 2, Points: []serve.PointSpec{{ECache: true}}}
+	req := coestapi.Request{System: "tcpip", Packets: 2, Points: []coestapi.PointSpec{{ECache: true}}}
 	code, _, first := post(t, ts.URL, req)
 	if code != http.StatusOK || first.Points[0].Error != "" {
 		t.Fatalf("first: %d %+v", code, first)
@@ -132,7 +135,7 @@ func TestWarmECacheFewerISSCalls(t *testing.T) {
 // results, per-point errors, no fail-fast.
 func TestBatchCoalescing(t *testing.T) {
 	_, ts := startServer(t, serve.Config{})
-	req := serve.Request{Packets: 2, Points: []serve.PointSpec{
+	req := coestapi.Request{Packets: 2, Points: []coestapi.PointSpec{
 		{},
 		{DMASize: 64},
 		{DMASize: -1}, // invalid: estimator rejects, point-local error
@@ -173,7 +176,7 @@ func TestBackpressure(t *testing.T) {
 	// A long request to occupy the single admission slot. A fast probe can
 	// win the slot race and shed the long request instead, so relaunch it
 	// until a probe observes the saturated server.
-	slow, _ := json.Marshal(serve.Request{Packets: 150})
+	slow, _ := json.Marshal(coestapi.Request{Packets: 150})
 	slowc := make(chan int, 4)
 	launch := func() {
 		go func() {
@@ -203,7 +206,7 @@ func TestBackpressure(t *testing.T) {
 			}
 		default:
 		}
-		code, h, _ := post(t, ts.URL, serve.Request{Packets: 2})
+		code, h, _ := post(t, ts.URL, coestapi.Request{Packets: 2})
 		if code == http.StatusTooManyRequests {
 			rejected, header = true, h
 		}
@@ -222,7 +225,7 @@ func TestBackpressure(t *testing.T) {
 func TestDeadlineAborts(t *testing.T) {
 	_, ts := startServer(t, serve.Config{})
 	start := time.Now()
-	code, _, _ := post(t, ts.URL, serve.Request{Packets: 500, DeadlineMS: 50})
+	code, _, _ := post(t, ts.URL, coestapi.Request{Packets: 500, DeadlineMS: 50})
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504", code)
 	}
@@ -238,7 +241,7 @@ func TestClientCancelAbortsPromptly(t *testing.T) {
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	body, _ := json.Marshal(serve.Request{Packets: 500})
+	body, _ := json.Marshal(coestapi.Request{Packets: 500})
 	ctx, cancel := context.WithCancel(context.Background())
 	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/estimate", bytes.NewReader(body))
 	if err != nil {
@@ -297,7 +300,7 @@ func TestDrainRejectsAndCompletes(t *testing.T) {
 	if code := get("/readyz"); code != http.StatusServiceUnavailable {
 		t.Fatalf("readyz after Unready: %d, want 503", code)
 	}
-	if code, _, _ := post(t, ts.URL, serve.Request{Packets: 2}); code != http.StatusOK {
+	if code, _, _ := post(t, ts.URL, coestapi.Request{Packets: 2}); code != http.StatusOK {
 		t.Fatalf("estimate while unready (not draining): status %d, want 200", code)
 	}
 	s.Ready()
@@ -314,7 +317,7 @@ func TestDrainRejectsAndCompletes(t *testing.T) {
 		t.Fatalf("second drain: %v", err)
 	}
 
-	if code, _, _ := post(t, ts.URL, serve.Request{Packets: 2}); code != http.StatusServiceUnavailable {
+	if code, _, _ := post(t, ts.URL, coestapi.Request{Packets: 2}); code != http.StatusServiceUnavailable {
 		t.Fatalf("estimate while draining: status %d, want 503", code)
 	}
 	if code := get("/healthz"); code != http.StatusOK {
@@ -330,13 +333,13 @@ func TestDrainRejectsAndCompletes(t *testing.T) {
 func TestBadRequests(t *testing.T) {
 	_, ts := startServer(t, serve.Config{})
 
-	if code, _, _ := post(t, ts.URL, serve.Request{System: "nope"}); code != http.StatusBadRequest {
+	if code, _, _ := post(t, ts.URL, coestapi.Request{System: "nope"}); code != http.StatusBadRequest {
 		t.Fatalf("unknown system: status %d", code)
 	}
-	if code, _, _ := post(t, ts.URL, serve.Request{System: "prodcons", Packets: 3}); code != http.StatusBadRequest {
+	if code, _, _ := post(t, ts.URL, coestapi.Request{System: "prodcons", Packets: 3}); code != http.StatusBadRequest {
 		t.Fatalf("packets on prodcons: status %d", code)
 	}
-	if code, _, _ := post(t, ts.URL, serve.Request{DeadlineMS: -1}); code != http.StatusBadRequest {
+	if code, _, _ := post(t, ts.URL, coestapi.Request{DeadlineMS: -1}); code != http.StatusBadRequest {
 		t.Fatalf("negative deadline: status %d", code)
 	}
 
@@ -359,45 +362,50 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// TestBackendSelection: requests pick an estimator backend by name — unknown
-// names fail fast with 400, the resolved backend is echoed, and compiled and
-// packed64 results are bit-identical to the default interpreted ones.
-func TestBackendSelection(t *testing.T) {
+// TestLegacyBackendFieldIgnored: clients that predate the single estimator
+// path still send an estimator "backend" name (testdata holds such a v1
+// /estimate body). It must get a 200 with energies bit-identical to the
+// same body without the field.
+func TestLegacyBackendFieldIgnored(t *testing.T) {
 	_, ts := startServer(t, serve.Config{})
-
-	if code, _, _ := post(t, ts.URL, serve.Request{Backend: "quantum"}); code != http.StatusBadRequest {
-		t.Fatalf("unknown backend: status %d, want 400", code)
+	legacy, err := os.ReadFile("testdata/legacy-backend-request.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(legacy, &fields); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := fields["backend"]; !ok {
+		t.Fatal("legacy request carries no backend field")
+	}
+	delete(fields, "backend")
+	plain, err := json.Marshal(fields)
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	req := serve.Request{Packets: 2, Points: []serve.PointSpec{{}, {DMASize: 32}}}
-	code, _, ref := post(t, ts.URL, req)
-	if code != http.StatusOK {
-		t.Fatalf("interpreted request: status %d", code)
-	}
-	if ref.Backend != "interpreted" {
-		t.Fatalf("default backend echoed as %q, want \"interpreted\"", ref.Backend)
-	}
-
-	for _, backend := range []string{"compiled", "packed64"} {
-		reqs := telemetry.Default.Counter("serve_backend_"+backend+"_requests_total", "")
-		before := reqs.Value()
-		req.Backend = backend
-		code, _, got := post(t, ts.URL, req)
+	var resps [2]coestapi.Response
+	for i, body := range [][]byte{plain, legacy} {
+		code, _, out := postRaw(t, ts.URL, "/estimate", json.RawMessage(body))
 		if code != http.StatusOK {
-			t.Fatalf("%s request: status %d", backend, code)
+			t.Fatalf("body %s: status %d (%s)", body, code, out)
 		}
-		if got.Backend != backend {
-			t.Fatalf("backend echoed as %q, want %q", got.Backend, backend)
+		if err := json.Unmarshal(out, &resps[i]); err != nil {
+			t.Fatal(err)
 		}
-		if reqs.Value() != before+1 {
-			t.Fatalf("%s request counter %d, want %d", backend, reqs.Value(), before+1)
-		}
-		for i := range ref.Points {
-			r, p := ref.Points[i], got.Points[i]
-			if r.TotalJ != p.TotalJ || r.SWJ != p.SWJ || r.HWJ != p.HWJ ||
-				r.ISSCalls != p.ISSCalls || r.SimulatedNS != p.SimulatedNS {
-				t.Fatalf("point %d differs across backends:\ninterpreted %+v\n%s %+v", i, r, backend, p)
-			}
+	}
+	ref, got := resps[0].Points, resps[1].Points
+	if len(ref) != 2 || len(got) != len(ref) {
+		t.Fatalf("points: %d without the field, %d with it", len(ref), len(got))
+	}
+	for i := range ref {
+		r, p := ref[i], got[i]
+		if math.Float64bits(r.TotalJ) != math.Float64bits(p.TotalJ) ||
+			math.Float64bits(r.SWJ) != math.Float64bits(p.SWJ) ||
+			math.Float64bits(r.HWJ) != math.Float64bits(p.HWJ) ||
+			r.ISSCalls != p.ISSCalls || r.SimulatedNS != p.SimulatedNS {
+			t.Fatalf("point %d differs with the legacy backend field:\nwithout %+v\nwith    %+v", i, r, p)
 		}
 	}
 }
@@ -407,7 +415,7 @@ func TestBackendSelection(t *testing.T) {
 func TestNonTCPIPSystems(t *testing.T) {
 	_, ts := startServer(t, serve.Config{})
 	for _, name := range []string{"prodcons", "automotive"} {
-		code, _, resp := post(t, ts.URL, serve.Request{System: name})
+		code, _, resp := post(t, ts.URL, coestapi.Request{System: name})
 		if code != http.StatusOK {
 			t.Fatalf("%s: status %d", name, code)
 		}

@@ -1,3 +1,17 @@
+// Package serve is the long-running estimation service behind cmd/coestd: a
+// small HTTP/JSON front over warm pkg/coest sessions. A session compiles a
+// design once (software image, gate netlists, shared macro tables) and keeps
+// persistent energy caches, so repeat requests skip synthesis entirely; the
+// server coalesces each request's grid points into one batched sweep over a
+// bounded worker pool, applies backpressure when the queue fills (answering
+// from the macro-model fast tier when it can instead of shedding), enforces
+// per-request deadlines with prompt mid-run cancellation, serializes and
+// restores warm sessions as binary snapshots, optionally replicates
+// energy-cache warmth through a fleet cache-sync tier, and drains
+// gracefully on shutdown.
+//
+// The wire contract lives in pkg/coest/coestapi — one versioned package
+// shared by this daemon, the fleet router and the client library.
 package serve
 
 import (
@@ -10,7 +24,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -80,13 +93,6 @@ func endpointSeconds(name string) *telemetry.Histogram {
 		"request wall time on the "+name+" endpoint", telemetry.ExpBuckets(1e-5, 2, 24))
 }
 
-// backendSeconds is the per-backend sweep-duration histogram, beside the
-// per-backend request counter.
-func backendSeconds(name string) *telemetry.Histogram {
-	return telemetry.Default.Histogram("serve_backend_"+name+"_seconds",
-		"sweep wall time on the "+name+" estimator backend", telemetry.ExpBuckets(1e-4, 2, 22))
-}
-
 // endpointName maps a request path to its metric/identifier name.
 func endpointName(path string) string {
 	switch path {
@@ -107,28 +113,6 @@ func endpointName(path string) string {
 	default:
 		return "other"
 	}
-}
-
-// backendCounter returns the per-backend request counter, e.g.
-// serve_backend_packed64_requests_total. The registry's create-on-first-use
-// lookup makes repeat calls cheap, and the backend set is small and fixed.
-func backendCounter(name string) *telemetry.Counter {
-	return telemetry.Default.Counter("serve_backend_"+name+"_requests_total",
-		"requests executed on the "+name+" estimator backend")
-}
-
-// validBackend reports whether name is "" (the default) or a registered
-// estimator backend.
-func validBackend(name string) bool {
-	if name == "" {
-		return true
-	}
-	for _, b := range coest.Backends() {
-		if b == name {
-			return true
-		}
-	}
-	return false
 }
 
 // Config sizes the server. The zero value is usable; every field has a
@@ -232,7 +216,7 @@ type sessionKey struct {
 
 type job struct {
 	ctx  context.Context
-	req  *Request
+	req  *coestapi.Request
 	done chan jobOutcome
 
 	// Admission accounting: enq is when the request entered the queue;
@@ -243,7 +227,7 @@ type job struct {
 }
 
 type jobOutcome struct {
-	resp *Response
+	resp *coestapi.Response
 	err  error
 }
 
@@ -376,7 +360,7 @@ func canonicalSystem(name string) string { return coestapi.CanonicalSystem(name)
 // whether it already existed. The compile-or-reuse decision lands on the
 // request trace: a cold build opens a "compile" span, a warm hit records a
 // "reuse" instant.
-func (s *Server) session(ctx context.Context, req *Request) (*coest.Session, bool, error) {
+func (s *Server) session(ctx context.Context, req *coestapi.Request) (*coest.Session, bool, error) {
 	key := sessionKey{system: canonicalSystem(req.System), packets: req.Packets}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -439,7 +423,7 @@ func (s *Server) installSessionLocked(key sessionKey, sess *coest.Session) {
 	}
 }
 
-func buildSystem(req *Request) (*coest.System, error) {
+func buildSystem(req *coestapi.Request) (*coest.System, error) {
 	switch req.System {
 	case "", "tcpip":
 		p := coest.DefaultTCPIPParams()
@@ -455,7 +439,7 @@ func buildSystem(req *Request) (*coest.System, error) {
 	}
 }
 
-func pointOptions(p PointSpec) []coest.Option {
+func pointOptions(p coestapi.PointSpec) []coest.Option {
 	var opts []coest.Option
 	if p.DMASize != 0 {
 		opts = append(opts, coest.WithDMASize(p.DMASize))
@@ -477,7 +461,7 @@ func pointOptions(p PointSpec) []coest.Option {
 
 // estimate runs one request on its design's warm session, coalescing the
 // request's points into a single batched sweep.
-func (s *Server) estimate(ctx context.Context, req *Request) (*Response, error) {
+func (s *Server) estimate(ctx context.Context, req *coestapi.Request) (*coestapi.Response, error) {
 	sessionStart := time.Now()
 	sessCtx, sspan := telemetry.StartSpan(ctx, "session")
 	sess, warm, err := s.session(sessCtx, req)
@@ -491,35 +475,24 @@ func (s *Server) estimate(ctx context.Context, req *Request) (*Response, error) 
 	}
 	specs := req.Points
 	if len(specs) == 0 {
-		specs = []PointSpec{{}}
+		specs = []coestapi.PointSpec{{}}
 	}
 	points := make([][]coest.Option, len(specs))
 	for i, p := range specs {
 		points[i] = pointOptions(p)
 	}
-	batchOpts := []coest.Option{coest.WithWorkers(s.cfg.PointWorkers)}
-	backend := sess.Backend()
-	if req.Backend != "" {
-		// Validated at admission; the option re-validates against the
-		// registry and overrides the session baseline for this batch.
-		batchOpts = append(batchOpts, coest.WithBackend(req.Backend))
-		backend = req.Backend
-	}
-	backendCounter(backend).Inc()
 	sweepStart := time.Now()
-	sweepCtx, wspan := telemetry.StartSpanWith(ctx, "sweep", backend, int64(len(points)))
-	results, err := sess.EstimateBatch(sweepCtx, points, batchOpts...)
+	sweepCtx, wspan := telemetry.StartSpanWith(ctx, "sweep", "", int64(len(points)))
+	results, err := sess.EstimateBatch(sweepCtx, points, coest.WithWorkers(s.cfg.PointWorkers))
 	wspan.End()
-	sweepDur := time.Since(sweepStart).Seconds()
-	hStageSweep.Observe(sweepDur)
-	backendSeconds(backend).Observe(sweepDur)
+	hStageSweep.Observe(time.Since(sweepStart).Seconds())
 	if err != nil {
 		return nil, err
 	}
-	resp := &Response{
+	resp := &coestapi.Response{
 		Version: coestapi.Version, System: canonicalSystem(req.System),
-		Shard: s.cfg.ShardName, Backend: backend, Warm: warm,
-		Points: make([]PointResult, 0, len(results)),
+		Shard: s.cfg.ShardName, Warm: warm,
+		Points: make([]coestapi.PointResult, 0, len(results)),
 	}
 	for _, r := range results {
 		resp.Points = append(resp.Points, wirePoint(r, false))
@@ -531,8 +504,8 @@ func (s *Server) estimate(ctx context.Context, req *Request) (*Response, error) 
 // wirePoint converts one batch outcome to its wire form. The error budget
 // rides along whenever the run accumulated one worth reporting — always on
 // degraded answers (the budget is the answer's accuracy contract there).
-func wirePoint(r coest.PointResult, degraded bool) PointResult {
-	pr := PointResult{Index: r.Index}
+func wirePoint(r coest.PointResult, degraded bool) coestapi.PointResult {
+	pr := coestapi.PointResult{Index: r.Index}
 	if r.Err != nil {
 		pr.Error = r.Err.Error()
 		return pr
@@ -562,7 +535,7 @@ func wirePoint(r coest.PointResult, degraded bool) PointResult {
 // point's error budget attached, so the client knows exactly how approximate
 // the answer is. Returns nil when the fast tier cannot answer — the caller
 // then sheds with 429 as before.
-func (s *Server) estimateDegraded(ctx context.Context, req *Request) *Response {
+func (s *Server) estimateDegraded(ctx context.Context, req *coestapi.Request) *coestapi.Response {
 	if s.degradedSlots == nil || req.NoDegraded {
 		return nil
 	}
@@ -580,7 +553,7 @@ func (s *Server) estimateDegraded(ctx context.Context, req *Request) *Response {
 
 	specs := req.Points
 	if len(specs) == 0 {
-		specs = []PointSpec{{}}
+		specs = []coestapi.PointSpec{{}}
 	}
 	points := make([][]coest.Option, len(specs))
 	for i, p := range specs {
@@ -603,11 +576,11 @@ func (s *Server) estimateDegraded(ctx context.Context, req *Request) *Response {
 	if err != nil {
 		return nil
 	}
-	resp := &Response{
+	resp := &coestapi.Response{
 		Version: coestapi.Version, System: canonicalSystem(req.System),
-		Shard: s.cfg.ShardName, Backend: sess.Backend(), Warm: true,
+		Shard: s.cfg.ShardName, Warm: true,
 		Degraded: true, DegradedReason: "overloaded",
-		Points: make([]PointResult, 0, len(results)),
+		Points: make([]coestapi.PointResult, 0, len(results)),
 	}
 	for _, r := range results {
 		resp.Points = append(resp.Points, wirePoint(r, true))
@@ -647,11 +620,10 @@ type traceState struct {
 
 	// Estimation metadata, filled by handleEstimate before the request
 	// finishes (same goroutine; no locking needed).
-	system  string
-	backend string
-	points  int
-	warm    bool
-	errMsg  string
+	system string
+	points int
+	warm   bool
+	errMsg string
 }
 
 // startTrace opens the request's trace: the id comes from the inbound
@@ -661,7 +633,7 @@ type traceState struct {
 // status is written.
 func (s *Server) startTrace(w http.ResponseWriter, r *http.Request) *traceState {
 	id := telemetry.TraceID{}
-	if h := r.Header.Get(TraceHeader); h != "" {
+	if h := r.Header.Get(coestapi.TraceHeader); h != "" {
 		if parsed, err := telemetry.ParseTraceID(h); err == nil {
 			id = parsed
 		}
@@ -671,7 +643,7 @@ func (s *Server) startTrace(w http.ResponseWriter, r *http.Request) *traceState 
 	}
 	col := newTraceCollector(s.cfg.MaxSpans)
 	scope := telemetry.NewSpanScope(telemetry.Synchronized(col), id)
-	if h := r.Header.Get(ParentSpanHeader); h != "" {
+	if h := r.Header.Get(coestapi.ParentSpanHeader); h != "" {
 		var parent uint64
 		if _, err := fmt.Sscanf(h, "%x", &parent); err == nil {
 			scope = scope.WithParent(parent)
@@ -679,7 +651,7 @@ func (s *Server) startTrace(w http.ResponseWriter, r *http.Request) *traceState 
 	}
 	ctx := telemetry.ContextWithSpanScope(r.Context(), scope)
 	ctx, root := telemetry.StartSpanWith(ctx, "request", r.Method+" "+r.URL.Path, 0)
-	w.Header().Set(TraceHeader, id.String())
+	w.Header().Set(coestapi.TraceHeader, id.String())
 	return &traceState{ctx: ctx, id: id, root: root, col: col}
 }
 
@@ -712,8 +684,7 @@ func (s *Server) finish(w *statusRecorder, r *http.Request, st *traceState, star
 			DurMS: float64(dur) / float64(time.Millisecond), Slow: slow,
 		}
 		if st != nil {
-			rec.System, rec.Backend = st.system, st.backend
-			rec.Points, rec.Warm, rec.Error = st.points, st.warm, st.errMsg
+			rec.System, rec.Points, rec.Warm, rec.Error = st.system, st.points, st.warm, st.errMsg
 		}
 		s.access.log(rec)
 	}
@@ -726,7 +697,7 @@ func (s *Server) finish(w *statusRecorder, r *http.Request, st *traceState, star
 	t := &RequestTrace{
 		Trace: traceID, Start: start, DurNS: int64(dur),
 		Method: r.Method, Path: r.URL.Path, Status: w.status,
-		System: st.system, Backend: st.backend, Points: st.points,
+		System: st.system, Points: st.points,
 		Warm: st.warm, Error: st.errMsg, Slow: slow,
 		Dropped: dropped, Spans: spans,
 	}
@@ -811,7 +782,7 @@ func (s *Server) writeError(w http.ResponseWriter, st *traceState, e *reqError) 
 
 // validateRequest admission-checks one wire request: version negotiation
 // (400 with unsupported_version on an unknown major), then the shape checks.
-func validateRequest(req *Request) *reqError {
+func validateRequest(req *coestapi.Request) *reqError {
 	if err := coestapi.CheckVersion(req.Version); err != nil {
 		return &reqError{status: http.StatusBadRequest, code: coestapi.CodeUnsupportedVersion, msg: err.Error()}
 	}
@@ -821,10 +792,6 @@ func validateRequest(req *Request) *reqError {
 	if _, err := buildSystem(req); err != nil {
 		return &reqError{status: http.StatusBadRequest, code: coestapi.CodeBadRequest, msg: "bad request: " + err.Error()}
 	}
-	if !validBackend(req.Backend) {
-		return &reqError{status: http.StatusBadRequest, code: coestapi.CodeBadRequest,
-			msg: fmt.Sprintf("bad request: unknown backend %q (known: %s)", req.Backend, strings.Join(coest.Backends(), ", "))}
-	}
 	return nil
 }
 
@@ -832,7 +799,7 @@ func validateRequest(req *Request) *reqError {
 // handoff, and error mapping. Under overload it first tries the macro
 // fast tier (estimateDegraded); only when that cannot answer does the
 // request shed with 429. Shared by /estimate and /batch.
-func (s *Server) runOne(rctx context.Context, req *Request, st *traceState) (*Response, *reqError) {
+func (s *Server) runOne(rctx context.Context, req *coestapi.Request, st *traceState) (*coestapi.Response, *reqError) {
 	deadline := s.cfg.DefaultDeadline
 	if req.DeadlineMS > 0 {
 		deadline = time.Duration(req.DeadlineMS) * time.Millisecond
@@ -856,8 +823,7 @@ func (s *Server) runOne(rctx context.Context, req *Request, st *traceState) (*Re
 		admit.End(0, 0)
 		if resp := s.estimateDegraded(ctx, req); resp != nil {
 			if st != nil {
-				st.system, st.backend = resp.System, resp.Backend
-				st.points, st.warm = len(resp.Points), resp.Warm
+				st.system, st.points, st.warm = resp.System, len(resp.Points), resp.Warm
 			}
 			return resp, nil
 		}
@@ -878,8 +844,7 @@ func (s *Server) runOne(rctx context.Context, req *Request, st *traceState) (*Re
 		if out.err != nil {
 			st.errMsg = out.err.Error()
 		} else if out.resp != nil {
-			st.system, st.backend = out.resp.System, out.resp.Backend
-			st.points, st.warm = len(out.resp.Points), out.resp.Warm
+			st.system, st.points, st.warm = out.resp.System, len(out.resp.Points), out.resp.Warm
 		}
 	}
 	if out.err != nil {
@@ -901,7 +866,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request, st *trac
 		s.writeError(w, st, &reqError{status: http.StatusMethodNotAllowed, code: coestapi.CodeMethodNotAllowed, msg: "POST only"})
 		return
 	}
-	var req Request
+	var req coestapi.Request
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		s.writeError(w, st, &reqError{status: http.StatusBadRequest, code: coestapi.CodeBadRequest, msg: "bad request: " + err.Error()})
 		return
@@ -1038,7 +1003,7 @@ func (s *Server) RestoreSnapshot(data []byte) (coestapi.RestoreResponse, error) 
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&env); err != nil {
 		return coestapi.RestoreResponse{}, fmt.Errorf("decoding snapshot envelope: %w", err)
 	}
-	req := Request{System: env.System, Packets: env.Packets}
+	req := coestapi.Request{System: env.System, Packets: env.Packets}
 	sys, err := buildSystem(&req)
 	if err != nil {
 		return coestapi.RestoreResponse{}, err

@@ -39,7 +39,6 @@ type RequestTrace struct {
 	Path    string       `json:"path"`
 	Status  int          `json:"status"`
 	System  string       `json:"system,omitempty"`
-	Backend string       `json:"backend,omitempty"`
 	Points  int          `json:"points,omitempty"`
 	Warm    bool         `json:"warm,omitempty"`
 	Error   string       `json:"error,omitempty"`
@@ -50,25 +49,24 @@ type RequestTrace struct {
 
 // traceSummary is the list form of a trace: everything but the spans.
 type traceSummary struct {
-	Trace   string    `json:"trace"`
-	Start   time.Time `json:"start"`
-	DurNS   int64     `json:"dur_ns"`
-	Method  string    `json:"method"`
-	Path    string    `json:"path"`
-	Status  int       `json:"status"`
-	System  string    `json:"system,omitempty"`
-	Backend string    `json:"backend,omitempty"`
-	Points  int       `json:"points,omitempty"`
-	Warm    bool      `json:"warm,omitempty"`
-	Error   string    `json:"error,omitempty"`
-	Slow    bool      `json:"slow,omitempty"`
-	Spans   int       `json:"spans"`
+	Trace  string    `json:"trace"`
+	Start  time.Time `json:"start"`
+	DurNS  int64     `json:"dur_ns"`
+	Method string    `json:"method"`
+	Path   string    `json:"path"`
+	Status int       `json:"status"`
+	System string    `json:"system,omitempty"`
+	Points int       `json:"points,omitempty"`
+	Warm   bool      `json:"warm,omitempty"`
+	Error  string    `json:"error,omitempty"`
+	Slow   bool      `json:"slow,omitempty"`
+	Spans  int       `json:"spans"`
 }
 
 func (t *RequestTrace) summary() traceSummary {
 	return traceSummary{
 		Trace: t.Trace, Start: t.Start, DurNS: t.DurNS, Method: t.Method,
-		Path: t.Path, Status: t.Status, System: t.System, Backend: t.Backend,
+		Path: t.Path, Status: t.Status, System: t.System,
 		Points: t.Points, Warm: t.Warm, Error: t.Error, Slow: t.Slow,
 		Spans: len(t.Spans),
 	}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/serve"
 	"repro/internal/telemetry"
+	"repro/pkg/coest/coestapi"
 )
 
 func getJSON(t *testing.T, url string, out any) int {
@@ -38,13 +39,13 @@ func TestRequestTracingEndToEnd(t *testing.T) {
 	var accessBuf bytes.Buffer
 	_, ts := startServer(t, serve.Config{AccessLog: &accessBuf})
 
-	code, hdr, resp := post(t, ts.URL, serve.Request{System: "tcpip", Packets: 2})
+	code, hdr, resp := post(t, ts.URL, coestapi.Request{System: "tcpip", Packets: 2})
 	if code != http.StatusOK {
 		t.Fatalf("estimate: status %d", code)
 	}
-	id := hdr.Get(serve.TraceHeader)
+	id := hdr.Get(coestapi.TraceHeader)
 	if id == "" {
-		t.Fatalf("no %s response header", serve.TraceHeader)
+		t.Fatalf("no %s response header", coestapi.TraceHeader)
 	}
 	if _, err := telemetry.ParseTraceID(id); err != nil {
 		t.Fatalf("header trace id: %v", err)
@@ -69,8 +70,8 @@ func TestRequestTracingEndToEnd(t *testing.T) {
 	if tr.Trace != id || tr.Status != http.StatusOK || tr.System != "tcpip" {
 		t.Fatalf("trace detail: %+v", tr)
 	}
-	if tr.Backend == "" || tr.Points != 1 {
-		t.Fatalf("trace metadata: backend %q points %d", tr.Backend, tr.Points)
+	if tr.Points != 1 {
+		t.Fatalf("trace metadata: points %d", tr.Points)
 	}
 
 	names := map[string]int{}
@@ -165,11 +166,11 @@ func TestRequestTracingEndToEnd(t *testing.T) {
 	}
 
 	// A warm repeat records "reuse" instead of "compile".
-	if code, hdr, _ := post(t, ts.URL, serve.Request{System: "tcpip", Packets: 2}); code != http.StatusOK {
+	if code, hdr, _ := post(t, ts.URL, coestapi.Request{System: "tcpip", Packets: 2}); code != http.StatusOK {
 		t.Fatalf("warm repeat: status %d", code)
 	} else {
 		var warm serve.RequestTrace
-		if code := getJSON(t, ts.URL+"/debug/requests?trace="+hdr.Get(serve.TraceHeader), &warm); code != http.StatusOK {
+		if code := getJSON(t, ts.URL+"/debug/requests?trace="+hdr.Get(coestapi.TraceHeader), &warm); code != http.StatusOK {
 			t.Fatalf("warm trace detail: status %d", code)
 		}
 		var sawReuse, sawCompile bool
@@ -199,19 +200,19 @@ func TestInboundTraceHeadersAdopted(t *testing.T) {
 	_, ts := startServer(t, serve.Config{})
 
 	want := telemetry.NewTraceID().String()
-	body, _ := json.Marshal(serve.Request{System: "tcpip", Packets: 2})
+	body, _ := json.Marshal(coestapi.Request{System: "tcpip", Packets: 2})
 	req, err := http.NewRequest(http.MethodPost, ts.URL+"/estimate", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set(serve.TraceHeader, want)
-	req.Header.Set(serve.ParentSpanHeader, "feedc0de")
+	req.Header.Set(coestapi.TraceHeader, want)
+	req.Header.Set(coestapi.ParentSpanHeader, "feedc0de")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if got := resp.Header.Get(serve.TraceHeader); got != want {
+	if got := resp.Header.Get(coestapi.TraceHeader); got != want {
 		t.Fatalf("server minted %s, want adopted %s", got, want)
 	}
 
@@ -234,11 +235,11 @@ func TestSlowRequestCapture(t *testing.T) {
 		SlowThreshold: time.Nanosecond, // everything is slow
 		AccessLog:     &accessBuf,
 	})
-	code, hdr, _ := post(t, ts.URL, serve.Request{System: "tcpip", Packets: 2})
+	code, hdr, _ := post(t, ts.URL, coestapi.Request{System: "tcpip", Packets: 2})
 	if code != http.StatusOK {
 		t.Fatalf("estimate: status %d", code)
 	}
-	id := hdr.Get(serve.TraceHeader)
+	id := hdr.Get(coestapi.TraceHeader)
 
 	var slow []map[string]any
 	if code := getJSON(t, ts.URL+"/debug/requests?slow=1", &slow); code != http.StatusOK {
@@ -265,12 +266,12 @@ func TestSlowRequestCapture(t *testing.T) {
 // debug endpoint says so.
 func TestTracingDisabled(t *testing.T) {
 	_, ts := startServer(t, serve.Config{TraceRing: -1})
-	code, hdr, resp := post(t, ts.URL, serve.Request{System: "tcpip", Packets: 2})
+	code, hdr, resp := post(t, ts.URL, coestapi.Request{System: "tcpip", Packets: 2})
 	if code != http.StatusOK {
 		t.Fatalf("estimate: status %d", code)
 	}
-	if h := hdr.Get(serve.TraceHeader); h != "" {
-		t.Fatalf("untraced response carries %s: %q", serve.TraceHeader, h)
+	if h := hdr.Get(coestapi.TraceHeader); h != "" {
+		t.Fatalf("untraced response carries %s: %q", coestapi.TraceHeader, h)
 	}
 	if resp.TraceID != "" {
 		t.Fatalf("untraced response body carries trace id %q", resp.TraceID)

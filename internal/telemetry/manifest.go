@@ -36,11 +36,6 @@ type Manifest struct {
 	// deterministic, so most runs leave it zero.
 	Seed int64 `json:"seed,omitempty"`
 
-	// Backend is the estimator backend the run was executed on
-	// ("interpreted", "packed64", ...), empty for tools predating the
-	// backend registry.
-	Backend string `json:"backend,omitempty"`
-
 	// Config is the tool-specific configuration snapshot (flag values,
 	// sweep axes, acceleration settings).
 	Config any `json:"config,omitempty"`

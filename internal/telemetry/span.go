@@ -181,7 +181,7 @@ type SpanMark struct {
 }
 
 // Begin opens a child span named name (detail is free-form context — a
-// system name, a backend, a path) and returns its mark. On a nil scope it
+// system name, a path) and returns its mark. On a nil scope it
 // returns the zero mark, whose End is a no-op.
 func (s *SpanScope) Begin(name, detail string) SpanMark {
 	return s.BeginWith(name, detail, 0)

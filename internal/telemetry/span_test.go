@@ -89,7 +89,7 @@ func TestNilSpanScopeIsNoOp(t *testing.T) {
 func TestStartSpanNoScopeZeroAllocs(t *testing.T) {
 	ctx := context.Background()
 	if allocs := testing.AllocsPerRun(1000, func() {
-		_, sp := StartSpanWith(ctx, "sweep", "packed64", 64)
+		_, sp := StartSpanWith(ctx, "sweep", "tcpip", 64)
 		sp.End()
 	}); allocs != 0 {
 		t.Fatalf("StartSpan without scope allocates %v per op, want 0", allocs)

@@ -228,8 +228,7 @@ func (t *Tracer) Emit(ev Event) {
 	t.sink.Emit(ev)
 }
 
-// TextSink adapts the event stream to a line-oriented func(string) consumer
-// — the bridge that keeps the legacy core.Config.Trace callback working.
+// TextSink adapts the event stream to a line-oriented func(string) consumer.
 type TextSink struct {
 	fn func(string)
 }

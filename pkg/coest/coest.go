@@ -37,11 +37,6 @@ import (
 	"repro/internal/audit"
 	"repro/internal/core"
 	"repro/internal/engine"
-
-	// Register the non-default estimator backends: importing coest makes
-	// every registered backend selectable with WithBackend.
-	_ "repro/internal/compiled"
-	_ "repro/internal/packed64"
 )
 
 // Sentinel errors, matched with errors.Is.
@@ -146,7 +141,7 @@ func Estimate(ctx context.Context, sys *System, opts ...Option) (*Report, error)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	cfg, _, err := sys.configured("Estimate", scopeConfig, opts)
+	cfg, err := sys.configured("Estimate", scopeConfig, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -202,13 +197,13 @@ func Sweep(ctx context.Context, grid Grid, opts ...Option) ([]PointResult, error
 		return nil, err
 	}
 	results, err := engine.RunReports(ctx, grid.N,
-		engine.Options{Workers: st.workers, OnPoint: st.pointHook(), Backend: st.backend},
+		engine.Options{Workers: st.workers, OnPoint: st.pointHook()},
 		func(i int) (*core.System, core.Config, error) {
 			sys, err := grid.Build(i)
 			if err != nil {
 				return nil, core.Config{}, err
 			}
-			cfg, _, err := sys.configured("Sweep", scopeConfig|scopeRun, opts)
+			cfg, err := sys.configured("Sweep", scopeConfig|scopeRun, opts)
 			if err != nil {
 				return nil, core.Config{}, err
 			}
@@ -220,12 +215,6 @@ func Sweep(ctx context.Context, grid Grid, opts ...Option) ([]PointResult, error
 	}
 	return out, err
 }
-
-// Backends enumerates the registered estimator backend names, sorted —
-// the valid arguments to WithBackend. The built-in set is "interpreted"
-// (the reference per-point path) and "packed64" (the 64-lane bit-parallel
-// sweep engine); both produce bit-identical reports.
-func Backends() []string { return engine.BackendNames() }
 
 // Reports flattens a fully successful result set into the bare reports,
 // indexed by grid point. Points that failed (Session.EstimateBatch) carry a

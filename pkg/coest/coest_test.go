@@ -73,11 +73,12 @@ func TestOptions(t *testing.T) {
 	}
 
 	var traced bool
-	if _, err := coest.Estimate(ctx, sys, coest.WithTrace(func(string) { traced = true })); err != nil {
+	if _, err := coest.Estimate(ctx, sys,
+		coest.WithTraceSink(coest.NewTextTraceSink(func(string) { traced = true }))); err != nil {
 		t.Fatal(err)
 	}
 	if !traced {
-		t.Fatal("WithTrace saw no events")
+		t.Fatal("WithTraceSink saw no events")
 	}
 
 	sampled, err := coest.Estimate(ctx, sys, coest.WithSampling(), coest.WithBusCompaction(32, 4))

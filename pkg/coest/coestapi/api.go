@@ -73,12 +73,6 @@ type Request struct {
 	// part of the session key: designs with different packet counts compile
 	// to different stimuli.
 	Packets int `json:"packets,omitempty"`
-	// Backend names the estimator backend the request's points execute on:
-	// "interpreted" (the reference per-point path, the default),
-	// "compiled" (the threaded-code ISS tier) or "packed64" (the 64-lane
-	// bit-parallel sweep engine). Reports are bit-identical across
-	// backends; unknown names are rejected with 400.
-	Backend string `json:"backend,omitempty"`
 	// DeadlineMS bounds the request's wall-clock time in milliseconds
 	// (0 = the server default). On expiry in-flight simulation aborts
 	// mid-run and the request fails with 504.
@@ -163,9 +157,6 @@ type Response struct {
 	// /debug/requests?trace= for the span tree, &format=chrome for a
 	// flame graph.
 	TraceID string `json:"trace_id,omitempty"`
-	// Backend echoes the resolved estimator backend the points ran on
-	// ("interpreted" when the request named none).
-	Backend string `json:"backend"`
 	// Warm reports whether the request hit an existing session: true means
 	// zero recompilation, resynthesis or recharacterization happened.
 	Warm bool `json:"warm"`

@@ -3,8 +3,6 @@ package coest
 import (
 	"errors"
 	"fmt"
-
-	"repro/internal/engine"
 )
 
 // ErrOptionScope is the sentinel matched by errors.Is when an option is
@@ -29,13 +27,3 @@ func (e *OptionScopeError) Error() string {
 
 // Is makes errors.Is(err, ErrOptionScope) hold.
 func (e *OptionScopeError) Is(target error) bool { return target == ErrOptionScope }
-
-// ErrUnknownBackend is the sentinel matched by errors.Is when WithBackend
-// (or a request-level backend field) names an estimator backend that is not
-// registered. Enumerate the registered names with Backends.
-var ErrUnknownBackend = engine.ErrUnknownBackend
-
-// UnknownBackendError reports which backend name was rejected together with
-// the registered names. It matches ErrUnknownBackend under errors.Is;
-// unwrap with errors.As to recover the names.
-type UnknownBackendError = engine.UnknownBackendError

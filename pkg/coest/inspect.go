@@ -56,10 +56,6 @@ func (c *Compiled) Session() *Session { return c.sess }
 // Config returns the fully resolved run configuration (a private copy).
 func (c *Compiled) Config() RunConfig { return c.sess.Config() }
 
-// Backend returns the resolved estimator-backend name the compilation was
-// configured with (WithBackend at Compile time, "interpreted" by default).
-func (c *Compiled) Backend() string { return c.sess.Backend() }
-
 // SWProgram returns the synthesized SPARC program image of the software
 // partition, or nil when no process maps to software.
 func (c *Compiled) SWProgram() *Program { return c.sess.SWProgram() }

@@ -32,8 +32,7 @@ type settings struct {
 	workers int
 	onPoint func(PointMetrics)
 	summary *engine.SweepSummary
-	macro   bool   // characterize-and-share a macro table at run time
-	backend string // estimator backend name, "" = default ("interpreted")
+	macro   bool // characterize-and-share a macro table at run time
 	err     error
 }
 
@@ -143,22 +142,16 @@ func (st *settings) resolveMacro() error {
 // configured resolves the option list against the system's baseline
 // configuration, yielding the per-run Config. allowed bounds the option
 // scopes the calling entry point accepts.
-func (s *System) configured(call string, allowed optionScope, opts []Option) (core.Config, *settings, error) {
+func (s *System) configured(call string, allowed optionScope, opts []Option) (core.Config, error) {
 	cfg := s.cfg.Clone()
 	st := newSettings(&cfg)
 	if err := st.applyAll(call, allowed, opts); err != nil {
-		return core.Config{}, nil, err
+		return core.Config{}, err
 	}
 	if err := st.resolveMacro(); err != nil {
-		return core.Config{}, nil, err
+		return core.Config{}, err
 	}
-	// Backend-specific Config preparation (the compiled backend switches the
-	// ISS to its threaded-code tier here), so the choice also reaches single
-	// estimations and session baselines, not just sweep scheduling.
-	if err := engine.PrepareConfig(st.backend, &cfg); err != nil {
-		return core.Config{}, nil, fmt.Errorf("coest: %w", err)
-	}
-	return cfg, st, nil
+	return cfg, nil
 }
 
 // WithDMASize sets the bus DMA block size in words — the communication-
@@ -261,21 +254,6 @@ func WithBusCompaction(k, ratio int) Option {
 	})
 }
 
-// WithTrace streams one rendered line per master-level event (reaction
-// dispatches, event deliveries, bus phases) to fn — the PTOLEMY-style
-// source-level visibility. In a Sweep the callback is invoked concurrently
-// from every worker and must be goroutine-safe.
-//
-// Deprecated: WithTrace is the legacy stringly interface, kept as a thin
-// adapter over the typed event stream (each TraceEvent is rendered with its
-// String method). New code should use WithTraceSink, which delivers the
-// structured events themselves.
-func WithTrace(fn func(string)) Option {
-	return configOption("WithTrace", func(st *settings) {
-		st.config(func(c *core.Config) { c.Trace = fn })
-	})
-}
-
 // WithSeparateEstimation switches the run to the §2 baseline: a
 // timing-independent behavioral simulation whose per-component traces are
 // estimated in isolation (the configuration the paper shows under-estimates
@@ -369,27 +347,6 @@ func WithShadowAudit(rate float64) Option {
 func WithShadowAuditParams(p ShadowAuditParams) Option {
 	return configOption("WithShadowAuditParams", func(st *settings) {
 		st.config(func(c *core.Config) { c.ShadowAudit = p })
-	})
-}
-
-// WithBackend selects the estimator backend by registered name — see
-// Backends for the choices ("interpreted", the reference path; "compiled",
-// the threaded-code ISS tier; and "packed64", the 64-lane bit-parallel
-// sweep engine). Every backend produces bit-identical reports; they differ
-// only in throughput. On multi-point runs (Sweep, Session.EstimateBatch)
-// the named backend schedules the whole grid. On single estimations the
-// name is recorded for inspection (Compiled.Backend, Session.Backend) and
-// its Config preparation still applies — "compiled" runs the software
-// estimator on translated basic blocks even for one point, while backends
-// that only change sweep scheduling ("packed64") degenerate to the
-// reference path. An unregistered name fails with ErrUnknownBackend.
-func WithBackend(name string) Option {
-	return configOption("WithBackend", func(st *settings) {
-		if _, err := engine.LookupBackend(name); err != nil {
-			st.fail(err)
-			return
-		}
-		st.backend = name
 	})
 }
 

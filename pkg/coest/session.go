@@ -34,10 +34,9 @@ import (
 //
 // All methods are safe for concurrent use.
 type Session struct {
-	spec    *core.System // session-private clone of the subject
-	base    core.Config  // resolved baseline configuration
-	art     *core.Artifacts
-	backend string // baseline estimator backend, "" = default
+	spec *core.System // session-private clone of the subject
+	base core.Config  // resolved baseline configuration
+	art  *core.Artifacts
 
 	mu     sync.Mutex
 	caches map[ECacheParams]*cachePair
@@ -54,7 +53,7 @@ type cachePair struct {
 // returns the reusable session. NewSession accepts config-scope options
 // only; run-level options fail with ErrOptionScope.
 func NewSession(sys *System, opts ...Option) (*Session, error) {
-	cfg, st, err := sys.configured("NewSession", scopeConfig, opts)
+	cfg, err := sys.configured("NewSession", scopeConfig, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -64,29 +63,16 @@ func NewSession(sys *System, opts ...Option) (*Session, error) {
 		return nil, err
 	}
 	return &Session{
-		spec:    spec,
-		base:    cfg,
-		art:     cs.Artifacts(),
-		backend: st.backend,
-		caches:  make(map[ECacheParams]*cachePair),
+		spec:   spec,
+		base:   cfg,
+		art:    cs.Artifacts(),
+		caches: make(map[ECacheParams]*cachePair),
 	}, nil
 }
 
 // Config returns the session's resolved baseline configuration (a private
 // copy).
 func (s *Session) Config() RunConfig { return s.base.Clone() }
-
-// Backend returns the resolved name of the session's baseline estimator
-// backend — the WithBackend choice made at NewSession/Compile time, or
-// "interpreted" when none was made. EstimateBatch runs on it unless a
-// batch-level WithBackend overrides.
-func (s *Session) Backend() string {
-	be, err := engine.LookupBackend(s.backend)
-	if err != nil {
-		return s.backend // unreachable: the name was validated at apply time
-	}
-	return be.Name()
-}
 
 // SWProgram returns the compiled SPARC program image of the software
 // partition, or nil when no process maps to software.
@@ -140,13 +126,6 @@ func (s *Session) runConfig(call string, opts []Option) (core.Config, error) {
 	}
 	if err := st.resolveMacro(); err != nil {
 		return core.Config{}, err
-	}
-	if st.backend != "" {
-		// A per-call WithBackend override layers its Config preparation on
-		// the session baseline (which was prepared at NewSession/Compile).
-		if err := engine.PrepareConfig(st.backend, &cfg); err != nil {
-			return core.Config{}, fmt.Errorf("coest: %w", err)
-		}
 	}
 	if cfg.HWWidth != s.art.HWWidth {
 		return core.Config{}, fmt.Errorf(
@@ -248,10 +227,7 @@ func (s *Session) run(ctx context.Context, cfg core.Config) (*Report, error) {
 // engine sweep over a bounded worker pool: points[i] is the config-scope
 // option list of point i, applied on top of the batch-wide options. opts
 // accepts both scopes — config options are applied to every point, run
-// options (WithWorkers, WithProgress, WithTelemetry) steer the batch. The
-// batch executes on the session's baseline estimator backend; a batch-level
-// WithBackend overrides it for this call (a packed backend lane-parallelizes
-// compatible points, with per-point reports unchanged).
+// options (WithWorkers, WithProgress, WithTelemetry) steer the batch.
 //
 // Unlike Sweep, a failing point does not abort the batch: its error lands
 // in the point's PointResult.Err and the other points complete. The
@@ -266,8 +242,8 @@ func (s *Session) EstimateBatch(ctx context.Context, points [][]Option, opts ...
 			continue
 		}
 		// Run-scope options steer the batch; config options are re-applied
-		// per point below, but also pass through st here so batch-level
-		// backend selection (WithBackend) is harvested.
+		// per point below, but also pass through st here so an invalid
+		// batch-wide option fails the batch up front.
 		o.apply(st)
 		if o.scope&scopeRun == 0 {
 			common = append(common, o)
@@ -276,19 +252,14 @@ func (s *Session) EstimateBatch(ctx context.Context, points [][]Option, opts ...
 	if st.err != nil {
 		return nil, fmt.Errorf("coest: %w", st.err)
 	}
-	backend := s.backend
-	if st.backend != "" {
-		backend = st.backend
-	}
 	n := len(points)
 	if n == 0 {
 		return nil, ctx.Err()
 	}
-	ctx, span := telemetry.StartSpanWith(ctx, "batch", backend, int64(n))
+	ctx, span := telemetry.StartSpanWith(ctx, "batch", "", int64(n))
 	defer span.End()
 	outs, err := engine.RunOutcomes(ctx, n, engine.Options{
 		Workers:   st.workers,
-		Backend:   backend,
 		OnPoint:   st.pointHook(),
 		Artifacts: s.art,
 		OnRun: func(_ int, cs *core.CoSim) {

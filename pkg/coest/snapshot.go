@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ecache"
-	"repro/internal/engine"
 )
 
 // Snapshot container format: magic, format version, then one gob stream.
@@ -20,9 +19,10 @@ var snapshotMagic = [8]byte{'C', 'O', 'E', 'S', 'N', 'A', 'P', 0}
 // SnapshotVersion is the binary snapshot format version this build writes.
 const SnapshotVersion uint16 = 1
 
-// sessionSnap is the gob payload of a session snapshot.
+// sessionSnap is the gob payload of a session snapshot. Gob skips fields
+// the payload carries but the struct lacks, so version-1 snapshots that
+// still name an estimator backend restore unchanged.
 type sessionSnap struct {
-	Backend   string
 	Artifacts core.ArtifactsState
 	Caches    []cacheSnap
 }
@@ -37,12 +37,11 @@ type cacheSnap struct {
 // plus every persistent energy cache — to w as a versioned binary snapshot.
 // A fresh process that restores it (RestoreSession) starts warm: zero
 // recompilation, resynthesis or recharacterization, and the learned energy
-// paths intact. The threaded-code block cache is excluded (closures don't
-// serialize); compiled-backend sessions re-translate lazily after restore.
+// paths intact.
 //
 // WriteSnapshot is safe for concurrent use with estimation.
 func (s *Session) WriteSnapshot(w io.Writer) error {
-	snap := sessionSnap{Backend: s.backend, Artifacts: s.art.State()}
+	snap := sessionSnap{Artifacts: s.art.State()}
 	s.mu.Lock()
 	params := make([]ECacheParams, 0, len(s.caches))
 	for p := range s.caches {
@@ -111,7 +110,7 @@ func RestoreSession(sys *System, r io.Reader, opts ...Option) (*Session, error) 
 	if err != nil {
 		return nil, err
 	}
-	cfg, st, err := sys.configured("RestoreSession", scopeConfig, opts)
+	cfg, err := sys.configured("RestoreSession", scopeConfig, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -128,21 +127,11 @@ func RestoreSession(sys *System, r io.Reader, opts ...Option) (*Session, error) 
 			"coest: RestoreSession: HW width %d differs from the snapshot's compiled width %d",
 			cfg.HWWidth, art.HWWidth)
 	}
-	backend := st.backend
-	if backend == "" && snap.Backend != "" {
-		// No backend named at restore: adopt the origin session's, including
-		// its Config preparation (configured() only prepared the default).
-		backend = snap.Backend
-		if err := engine.PrepareConfig(backend, &cfg); err != nil {
-			return nil, fmt.Errorf("coest: %w", err)
-		}
-	}
 	s := &Session{
-		spec:    spec,
-		base:    cfg,
-		art:     art,
-		backend: backend,
-		caches:  make(map[ECacheParams]*cachePair),
+		spec:   spec,
+		base:   cfg,
+		art:    art,
+		caches: make(map[ECacheParams]*cachePair),
 	}
 	for _, cs := range snap.Caches {
 		pair := &cachePair{sw: ecache.New(cs.Params).Shared(), hw: ecache.New(cs.Params).Shared()}

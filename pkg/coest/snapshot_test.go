@@ -3,10 +3,15 @@ package coest_test
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
+	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/ecache"
 	"repro/internal/telemetry"
+	"repro/internal/units"
 	"repro/pkg/coest"
 )
 
@@ -85,5 +90,81 @@ func TestSnapshotRejectsWrongDesign(t *testing.T) {
 	}
 	if _, err := coest.RestoreSession(coest.TCPIP(quickTCPIP()), strings.NewReader("not a snapshot at all, definitely")); err == nil {
 		t.Fatal("restore of garbage succeeded")
+	}
+}
+
+// TestSnapshotWithLegacyBackendRestores: version-1 snapshots written before
+// the estimator had one execution path carry the origin session's backend
+// name in their gob payload. They must still restore, and the restored
+// session must estimate bit-identically to the origin.
+func TestSnapshotWithLegacyBackendRestores(t *testing.T) {
+	origin, err := coest.NewSession(coest.TCPIP(quickTCPIP()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := origin.Estimate(ctx, coest.WithEnergyCache()); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := origin.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+
+	// Re-encode the payload in the pre-change sessionSnap shape, behind the
+	// snapshot's own magic and version header.
+	type cacheSnap struct {
+		Params coest.ECacheParams
+		SW, HW []ecache.PathStat
+	}
+	type current struct {
+		Artifacts core.ArtifactsState
+		Caches    []cacheSnap
+	}
+	type legacy struct {
+		Backend   string
+		Artifacts core.ArtifactsState
+		Caches    []cacheSnap
+	}
+	const header = 10
+	var snap current
+	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes()[header:])).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Caches) == 0 {
+		t.Fatal("origin snapshot carries no energy caches")
+	}
+	var old bytes.Buffer
+	old.Write(buf.Bytes()[:header])
+	if err := gob.NewEncoder(&old).Encode(legacy{Backend: "compiled", Artifacts: snap.Artifacts, Caches: snap.Caches}); err != nil {
+		t.Fatal(err)
+	}
+
+	restored, err := coest.RestoreSession(coest.TCPIP(quickTCPIP()), &old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored.SnapshotPaths() != origin.SnapshotPaths() {
+		t.Fatalf("restored %d cache paths, origin has %d", restored.SnapshotPaths(), origin.SnapshotPaths())
+	}
+	want, err := origin.Estimate(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := restored.Estimate(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range [][2]units.Energy{
+		{got.Total, want.Total}, {got.SWEnergy, want.SWEnergy},
+		{got.HWEnergy, want.HWEnergy}, {got.BusEnergy, want.BusEnergy},
+	} {
+		if math.Float64bits(float64(e[0])) != math.Float64bits(float64(e[1])) {
+			t.Fatalf("restored energy %v, origin %v", e[0], e[1])
+		}
+	}
+	if got.SimulatedTime != want.SimulatedTime || got.ISSCalls != want.ISSCalls || got.GateExecs != want.GateExecs {
+		t.Fatalf("restored run differs: %v/%d/%d vs %v/%d/%d",
+			got.SimulatedTime, got.ISSCalls, got.GateExecs, want.SimulatedTime, want.ISSCalls, want.GateExecs)
 	}
 }

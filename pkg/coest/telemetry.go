@@ -42,7 +42,7 @@ func NewJSONLTraceSink(w io.Writer) TraceSink { return telemetry.NewJSONLSink(w)
 func NewChromeTraceSink(w io.Writer) TraceSink { return telemetry.NewChromeSink(w) }
 
 // NewTextTraceSink returns a sink rendering each event as one trace line to
-// fn — the same lines the deprecated WithTrace callback receives.
+// fn (TraceEvent.String) — the PTOLEMY-style source-level visibility.
 func NewTextTraceSink(fn func(string)) TraceSink { return telemetry.NewTextSink(fn) }
 
 // MultiTraceSink fans the event stream out to several sinks (nils are

@@ -204,19 +204,19 @@ func TestWithTraceSinkNil(t *testing.T) {
 	}
 }
 
-// TestWithTraceAdapterMatchesSink: the deprecated WithTrace callback must
-// see exactly the rendered forms of the typed events.
-func TestWithTraceAdapterMatchesSink(t *testing.T) {
+// TestTextTraceSinkMatchesEvents: the text sink's lines must be exactly the
+// rendered forms of the typed events.
+func TestTextTraceSinkMatchesEvents(t *testing.T) {
 	var lines []string
 	var events []coest.TraceEvent
 	rec := recordingSink{events: &events}
+	text := coest.NewTextTraceSink(func(s string) { lines = append(lines, s) })
 	if _, err := coest.Estimate(context.Background(), coest.TCPIP(quickTCPIP()),
-		coest.WithTrace(func(s string) { lines = append(lines, s) }),
-		coest.WithTraceSink(rec)); err != nil {
+		coest.WithTraceSink(coest.MultiTraceSink(text, rec))); err != nil {
 		t.Fatal(err)
 	}
 	if len(lines) == 0 || len(lines) != len(events) {
-		t.Fatalf("adapter saw %d lines, sink saw %d events", len(lines), len(events))
+		t.Fatalf("text sink saw %d lines, recording sink saw %d events", len(lines), len(events))
 	}
 	for i := range lines {
 		if lines[i] != events[i].String() {

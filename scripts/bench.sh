@@ -6,8 +6,8 @@
 #
 # Environment:
 #   COUNT     repetitions per benchmark (default 3)
-#   BENCH     benchmark regexp (default '.'); e.g. BENCH=PackedSweep for the
-#             estimator-backend comparison (interpreted vs packed64) alone
+#   BENCH     benchmark regexp (default '.'); e.g. BENCH=Table1 for the
+#             Table 1 pair (original vs energy-cached) alone
 #   BASELINE  prior raw `go test -bench` output to diff against; the JSON
 #             then carries a per-benchmark ns/op speedup section
 #   BENCHTIME passed through as -benchtime when set
