@@ -252,10 +252,7 @@ func BenchmarkGateSim(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	drv, err := hwsyn.NewDriver(mod, 3.3)
-	if err != nil {
-		b.Fatal(err)
-	}
+	drv := hwsyn.NewDriver(mod, 3.3)
 	gates := mod.N.Size().Gates
 	b.ResetTimer()
 	var cycles uint64

@@ -22,7 +22,8 @@ func (s *System) Clone() *System {
 
 // Artifacts are the reusable synthesis products of one compilation: the
 // SPARC image of the software partition and the gate-level module of every
-// hardware process, keyed by machine name. They are read-only once built —
+// hardware process (its netlist compiled to a gate.Program), keyed by
+// machine name. They are read-only once built —
 // each new run rebinds them to its own cloned machines (swsyn.Rebind,
 // hwsyn.Rebind) instead of recompiling, which is the warm path of a
 // long-running estimation session.

@@ -235,8 +235,8 @@ func NewShared(sys *System, cfg Config, art *Artifacts) (*CoSim, error) {
 	}
 
 	// Hardware synthesis + gate simulators (modules may come rebound from
-	// the session's artifacts; the gate-level driver is always per-run —
-	// the simulator is stateful).
+	// the session's artifacts, compiled gate program included; only the
+	// simulator's run state is per run).
 	for mi, m := range sys.Net.Machines {
 		if cs.procs[mi].Mapping != HW {
 			continue
@@ -245,11 +245,7 @@ func NewShared(sys *System, cfg Config, art *Artifacts) (*CoSim, error) {
 		if err != nil {
 			return nil, err
 		}
-		drv, err := hwsyn.NewDriver(mod, cfg.HWVdd)
-		if err != nil {
-			return nil, err
-		}
-		cs.hw[mi] = &hwExec{driver: drv}
+		cs.hw[mi] = &hwExec{driver: hwsyn.NewDriver(mod, cfg.HWVdd)}
 	}
 
 	// Integration architecture. The priority map is copied before defaults

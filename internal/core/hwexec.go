@@ -48,9 +48,10 @@ func (cs *CoSim) startHW(mi int, ex *hwExec) {
 	key := ecache.Key{Machine: mi, Path: r.Path}
 
 	// Energy-cache hit: skip the gate-level simulator entirely. The cached
-	// cycle count already includes the bus-stall cycles of the original
-	// measurements; the bus transactions themselves still occur (the
-	// integration architecture is part of the system, not the estimator).
+	// energy includes the bus-stall cycles of the original measurements,
+	// but the cached cycle count excludes them: the bus transactions still
+	// occur in the replay (the integration architecture is part of the
+	// system, not the estimator), and their waits advance time there.
 	if cs.hwCache != nil {
 		e, cyc, ok := cs.hwCache.Lookup(key)
 		cs.emitECache(mi, r, ok)

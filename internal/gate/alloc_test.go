@@ -38,6 +38,32 @@ func TestCycleZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestResetZeroAlloc pins Sim.Reset, with which every run of a shared
+// Program starts, at zero allocations: it copies the Program's power-on
+// state into the run's own buffers instead of rebuilding or re-settling.
+func TestResetZeroAlloc(t *testing.T) {
+	n := gate.NewNetlist("reset-alloc")
+	a := n.Input("a")
+	q := n.Flop(n.Xor2(a, n.Const(true)), true, "q")
+	n.And2(q, a)
+	s, err := gate.NewSim(n, 3.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Record(true)
+	in := gate.InputVector{true}
+	s.Cycle(in) // grow the history once
+	if avg := testing.AllocsPerRun(1000, func() {
+		s.Cycle(in)
+		s.Reset()
+	}); avg != 0 {
+		t.Fatalf("gate.Sim.Reset allocates %v allocs/op, want 0", avg)
+	}
+	if s.Cycles() != 0 || s.Energy() != 0 || s.TotalToggles() != 0 || len(s.History()) != 0 {
+		t.Fatal("Reset must clear the run's counts and history")
+	}
+}
+
 // zeroMem is a shared memory that reads zero and drops writes.
 type zeroMem struct{}
 
@@ -79,10 +105,7 @@ func TestSteadyZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := hwsyn.NewDriver(mod, 3.3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := hwsyn.NewDriver(mod, 3.3)
 	m.Post(0, 0)
 	r, _ := m.React(zeroMem{})
 	e, err := d.Begin(r)

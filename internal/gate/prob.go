@@ -60,7 +60,7 @@ func EstimateProbabilistic(n *Netlist, vdd units.Voltage, inputs []ProbInput) (*
 		return nil, fmt.Errorf("gate: %d input stats for %d inputs", len(inputs), len(n.Inputs))
 	}
 	// Reuse the simulator's levelization and capacitance model.
-	s, err := NewSim(n, vdd)
+	prog, err := Compile(n)
 	if err != nil {
 		return nil, err
 	}
@@ -78,7 +78,7 @@ func EstimateProbabilistic(n *Netlist, vdd units.Voltage, inputs []ProbInput) (*
 	}
 
 	sweep := func() {
-		for _, gi := range s.order {
+		for _, gi := range prog.order {
 			g := n.Gates[gi]
 			gp, gd := gateStats(g, p1, den)
 			p1[g.Out] = gp
@@ -110,9 +110,9 @@ func EstimateProbabilistic(n *Netlist, vdd units.Voltage, inputs []ProbInput) (*
 
 	var e float64
 	for net := 0; net < n.NumNets(); net++ {
-		e += den[net] * float64(units.SwitchEnergy(s.cap_[net], vdd, 1))
+		e += den[net] * float64(units.SwitchEnergy(prog.cap_[net], vdd, 1))
 	}
-	e += float64(units.SwitchEnergy(s.ClockCap, vdd, uint64(len(n.DFFs))))
+	e += float64(units.SwitchEnergy(DefaultClockCap, vdd, uint64(len(n.DFFs))))
 
 	return &ProbEstimate{
 		P1:             p1,

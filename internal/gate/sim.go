@@ -8,17 +8,48 @@ import (
 	"repro/internal/units"
 )
 
-// Process-wide gate-simulator metrics, batched once per simulated cycle so
-// the settle loop stays atomics-free.
+// Process-wide gate-simulator metrics. Cycles and evaluations are batched
+// once per simulated cycle so the settle loop stays atomics-free.
 var (
-	mCycles = telemetry.Default.Counter("coest_gate_cycles_total", "gate-level clock cycles simulated")
-	mEvals  = telemetry.Default.Counter("coest_gate_evals_total", "gate evaluations performed")
+	mCycles   = telemetry.Default.Counter("coest_gate_cycles_total", "gate-level clock cycles simulated")
+	mEvals    = telemetry.Default.Counter("coest_gate_evals_total", "gate evaluations performed")
+	mCompiles = telemetry.Default.Counter("coest_gate_compiles_total", "gate netlists compiled for simulation")
 )
 
-// Sim is a levelized cycle-based simulator with toggle-count power
-// estimation. One Cycle call = one clock period: apply primary inputs,
-// settle combinational logic, charge ½·C·Vdd² per net transition, then
-// capture flip-flop state for the next cycle.
+// Program is a netlist compiled for simulation: the levelized evaluation
+// order, the CSR fanout, the packed gate records, the per-net capacitances
+// and the settled power-on state. Compile builds it once per netlist. It is
+// read-only afterwards, so any number of Sims, on any goroutines, can run
+// from one Program; each owns only its run state.
+type Program struct {
+	n     *Netlist
+	order []int // gate evaluation order (indices into n.Gates)
+
+	// Activity-driven evaluation: only gates whose inputs changed are
+	// re-evaluated, level by level (same fixpoint as full evaluation).
+	// Dirtiness is one bit per gate grouped by level in a single flat
+	// bitset, so whole words of clean gates are skipped; every hot-path
+	// lookup (dirty target, input bit) is precomputed into parallel flat
+	// arrays here.
+	levelGates [][]int32           // gate indices per level, in topo order
+	levelOff   []int32             // level -> first word in a Sim's dirtyBits
+	fanOff     []int32             // net -> [fanOff[n], fanOff[n+1]) fanout edges
+	fanIdx     []uint32            // edge -> global bit index into dirtyBits
+	hot        []hotGate           // gate -> packed hot-path record
+	insFlat    []NetID             // flattened gate inputs (N-ary fallback only)
+	dNets      []NetID             // flop -> D net, for the capture gather
+	cap_       []units.Capacitance // effective cap per net
+
+	// Power-on state, which Reset copies: every flop at its Init value and
+	// the combinational logic settled, with qVal0 and nextQ0 laid out as a
+	// Sim's qVal and nextQ.
+	val0, qVal0, nextQ0 []uint64
+}
+
+// Sim is one run of a Program: a levelized cycle-based simulator with
+// toggle-count power estimation. One Cycle call = one clock period: apply
+// primary inputs, settle combinational logic, charge ½·C·Vdd² per net
+// transition, then capture flip-flop state for the next cycle.
 //
 // Net values are bit-packed 64 to a word, gate dependencies are flattened
 // into CSR arrays, and dirty work is tracked in per-level bitsets, so the
@@ -30,43 +61,22 @@ type Sim struct {
 	N   *Netlist
 	Vdd units.Voltage
 
-	// WireCap, InputCap and ClockCap configure the capacitance model; they
-	// default to the package constants.
-	WireCap  units.Capacitance
-	InputCap units.Capacitance
-	ClockCap units.Capacitance
-
-	order   []int               // gate evaluation order (indices into N.Gates)
-	val     []uint64            // current net values, 64 nets per word
-	cap_    []units.Capacitance // effective cap per net
+	p       *Program
+	swE     []units.Energy // net -> SwitchEnergy(cap_[net], Vdd, 1)
+	val     []uint64       // current net values, 64 nets per word
 	toggles []uint64
 	cycles  uint64
 	energy  units.Energy
 	history []units.Energy // per-cycle energy, if recording
 	record  bool
+	evals   uint64
 
 	// Flop state, bit-packed by flop index. qVal mirrors the Q-net bits of
-	// val (launch diffs whole words against nextQ); dNets caches the D nets
-	// for the capture gather.
+	// val (launch diffs whole words against nextQ).
 	qVal  []uint64
 	nextQ []uint64
-	dNets []NetID
 
-	// Activity-driven evaluation: only gates whose inputs changed are
-	// re-evaluated, level by level (same fixpoint as full evaluation).
-	// Dirtiness is one bit per gate grouped by level in a single flat
-	// bitset, so whole words of clean gates are skipped; every hot-path
-	// lookup (dirty target, input bit, switch energy) is precomputed into
-	// parallel flat arrays at construction.
-	levelGates [][]int32      // gate indices per level, in topo order
-	dirtyBits  []uint64       // concatenated per-level dirty bitsets
-	levelOff   []int32        // level -> first word in dirtyBits
-	fanOff     []int32        // net -> [fanOff[n], fanOff[n+1]) fanout edges
-	fanIdx     []uint32       // edge -> global bit index into dirtyBits
-	hot        []hotGate      // gate -> packed hot-path record
-	insFlat    []NetID        // flattened gate inputs (N-ary fallback only)
-	swE        []units.Energy // net -> SwitchEnergy(cap_[net], Vdd, 1)
-	evals      uint64
+	dirtyBits []uint64 // concatenated per-level dirty bitsets
 
 	// forced is set by ForceFlop and cleared by the next Cycle: until then
 	// gates may be pending re-evaluation and a forced next state need not
@@ -85,35 +95,85 @@ type hotGate struct {
 	b   int32
 }
 
-// NewSim levelizes the netlist and returns a simulator, or an error if the
-// combinational logic contains a cycle or an undriven net.
+// NewSim compiles the netlist and returns a simulator for it.
 func NewSim(n *Netlist, vdd units.Voltage) (*Sim, error) {
-	s := &Sim{
-		N: n, Vdd: vdd,
-		WireCap: DefaultWireCap, InputCap: DefaultInputCap, ClockCap: DefaultClockCap,
-		val:     make([]uint64, (n.NumNets()+63)/64),
-		qVal:    make([]uint64, (len(n.DFFs)+63)/64),
-		nextQ:   make([]uint64, (len(n.DFFs)+63)/64),
-		toggles: make([]uint64, n.NumNets()),
+	p, err := Compile(n)
+	if err != nil {
+		return nil, err
 	}
+	return p.NewSim(vdd), nil
+}
 
-	// Which gate drives each net (for dependency edges).
-	driver := make([]int, n.NumNets())
-	for i := range driver {
-		driver[i] = -1
+// Compile levelizes the netlist and settles its power-on state. It returns
+// an error, never a panic, for any netlist it cannot simulate: a net ID out
+// of range, an unknown gate kind, a Not or Buf gate without exactly one
+// input, a net with more than one driver (gate, flop or primary input), a
+// net read but never driven, or a combinational cycle. The netlist must not
+// change afterwards: the Program refers to it.
+func Compile(n *Netlist) (*Program, error) {
+	nn := n.NumNets()
+	inRange := func(what string, ids ...NetID) error {
+		for _, id := range ids {
+			if id < 0 || int(id) >= nn {
+				return fmt.Errorf("gate: netlist %q: %s net %d out of range (%d nets)", n.Name, what, id, nn)
+			}
+		}
+		return nil
 	}
 	for gi, g := range n.Gates {
-		if driver[g.Out] != -1 {
-			return nil, fmt.Errorf("gate: net %q multiply driven", n.NetName(g.Out))
+		if g.Kind >= NumKinds {
+			return nil, fmt.Errorf("gate: netlist %q: gate %d has unknown kind %d", n.Name, gi, g.Kind)
 		}
-		driver[g.Out] = gi
-	}
-	isSource := make([]bool, n.NumNets())
-	for _, id := range n.Inputs {
-		isSource[id] = true
+		if (g.Kind == Not || g.Kind == Buf) && len(g.Ins) != 1 {
+			return nil, fmt.Errorf("gate: netlist %q: %v gate %d has %d inputs, want 1", n.Name, g.Kind, gi, len(g.Ins))
+		}
+		if err := inRange("gate output", g.Out); err != nil {
+			return nil, err
+		}
+		if err := inRange("gate input", g.Ins...); err != nil {
+			return nil, err
+		}
 	}
 	for _, ff := range n.DFFs {
-		isSource[ff.Q] = true
+		if err := inRange("flop", ff.D, ff.Q); err != nil {
+			return nil, err
+		}
+	}
+	if err := inRange("primary input", n.Inputs...); err != nil {
+		return nil, err
+	}
+	if err := inRange("primary output", n.Outputs...); err != nil {
+		return nil, err
+	}
+
+	// What drives each net: a gate index, or a source (primary input or
+	// flop output) that the combinational logic only reads.
+	const undriven, source = -1, -2
+	driver := make([]int, nn)
+	for i := range driver {
+		driver[i] = undriven
+	}
+	drive := func(id NetID, by int) error {
+		if driver[id] != undriven {
+			return fmt.Errorf("gate: net %q multiply driven", n.NetName(id))
+		}
+		driver[id] = by
+		return nil
+	}
+	for _, id := range n.Inputs {
+		if err := drive(id, source); err != nil {
+			return nil, err
+		}
+	}
+	for _, ff := range n.DFFs {
+		if err := drive(ff.Q, source); err != nil {
+			return nil, err
+		}
+	}
+	for gi, g := range n.Gates {
+		if err := drive(g.Out, gi); err != nil {
+			return nil, err
+		}
 	}
 
 	// Kahn topological sort over gates.
@@ -121,11 +181,11 @@ func NewSim(n *Netlist, vdd units.Voltage) (*Sim, error) {
 	succ := make([][]int32, len(n.Gates))
 	for gi, g := range n.Gates {
 		for _, in := range g.Ins {
-			if isSource[in] {
+			d := driver[in]
+			if d == source {
 				continue
 			}
-			d := driver[in]
-			if d == -1 {
+			if d == undriven {
 				return nil, fmt.Errorf("gate: net %q read but never driven", n.NetName(in))
 			}
 			indeg[gi]++
@@ -153,7 +213,7 @@ func NewSim(n *Netlist, vdd units.Voltage) (*Sim, error) {
 	if len(order) != len(n.Gates) {
 		return nil, fmt.Errorf("gate: combinational cycle in netlist %q", n.Name)
 	}
-	s.order = order
+	p := &Program{n: n, order: order}
 
 	// Levelize for activity-driven evaluation.
 	level := make([]int, len(n.Gates))
@@ -161,7 +221,7 @@ func NewSim(n *Netlist, vdd units.Voltage) (*Sim, error) {
 	for _, gi := range order {
 		lv := 0
 		for _, in := range n.Gates[gi].Ins {
-			if d := driver[in]; d != -1 {
+			if d := driver[in]; d >= 0 {
 				if level[d]+1 > lv {
 					lv = level[d] + 1
 				}
@@ -172,45 +232,44 @@ func NewSim(n *Netlist, vdd units.Voltage) (*Sim, error) {
 			maxLevel = lv
 		}
 	}
-	s.levelGates = make([][]int32, maxLevel+1)
+	p.levelGates = make([][]int32, maxLevel+1)
 	for _, gi := range order {
-		s.levelGates[level[gi]] = append(s.levelGates[level[gi]], int32(gi))
+		p.levelGates[level[gi]] = append(p.levelGates[level[gi]], int32(gi))
 	}
 	// Each gate's dirty bit lives at (levelOff[level] words + position in
 	// level); precompute that address per gate for the fanout edges below.
-	s.levelOff = make([]int32, maxLevel+2)
-	for lv, gates := range s.levelGates {
-		s.levelOff[lv+1] = s.levelOff[lv] + int32((len(gates)+63)/64)
+	p.levelOff = make([]int32, maxLevel+2)
+	for lv, gates := range p.levelGates {
+		p.levelOff[lv+1] = p.levelOff[lv] + int32((len(gates)+63)/64)
 	}
-	s.dirtyBits = make([]uint64, s.levelOff[maxLevel+1])
 	dirtyIdx := make([]uint32, len(n.Gates))
-	for lv, gates := range s.levelGates {
+	for lv, gates := range p.levelGates {
 		for pos, gi := range gates {
-			dirtyIdx[gi] = uint32(s.levelOff[lv])<<6 + uint32(pos)
+			dirtyIdx[gi] = uint32(p.levelOff[lv])<<6 + uint32(pos)
 		}
 	}
 
 	// CSR fanout: per edge, the global dirty-bit index of the dependent
 	// gate (4 bytes per edge keeps the fanout walk cache-dense).
-	s.fanOff = make([]int32, n.NumNets()+1)
+	p.fanOff = make([]int32, nn+1)
 	for _, g := range n.Gates {
 		for _, in := range g.Ins {
-			s.fanOff[in+1]++
+			p.fanOff[in+1]++
 		}
 	}
-	for i := 1; i < len(s.fanOff); i++ {
-		s.fanOff[i] += s.fanOff[i-1]
+	for i := 1; i < len(p.fanOff); i++ {
+		p.fanOff[i] += p.fanOff[i-1]
 	}
-	s.fanIdx = make([]uint32, s.fanOff[len(s.fanOff)-1])
-	fill := make([]int32, n.NumNets())
+	p.fanIdx = make([]uint32, p.fanOff[len(p.fanOff)-1])
+	fill := make([]int32, nn)
 	for gi, g := range n.Gates {
 		for _, in := range g.Ins {
-			s.fanIdx[s.fanOff[in]+fill[in]] = dirtyIdx[gi]
+			p.fanIdx[p.fanOff[in]+fill[in]] = dirtyIdx[gi]
 			fill[in]++
 		}
 	}
 	// Packed per-gate hot records; wide gates spill inputs to insFlat.
-	s.hot = make([]hotGate, len(n.Gates))
+	p.hot = make([]hotGate, len(n.Gates))
 	for gi, g := range n.Gates {
 		h := hotGate{op: specializeOp(g.Kind, len(g.Ins)), out: g.Out}
 		switch {
@@ -219,41 +278,74 @@ func NewSim(n *Netlist, vdd units.Voltage) (*Sim, error) {
 		case h.op < opNot: // 2-input specialized forms
 			h.a, h.b = int32(g.Ins[0]), int32(g.Ins[1])
 		default: // N-ary fallback: a/b index insFlat
-			h.a = int32(len(s.insFlat))
-			s.insFlat = append(s.insFlat, g.Ins...)
-			h.b = int32(len(s.insFlat))
+			h.a = int32(len(p.insFlat))
+			p.insFlat = append(p.insFlat, g.Ins...)
+			h.b = int32(len(p.insFlat))
 		}
-		s.hot[gi] = h
+		p.hot[gi] = h
 	}
 
-	s.dNets = make([]NetID, len(n.DFFs))
+	p.dNets = make([]NetID, len(n.DFFs))
 	for i, ff := range n.DFFs {
-		s.dNets[i] = ff.D
+		p.dNets[i] = ff.D
 	}
 
 	// Effective capacitance: intrinsic wire cap + input load per fanout.
-	s.cap_ = make([]units.Capacitance, n.NumNets())
-	for i := range s.cap_ {
-		s.cap_[i] = s.WireCap
+	p.cap_ = make([]units.Capacitance, nn)
+	for i := range p.cap_ {
+		p.cap_[i] = DefaultWireCap
 	}
 	for _, g := range n.Gates {
 		for _, in := range g.Ins {
-			s.cap_[in] += s.InputCap
+			p.cap_[in] += DefaultInputCap
 		}
 	}
 	for _, ff := range n.DFFs {
-		s.cap_[ff.D] += s.InputCap
+		p.cap_[ff.D] += DefaultInputCap
+	}
+
+	// Power-on state: flops at their initial values, then one settle of
+	// the combinational logic in evaluation order, charging no energy —
+	// power-on state is not switching activity.
+	p.val0 = make([]uint64, (nn+63)/64)
+	p.qVal0 = make([]uint64, (len(n.DFFs)+63)/64)
+	p.nextQ0 = make([]uint64, len(p.qVal0))
+	for i, ff := range n.DFFs {
+		if ff.Init {
+			setBit(p.val0, ff.Q, true)
+			p.qVal0[uint32(i)>>6] |= 1 << (uint32(i) & 63)
+		}
+	}
+	for _, gi := range order {
+		setBit(p.val0, n.Gates[gi].Out, p.evalGate(p.val0, int32(gi)))
+	}
+	p.capture(p.nextQ0, p.val0)
+
+	mCompiles.Inc()
+	return p, nil
+}
+
+// NewSim returns a simulator for the program at supply voltage vdd, in the
+// power-on state. It allocates only run state; the per-net switch energy
+// is part of it because it depends on vdd.
+func (p *Program) NewSim(vdd units.Voltage) *Sim {
+	s := &Sim{
+		N: p.n, Vdd: vdd, p: p,
+		swE:       make([]units.Energy, len(p.cap_)),
+		val:       make([]uint64, len(p.val0)),
+		toggles:   make([]uint64, len(p.cap_)),
+		qVal:      make([]uint64, len(p.qVal0)),
+		nextQ:     make([]uint64, len(p.nextQ0)),
+		dirtyBits: make([]uint64, p.levelOff[len(p.levelOff)-1]),
 	}
 	// Per-net single-transition energy, precomputed so the hot loops add a
 	// cached float instead of recomputing ½·C·Vdd² (bitwise identical — the
-	// inputs never change after construction).
-	s.swE = make([]units.Energy, n.NumNets())
-	for i := range s.swE {
-		s.swE[i] = units.SwitchEnergy(s.cap_[i], s.Vdd, 1)
+	// inputs never change during a run).
+	for i, c := range p.cap_ {
+		s.swE[i] = units.SwitchEnergy(c, vdd, 1)
 	}
-
 	s.Reset()
-	return s, nil
+	return s
 }
 
 // bit returns the current value of net id.
@@ -266,20 +358,20 @@ func (s *Sim) flip(id NetID) {
 	s.val[uint32(id)>>6] ^= 1 << (uint32(id) & 63)
 }
 
-// setBit forces net id to v.
-func (s *Sim) setBit(id NetID, v bool) {
+// setBit forces net id to v in the packed net values val.
+func setBit(val []uint64, id NetID, v bool) {
 	if v {
-		s.val[uint32(id)>>6] |= 1 << (uint32(id) & 63)
+		val[uint32(id)>>6] |= 1 << (uint32(id) & 63)
 	} else {
-		s.val[uint32(id)>>6] &^= 1 << (uint32(id) & 63)
+		val[uint32(id)>>6] &^= 1 << (uint32(id) & 63)
 	}
 }
 
-// evalGate computes gate gi's function over the packed net values (cold
-// path — Reset; the settle loop inlines the same dispatch).
-func (s *Sim) evalGate(gi int32) bool {
-	h := s.hot[gi]
-	val := s.val
+// evalGate computes gate gi's function over the packed net values val
+// (cold path — the power-on settle; the settle loop inlines the same
+// dispatch).
+func (p *Program) evalGate(val []uint64, gi int32) bool {
+	h := p.hot[gi]
 	va := val[uint32(h.a)>>6] >> (uint32(h.a) & 63)
 	switch h.op {
 	case opAnd2:
@@ -300,7 +392,7 @@ func (s *Sim) evalGate(gi int32) bool {
 		return va&1 != 0
 	case opAndN, opNandN:
 		r := true
-		for _, in := range s.insFlat[h.a:h.b] {
+		for _, in := range p.insFlat[h.a:h.b] {
 			if val[uint32(in)>>6]>>(uint32(in)&63)&1 == 0 {
 				r = false
 				break
@@ -309,7 +401,7 @@ func (s *Sim) evalGate(gi int32) bool {
 		return r != (h.op == opNandN)
 	case opOrN, opNorN:
 		r := false
-		for _, in := range s.insFlat[h.a:h.b] {
+		for _, in := range p.insFlat[h.a:h.b] {
 			if val[uint32(in)>>6]>>(uint32(in)&63)&1 != 0 {
 				r = true
 				break
@@ -318,7 +410,7 @@ func (s *Sim) evalGate(gi int32) bool {
 		return r != (h.op == opNorN)
 	default: // opXorN, opXnorN
 		r := false
-		for _, in := range s.insFlat[h.a:h.b] {
+		for _, in := range p.insFlat[h.a:h.b] {
 			r = r != (val[uint32(in)>>6]>>(uint32(in)&63)&1 != 0)
 		}
 		return r != (h.op == opXnorN)
@@ -387,53 +479,32 @@ func specializeOp(k Kind, nIns int) uint8 {
 // edge carries the dependent gate's global dirty-bit index directly, so
 // this is one OR per edge.
 func (s *Sim) markDirty(net NetID) {
-	for _, di := range s.fanIdx[s.fanOff[net]:s.fanOff[net+1]] {
+	p := s.p
+	for _, di := range p.fanIdx[p.fanOff[net]:p.fanOff[net+1]] {
 		s.dirtyBits[di>>6] |= 1 << (di & 63)
 	}
 }
 
-// Reset restores initial flop state and settles the combinational logic
-// (without charging energy — power-on state is not switching activity).
+// Reset returns the simulator to the program's power-on state: the settled
+// net values and flop state are copied, and every count is cleared.
 func (s *Sim) Reset() {
-	for i := range s.val {
-		s.val[i] = 0
-	}
-	for i := range s.qVal {
-		s.qVal[i] = 0
-		s.nextQ[i] = 0
-	}
-	for i, ff := range s.N.DFFs {
-		s.setBit(ff.Q, ff.Init)
-		if ff.Init {
-			s.qVal[uint32(i)>>6] |= 1 << (uint32(i) & 63)
-			s.nextQ[uint32(i)>>6] |= 1 << (uint32(i) & 63)
-		}
-	}
-	for _, gi := range s.order {
-		s.setBit(s.N.Gates[gi].Out, s.evalGate(int32(gi)))
-	}
-	s.capture()
+	copy(s.val, s.p.val0)
+	copy(s.qVal, s.p.qVal0)
+	copy(s.nextQ, s.p.nextQ0)
 	s.cycles = 0
 	s.energy = 0
 	s.evals = 0
 	s.forced = false
 	s.history = s.history[:0]
-	for i := range s.toggles {
-		s.toggles[i] = 0
-	}
-	for i := range s.dirtyBits {
-		s.dirtyBits[i] = 0
-	}
+	clear(s.toggles)
+	clear(s.dirtyBits)
 }
 
-// capture latches each flop's D value into the next-state bitset.
-func (s *Sim) capture() {
-	for i := range s.nextQ {
-		s.nextQ[i] = 0
-	}
-	val := s.val
-	for i, d := range s.dNets {
-		s.nextQ[uint32(i)>>6] |= (val[uint32(d)>>6] >> (uint32(d) & 63) & 1) << (uint32(i) & 63)
+// capture latches each flop's D value in val into the next-state bitset.
+func (p *Program) capture(nextQ, val []uint64) {
+	clear(nextQ)
+	for i, d := range p.dNets {
+		nextQ[uint32(i)>>6] |= (val[uint32(d)>>6] >> (uint32(d) & 63) & 1) << (uint32(i) & 63)
 	}
 }
 
@@ -472,7 +543,7 @@ func (s *Sim) Cycle(in InputVector) units.Energy {
 		}
 		s.qVal[wi] = s.nextQ[wi]
 	}
-	e += units.SwitchEnergy(s.ClockCap, s.Vdd, uint64(len(dffs)))
+	e += units.SwitchEnergy(DefaultClockCap, s.Vdd, uint64(len(dffs)))
 
 	// Apply primary inputs.
 	for i, id := range s.N.Inputs {
@@ -490,11 +561,12 @@ func (s *Sim) Cycle(in InputVector) units.Energy {
 	// so each level's bitset is final when its turn comes.
 	evals := s.evals
 	val := s.val
-	hot, insFlat := s.hot, s.insFlat
+	p := s.p
+	hot, insFlat, levelOff := p.hot, p.insFlat, p.levelOff
 	toggles, swE := s.toggles, s.swE
-	fanOff, fanIdx, dirtyBits := s.fanOff, s.fanIdx, s.dirtyBits
-	for lv, gates := range s.levelGates {
-		dirtyLv := dirtyBits[s.levelOff[lv]:s.levelOff[lv+1]]
+	fanOff, fanIdx, dirtyBits := p.fanOff, p.fanIdx, s.dirtyBits
+	for lv, gates := range p.levelGates {
+		dirtyLv := dirtyBits[levelOff[lv]:levelOff[lv+1]]
 		for wi, w := range dirtyLv {
 			if w == 0 {
 				continue
@@ -573,7 +645,7 @@ func (s *Sim) Cycle(in InputVector) units.Energy {
 	s.evals = evals
 
 	// Capture next state.
-	s.capture()
+	p.capture(s.nextQ, val)
 	s.forced = false
 
 	s.cycles++
@@ -616,7 +688,7 @@ func (s *Sim) Steady(in InputVector) bool {
 // times in sequence (n·e would round differently), and nets, toggles and
 // evaluation counts stay as they are.
 func (s *Sim) Advance(n uint64) units.Energy {
-	e := units.SwitchEnergy(s.ClockCap, s.Vdd, uint64(len(s.N.DFFs)))
+	e := units.SwitchEnergy(DefaultClockCap, s.Vdd, uint64(len(s.N.DFFs)))
 	for i := uint64(0); i < n; i++ {
 		s.energy += e
 		if s.record {

@@ -101,7 +101,7 @@ func TestAdvanceMatchesCycles(t *testing.T) {
 			}
 			if tc.steady {
 				e0 := fast.Energy()
-				ce := units.SwitchEnergy(fast.ClockCap, fast.Vdd, uint64(len(netlist.DFFs)))
+				ce := units.SwitchEnergy(DefaultClockCap, fast.Vdd, uint64(len(netlist.DFFs)))
 				sum := e0
 				for i := 0; i < n; i++ {
 					sum += ce

@@ -45,39 +45,24 @@ type Driver struct {
 	// MaxCycles bounds one transition execution (runaway guard).
 	MaxCycles uint64
 
-	in      gate.InputVector
-	inIdx   map[gate.NetID]int
-	flopIdx map[gate.NetID]int
-	mask    uint32
+	in   gate.InputVector
+	mask uint32
 }
 
-// NewDriver builds a simulator for the module at the given supply voltage.
-func NewDriver(mod *Module, vdd units.Voltage) (*Driver, error) {
-	s, err := gate.NewSim(mod.N, vdd)
-	if err != nil {
-		return nil, err
-	}
-	d := &Driver{
+// NewDriver starts a simulator of the module's compiled netlist at the given
+// supply voltage. It allocates only run state.
+func NewDriver(mod *Module, vdd units.Voltage) *Driver {
+	return &Driver{
 		Mod:       mod,
-		Sim:       s,
+		Sim:       mod.prog.NewSim(vdd),
 		MaxCycles: 10_000_000,
 		in:        make(gate.InputVector, len(mod.N.Inputs)),
-		inIdx:     make(map[gate.NetID]int, len(mod.N.Inputs)),
 		mask:      uint32(1)<<uint(mod.Width) - 1,
 	}
-	for i, id := range mod.N.Inputs {
-		d.inIdx[id] = i
-	}
-	return d, nil
 }
 
-func (d *Driver) set(id gate.NetID, v bool) {
-	i, ok := d.inIdx[id]
-	if !ok {
-		panic(fmt.Sprintf("hwsyn: net %d is not a primary input", id))
-	}
-	d.in[i] = v
-}
+// set drives input port net id, which compile verified is a primary input.
+func (d *Driver) set(id gate.NetID, v bool) { d.in[d.Mod.inPos[id]] = v }
 
 func (d *Driver) setWord(w gate.Word, v uint32) {
 	for b, id := range w {
@@ -93,19 +78,13 @@ func (d *Driver) Mask() uint32 { return d.mask }
 // techniques skip executions, so the next real execution starts from the
 // state the behavioral model says the block is in.
 func (d *Driver) SyncVars(vals []uint32) {
-	if d.flopIdx == nil {
-		d.flopIdx = make(map[gate.NetID]int, len(d.Mod.N.DFFs))
-		for i, ff := range d.Mod.N.DFFs {
-			d.flopIdx[ff.Q] = i
-		}
-	}
-	for vi, q := range d.Mod.VarRegs {
+	for vi, flops := range d.Mod.varFlops {
 		if vi >= len(vals) {
 			break
 		}
 		v := vals[vi] & d.mask
-		for b, net := range q {
-			d.Sim.ForceFlop(d.flopIdx[net], v>>uint(b)&1 == 1)
+		for b, fi := range flops {
+			d.Sim.ForceFlop(int(fi), v>>uint(b)&1 == 1)
 		}
 	}
 }

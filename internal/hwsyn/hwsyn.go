@@ -19,6 +19,7 @@
 package hwsyn
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/cfsm"
@@ -90,6 +91,14 @@ type Module struct {
 
 	entries []int // entry step per transition
 	steps   []step
+
+	// What every Driver of the module shares, built once by compile: the
+	// gate program; per net up to the last primary input, its position in
+	// N.Inputs (-1 for other nets); and per variable-register bit, the index
+	// of its flop.
+	prog     *gate.Program
+	inPos    []int32
+	varFlops [][]int32
 }
 
 // NumSteps returns the micro-program length (including idle and done steps).
@@ -112,7 +121,94 @@ func Synthesize(m *cfsm.CFSM, cfg Config) (*Module, error) {
 	if err := sy.build(); err != nil {
 		return nil, err
 	}
+	if err := sy.mod.compile(); err != nil {
+		return nil, err
+	}
 	return sy.mod, nil
+}
+
+// compile builds the module's shared run-time tables: the gate program and
+// the positions of its input ports and variable-register bits. It fails when
+// the netlist does not compile, when a port names a net the netlist lacks,
+// when an input port is not a primary input, or when a variable-register
+// bit is not a flop output.
+func (mod *Module) compile() error {
+	prog, err := gate.Compile(mod.N)
+	if err != nil {
+		return err
+	}
+	n := mod.N
+	nn := n.NumNets()
+	// Synthesis allocates the primary inputs first, so a table spanning
+	// them stays small.
+	span := 0
+	for _, id := range n.Inputs {
+		span = max(span, int(id)+1)
+	}
+	inPos := make([]int32, span)
+	for i := range inPos {
+		inPos[i] = -1
+	}
+	for i, id := range n.Inputs {
+		inPos[id] = int32(i)
+	}
+
+	// check verifies that every net of a port is in range and, for an
+	// input port, is a primary input.
+	check := func(port string, input bool, ids ...gate.NetID) error {
+		for _, id := range ids {
+			if id < 0 || int(id) >= nn {
+				return fmt.Errorf("hwsyn: module %q: %s net %d out of range (%d nets)", n.Name, port, id, nn)
+			}
+			if input && (int(id) >= span || inPos[id] < 0) {
+				return fmt.Errorf("hwsyn: module %q: %s net %q is not a primary input", n.Name, port, n.NetName(id))
+			}
+		}
+		return nil
+	}
+	errs := []error{
+		check("go", true, mod.Go),
+		check("transition select", true, mod.TransSel...),
+		check("memory read data", true, mod.MemRData...),
+		check("memory ack", true, mod.MemAck),
+		check("input present", true, mod.InPresent...),
+		check("done", false, mod.Done),
+		check("output present", false, mod.OutPresent...),
+		check("memory request", false, mod.MemReq, mod.MemWr),
+		check("memory address", false, mod.MemAddr...),
+		check("memory write data", false, mod.MemWData...),
+		check("micro-PC", false, mod.Upc...),
+	}
+	for _, w := range mod.InVals {
+		errs = append(errs, check("input value", true, w...))
+	}
+	for _, w := range mod.OutVals {
+		errs = append(errs, check("output value", false, w...))
+	}
+	for _, w := range mod.VarRegs {
+		errs = append(errs, check("variable register", false, w...))
+	}
+	if err := errors.Join(errs...); err != nil {
+		return err
+	}
+
+	flopOf := make(map[gate.NetID]int32, len(n.DFFs))
+	for i, ff := range n.DFFs {
+		flopOf[ff.Q] = int32(i)
+	}
+	varFlops := make([][]int32, len(mod.VarRegs))
+	for vi, w := range mod.VarRegs {
+		varFlops[vi] = make([]int32, len(w))
+		for b, id := range w {
+			fi, ok := flopOf[id]
+			if !ok {
+				return fmt.Errorf("hwsyn: module %q: variable register net %q is not a flop output", n.Name, n.NetName(id))
+			}
+			varFlops[vi][b] = fi
+		}
+	}
+	mod.prog, mod.inPos, mod.varFlops = prog, inPos, varFlops
+	return nil
 }
 
 type synth struct {
@@ -233,8 +329,9 @@ func (sy *synth) flattenStmt(s cfsm.Stmt, loopDepth int) {
 // machine.
 //
 // Rebind is what lets one hwsyn.Synthesize serve many concurrent
-// simulations: synthesize once, rebind per run (each run still needs its
-// own Driver — the gate simulator is stateful).
+// simulations: synthesize once, rebind per run. The compiled gate program
+// and the port position tables are shared too; each run's Driver allocates
+// only the simulator's run state.
 func (mod *Module) Rebind(m *cfsm.CFSM) (*Module, error) {
 	if m.Name != mod.M.Name || len(m.Transitions) != len(mod.M.Transitions) {
 		return nil, fmt.Errorf("hwsyn: rebind machine is %q, module has %q", m.Name, mod.M.Name)

@@ -21,11 +21,7 @@ func hw(t *testing.T, m *cfsm.CFSM) *Driver {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := NewDriver(mod, 3.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d
+	return NewDriver(mod, 3.3)
 }
 
 // replay runs one behavioral reaction and its hardware execution, checking

@@ -69,14 +69,26 @@ func (mod *Module) State() ModuleState {
 }
 
 // ModuleFromState rebuilds a module from its exported state, bound to the
-// live machine instance m. No synthesis happens.
+// live machine instance m. No synthesis happens, but the netlist is compiled
+// (see gate.Compile), so a state that could not be simulated — a corrupt
+// netlist, a port the netlist lacks, or port lists that do not match the
+// machine — is rejected here rather than at its first run.
 func ModuleFromState(st ModuleState, m *cfsm.CFSM) (*Module, error) {
 	if m.Name != st.Name {
 		return nil, fmt.Errorf("hwsyn: snapshot module is %q, restored machine is %q", st.Name, m.Name)
 	}
-	if len(m.Transitions) != st.Transitions {
-		return nil, fmt.Errorf("hwsyn: snapshot module %q has %d transitions, restored machine has %d",
-			st.Name, st.Transitions, len(m.Transitions))
+	if len(m.Transitions) != st.Transitions || len(st.Entries) != st.Transitions {
+		return nil, fmt.Errorf("hwsyn: snapshot module %q has %d transitions (%d entry steps), restored machine has %d",
+			st.Name, st.Transitions, len(st.Entries), len(m.Transitions))
+	}
+	if st.Width <= 0 || st.Width > 32 {
+		return nil, fmt.Errorf("hwsyn: snapshot module %q: bad width %d", st.Name, st.Width)
+	}
+	if len(st.InVals) != len(m.InputNames) || len(st.InPresent) != len(m.InputNames) ||
+		len(st.OutVals) != len(m.OutputNames) || len(st.OutPresent) != len(m.OutputNames) ||
+		len(st.VarRegs) != len(m.VarNames) {
+		return nil, fmt.Errorf("hwsyn: snapshot module %q: port lists do not match the machine's %d inputs, %d outputs and %d variables",
+			st.Name, len(m.InputNames), len(m.OutputNames), len(m.VarNames))
 	}
 	mod := &Module{
 		M:          m,
@@ -98,6 +110,9 @@ func ModuleFromState(st ModuleState, m *cfsm.CFSM) (*Module, error) {
 		Upc:        st.Upc,
 		VarRegs:    st.VarRegs,
 		entries:    st.Entries,
+	}
+	if err := mod.compile(); err != nil {
+		return nil, err
 	}
 	return mod, nil
 }

@@ -151,10 +151,7 @@ func TestStallMatchesCycleByCycle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d, err := NewDriver(m, 3.3)
-			if err != nil {
-				t.Fatal(err)
-			}
+			d := NewDriver(m, 3.3)
 			var res []transResult
 			if cycleByCycle {
 				res, err = runSeqWaits(cycleDriver{d}, m.M, seed, 12, 300)
@@ -189,10 +186,10 @@ func TestStallKeepsEmittingPulses(t *testing.T) {
 	pulse := n.Or2(hold, ack)
 	n.Flop(pulse, false, "q")
 	mod := &Module{N: n, Width: 4, MemAck: ack, OutPresent: []gate.NetID{pulse}, OutVals: []gate.Word{val}}
-	d, err := NewDriver(mod, 3.3)
-	if err != nil {
+	if err := mod.compile(); err != nil {
 		t.Fatal(err)
 	}
+	d := NewDriver(mod, 3.3)
 	d.set(hold, true)
 	d.setWord(val, 9)
 	e := &Exec{d: d}

@@ -2,12 +2,15 @@ package serve_test
 
 import (
 	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"io"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/serve"
 	"repro/internal/telemetry"
 	"repro/pkg/coest/coestapi"
@@ -236,6 +239,66 @@ func TestSnapshotRestoreOverHTTP(t *testing.T) {
 	}
 	if first.Points[0].TotalJ != onOrigin.Points[0].TotalJ {
 		t.Fatalf("restored energy %v != origin %v", first.Points[0].TotalJ, onOrigin.Points[0].TotalJ)
+	}
+}
+
+// TestRestoreRejectsCorruptNetlist: a snapshot whose gate netlist reads a
+// net the netlist does not have is refused at POST /restore with the 400
+// error envelope, and the shard goes on serving that design — the corrupt
+// netlist never reaches a simulation.
+func TestRestoreRejectsCorruptNetlist(t *testing.T) {
+	_, origin := startServer(t, serve.Config{})
+	req := coestapi.Request{Packets: 2}
+	if code, _, _ := post(t, origin.URL, req); code != http.StatusOK {
+		t.Fatalf("origin estimate failed: %d", code)
+	}
+	code, _, blob := postRaw(t, origin.URL, "/snapshot", coestapi.SnapshotRequest{Packets: 2})
+	if code != http.StatusOK {
+		t.Fatalf("snapshot: status %d: %s", code, blob)
+	}
+
+	// Point one gate of every HW module at net 9999, behind the session
+	// snapshot's own magic and version header.
+	var env coestapi.SnapshotEnvelope
+	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	const header = 10
+	var snap struct{ Artifacts core.ArtifactsState }
+	if err := gob.NewDecoder(bytes.NewReader(env.Blob[header:])).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Artifacts.HW) == 0 {
+		t.Fatal("snapshot carries no HW modules")
+	}
+	for _, ms := range snap.Artifacts.HW {
+		ms.N.Gates[len(ms.N.Gates)-1].Ins[0] = 9999
+	}
+	var payload bytes.Buffer
+	payload.Write(env.Blob[:header])
+	if err := gob.NewEncoder(&payload).Encode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	env.Blob = payload.Bytes()
+	var corrupt bytes.Buffer
+	if err := gob.NewEncoder(&corrupt).Encode(&env); err != nil {
+		t.Fatal(err)
+	}
+
+	_, clone := startServer(t, serve.Config{})
+	resp, err := http.Post(clone.URL+"/restore", "application/octet-stream", &corrupt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var e coestapi.ErrorResponse
+	if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(body, &e) != nil ||
+		e.Error.Code != coestapi.CodeBadRequest || !strings.Contains(e.Error.Message, "out of range") {
+		t.Fatalf("corrupt restore: status %d: %s", resp.StatusCode, body)
+	}
+	if code, _, _ := post(t, clone.URL, req); code != http.StatusOK {
+		t.Fatalf("estimate after a refused restore: status %d", code)
 	}
 }
 

@@ -994,10 +994,11 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, st *trac
 
 // RestoreSnapshot installs a warm session from a snapshot envelope (the
 // bytes served by POST /snapshot): the design is rebuilt from its name, the
-// artifacts rebound without any compilation, and the session registered
-// under its key — unless the key is already warm, in which case the
-// existing session (and its locally learned state) wins. Used by both
-// POST /restore and the daemon's restore-on-boot.
+// artifacts rebound without software compilation or hardware synthesis
+// (only the gate netlists are levelized, which rejects a corrupt one), and
+// the session registered under its key — unless the key is already warm, in
+// which case the existing session (and its locally learned state) wins.
+// Used by both POST /restore and the daemon's restore-on-boot.
 func (s *Server) RestoreSnapshot(data []byte) (coestapi.RestoreResponse, error) {
 	var env coestapi.SnapshotEnvelope
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&env); err != nil {

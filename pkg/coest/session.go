@@ -16,7 +16,9 @@ import (
 // a single time (software partition compiled to one SPARC image, every
 // hardware process to a gate netlist); each subsequent Estimate clones the
 // CFSM network and rebinds the shared read-only artifacts to the clone, so
-// repeat estimations perform zero recompilation and may run concurrently.
+// repeat estimations perform zero recompilation — the gate netlists'
+// levelized programs are part of those artifacts, so that covers gate
+// levelization too — and may run concurrently.
 //
 // A Session also persists state that the paper's accelerations amortize
 // across runs:

@@ -12,16 +12,18 @@ import (
 	"repro/pkg/coest"
 )
 
-func synthesisCounters() (sw, hw, macro *telemetry.Counter) {
+func synthesisCounters() (sw, hw, gate, macro *telemetry.Counter) {
 	return telemetry.Default.Counter("coest_sw_compiles_total", ""),
 		telemetry.Default.Counter("coest_hw_syntheses_total", ""),
+		telemetry.Default.Counter("coest_gate_compiles_total", ""),
 		telemetry.Default.Counter("coest_macro_characterizations_total", "")
 }
 
 // TestSessionWarmBitIdentical is the warm-path acceptance test: repeat
-// estimations on a Session perform zero recompilation, resynthesis or
-// recharacterization (asserted through the telemetry counters) and return
-// energies bit-identical to a cold Estimate of the same configuration.
+// estimations on a Session perform zero recompilation, resynthesis, gate
+// netlist compilation or recharacterization (asserted through the telemetry
+// counters) and return energies bit-identical to a cold Estimate of the
+// same configuration.
 func TestSessionWarmBitIdentical(t *testing.T) {
 	ctx := context.Background()
 	cold, err := coest.Estimate(ctx, coest.TCPIP(quickTCPIP()))
@@ -33,8 +35,8 @@ func TestSessionWarmBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, hw, macro := synthesisCounters()
-	sw0, hw0, macro0 := sw.Value(), hw.Value(), macro.Value()
+	sw, hw, gate, macro := synthesisCounters()
+	sw0, hw0, gate0, macro0 := sw.Value(), hw.Value(), gate.Value(), macro.Value()
 
 	for i := 0; i < 3; i++ {
 		warm, err := sess.Estimate(ctx)
@@ -47,9 +49,9 @@ func TestSessionWarmBitIdentical(t *testing.T) {
 			t.Fatalf("warm run %d differs from cold estimate:\ncold: %+v\nwarm: %+v", i, a, b)
 		}
 	}
-	if sw.Value() != sw0 || hw.Value() != hw0 || macro.Value() != macro0 {
-		t.Fatalf("warm runs resynthesized: sw %d→%d, hw %d→%d, macro %d→%d",
-			sw0, sw.Value(), hw0, hw.Value(), macro0, macro.Value())
+	if sw.Value() != sw0 || hw.Value() != hw0 || gate.Value() != gate0 || macro.Value() != macro0 {
+		t.Fatalf("warm runs resynthesized: sw %d→%d, hw %d→%d, gate %d→%d, macro %d→%d",
+			sw0, sw.Value(), hw0, hw.Value(), gate0, gate.Value(), macro0, macro.Value())
 	}
 
 	// Per-run config refinements stay available on the warm path.
@@ -60,7 +62,7 @@ func TestSessionWarmBitIdentical(t *testing.T) {
 	if dma.Total == cold.Total {
 		t.Fatal("per-run WithDMASize must change the estimate")
 	}
-	if sw.Value() != sw0 || hw.Value() != hw0 {
+	if sw.Value() != sw0 || hw.Value() != hw0 || gate.Value() != gate0 {
 		t.Fatal("per-run options must not trigger recompilation")
 	}
 }

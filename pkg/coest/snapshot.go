@@ -102,9 +102,11 @@ func readSnap(r io.Reader) (*sessionSnap, error) {
 // config-scope options as NewSession and must resolve to the HW width the
 // artifacts were compiled at.
 //
-// Restore performs no compilation, synthesis or characterization: the
-// session is as warm as the origin, including every energy-cache path the
-// origin had learned.
+// Restore performs no software compilation, hardware synthesis or
+// characterization: the session is as warm as the origin, including every
+// energy-cache path the origin had learned. It compiles each gate netlist
+// once (the levelized program warm runs share), which also rejects a
+// snapshot whose netlist could not be simulated.
 func RestoreSession(sys *System, r io.Reader, opts ...Option) (*Session, error) {
 	snap, err := readSnap(r)
 	if err != nil {

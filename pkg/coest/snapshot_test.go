@@ -18,7 +18,8 @@ import (
 // TestSnapshotRoundTrip is the portable-warmth contract: a session restored
 // from a snapshot produces bit-identical reports to the origin session with
 // zero compilation, synthesis or characterization, and carries the learned
-// energy-cache paths with it.
+// energy-cache paths with it. Restore compiles each gate netlist once; the
+// restored session's estimates compile none.
 func TestSnapshotRoundTrip(t *testing.T) {
 	sys := coest.TCPIP(quickTCPIP())
 	origin, err := coest.NewSession(sys)
@@ -48,20 +49,25 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 	sw := telemetry.Default.Counter("coest_sw_compiles_total", "")
 	hw := telemetry.Default.Counter("coest_hw_syntheses_total", "")
+	gate := telemetry.Default.Counter("coest_gate_compiles_total", "")
 	macro := telemetry.Default.Counter("coest_macro_characterizations_total", "")
-	sw0, hw0, macro0 := sw.Value(), hw.Value(), macro.Value()
+	sw0, hw0, gate0, macro0 := sw.Value(), hw.Value(), gate.Value(), macro.Value()
 
 	restored, err := coest.RestoreSession(coest.TCPIP(quickTCPIP()), bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if n := uint64(len(restored.HWNetlists())); gate.Value()-gate0 != n {
+		t.Fatalf("restore compiled %d gate netlists, want one per HW module (%d)", gate.Value()-gate0, n)
+	}
+	gate0 = gate.Value()
 	got, err := restored.Estimate(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sw.Value() != sw0 || hw.Value() != hw0 || macro.Value() != macro0 {
-		t.Fatalf("restore was not warm: compiles %d->%d syntheses %d->%d characterizations %d->%d",
-			sw0, sw.Value(), hw0, hw.Value(), macro0, macro.Value())
+	if sw.Value() != sw0 || hw.Value() != hw0 || gate.Value() != gate0 || macro.Value() != macro0 {
+		t.Fatalf("restore was not warm: compiles %d->%d syntheses %d->%d gate compiles %d->%d characterizations %d->%d",
+			sw0, sw.Value(), hw0, hw.Value(), gate0, gate.Value(), macro0, macro.Value())
 	}
 	if got.Total != want.Total || got.SWEnergy != want.SWEnergy ||
 		got.HWEnergy != want.HWEnergy || got.SimulatedTime != want.SimulatedTime {
