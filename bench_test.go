@@ -1,7 +1,8 @@
-// Package repro's root benchmark harness regenerates the paper's evaluation
-// artifacts under `go test -bench`: one benchmark per table and figure
-// (compare the Orig and accelerated variants of a Table to read off its
-// speedup column), plus microbenchmarks for every substrate simulator.
+// Package repro's root benchmark harness times the paper's Tables 1-2 and
+// Figs 1 and 3 under `go test -bench` (compare the Orig and accelerated
+// variants of a Table to read off its speedup column), plus microbenchmarks
+// for every substrate simulator. cmd/paperrun regenerates every figure and
+// table.
 //
 //	go test -bench=Table1 -benchmem
 //	go test -bench=. -benchmem
@@ -9,7 +10,6 @@ package repro
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"sync"
 	"testing"
@@ -18,8 +18,7 @@ import (
 	"repro/internal/cachesim"
 	"repro/internal/cfsm"
 	"repro/internal/core"
-	"repro/internal/experiments"
-	"repro/internal/explore"
+	"repro/internal/ecache"
 	"repro/internal/hwsyn"
 	"repro/internal/iss"
 	"repro/internal/macromodel"
@@ -33,7 +32,7 @@ import (
 var tableDMASizes = []int{2, 4, 8, 16, 32, 64}
 
 // runTCPIP executes one TCP/IP co-estimation for benchmarking.
-func runTCPIP(b *testing.B, dma int, mutate explore.Mutator) *core.Report {
+func runTCPIP(b *testing.B, dma int, mutate func(*core.Config)) *core.Report {
 	b.Helper()
 	p := systems.DefaultTCPIP()
 	p.Packets = 12
@@ -75,7 +74,10 @@ func BenchmarkTable1Caching(b *testing.B) {
 		b.Run(fmt.Sprintf("DMA%d", dma), func(b *testing.B) {
 			var rep *core.Report
 			for i := 0; i < b.N; i++ {
-				rep = runTCPIP(b, dma, experiments.ECacheOn)
+				rep = runTCPIP(b, dma, func(cfg *core.Config) {
+					cfg.Accel.ECache = true
+					cfg.Accel.ECacheParams = ecache.Table1Params()
+				})
 			}
 			b.ReportMetric(rep.Total.Nanojoules(), "nJ")
 			b.ReportMetric(float64(rep.ISSCalls), "ISScalls")
@@ -110,7 +112,10 @@ func BenchmarkTable2Macromodel(b *testing.B) {
 		b.Run(fmt.Sprintf("DMA%d", dma), func(b *testing.B) {
 			var rep *core.Report
 			for i := 0; i < b.N; i++ {
-				rep = runTCPIP(b, dma, experiments.MacromodelOn(tbl))
+				rep = runTCPIP(b, dma, func(cfg *core.Config) {
+					cfg.Accel.Macromodel = true
+					cfg.Accel.MacromodelTable = tbl
+				})
 			}
 			b.ReportMetric(rep.Total.Nanojoules(), "nJ")
 			b.ReportMetric(float64(rep.ISSCalls), "ISScalls")
@@ -141,46 +146,6 @@ func BenchmarkFig1(b *testing.B) {
 func BenchmarkFig3Characterize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := macromodel.Characterize(iss.SPARCliteTiming(), iss.SPARCliteModel()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig4Histograms collects the per-path energy samples of Fig 4(b).
-func BenchmarkFig4Histograms(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig4(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig6RelativeAccuracy runs the macro-modeling accuracy sweep.
-func BenchmarkFig6RelativeAccuracy(b *testing.B) {
-	tbl := macroTable(b)
-	p := experiments.Quick()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig6(io.Discard, p, tbl); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig7Explore is one full 6x7 design-space exploration (the run the
-// paper reports took 180 minutes on an Ultra Enterprise 450).
-func BenchmarkFig7Explore(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig7(io.Discard, experiments.Default()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSampling runs the §4.3 statistical-sampling experiment.
-func BenchmarkSampling(b *testing.B) {
-	p := experiments.Quick()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Sampling(io.Discard, p); err != nil {
 			b.Fatal(err)
 		}
 	}

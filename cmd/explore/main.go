@@ -1,7 +1,11 @@
 // Command explore runs the communication-architecture design-space
 // exploration of §5.3: an exhaustive sweep of bus-master priority
 // assignments × DMA block sizes for the TCP/IP subsystem, one power
-// co-estimation per point, rendered as the Fig 7 energy grid.
+// co-estimation per point through coest.Sweep, rendered as the Fig 7 energy
+// grid with every point at the minimum.
+//
+// The grid and the minima go to stdout and are identical for any -j; the
+// wall time and the sweep summary go to stderr.
 //
 // Example:
 //
@@ -19,21 +23,19 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/audit"
-	"repro/internal/core"
-	"repro/internal/engine"
-	"repro/internal/experiments"
-	"repro/internal/explore"
+	"repro/internal/ecache"
 	"repro/internal/report"
+	"repro/internal/stats"
 	"repro/internal/systems"
 	"repro/internal/telemetry"
+	"repro/pkg/coest"
 )
 
 func main() {
 	var (
 		packets   = flag.Int("packets", 3, "packets per co-estimation")
 		dmaList   = flag.String("dma", "2,4,8,16,32,64,128", "comma-separated DMA sizes")
-		ecache    = flag.Bool("ecache", false, "accelerate each point with energy caching")
+		ecacheOn  = flag.Bool("ecache", false, "accelerate each point with energy caching")
 		attrib    = flag.Bool("attrib", false, "enable the energy attribution ledger on every point")
 		shadow    = flag.Float64("shadow-rate", 0, "shadow-audit this fraction of accelerated serves (0..1)")
 		workers   = flag.Int("j", runtime.NumCPU(), "parallel co-estimations")
@@ -102,40 +104,32 @@ func main() {
 		dmas = append(dmas, v)
 	}
 
-	p := systems.DefaultTCPIP()
+	p := coest.DefaultTCPIPParams()
 	p.Packets = *packets
-	var muts []explore.Mutator
-	if *ecache {
-		muts = append(muts, experiments.ECacheOn)
+	perms := []int{0, 1, 2, 3, 4, 5}
+	grid := coest.TCPIPGrid(p, perms, dmas)
+
+	var summary coest.SweepSummary
+	opts := []coest.Option{coest.WithWorkers(*workers), coest.WithTelemetry(&summary)}
+	if *verbose {
+		opts = append(opts, coest.WithProgress(func(m coest.PointMetrics) {
+			fmt.Fprintln(os.Stderr, "explore:", m)
+		}))
+	}
+	if *ecacheOn {
+		opts = append(opts, coest.WithEnergyCacheParams(ecache.Table1Params()))
 	}
 	if *attrib {
-		muts = append(muts, func(cfg *core.Config) { cfg.Attribution = true })
+		opts = append(opts, coest.WithAttribution())
 	}
 	if *shadow > 0 {
-		muts = append(muts, func(cfg *core.Config) { cfg.ShadowAudit = audit.DefaultParams(*shadow) })
-	}
-	var mutate explore.Mutator
-	if len(muts) > 0 {
-		mutate = func(cfg *core.Config) {
-			for _, m := range muts {
-				m(cfg)
-			}
-		}
-	}
-
-	var summary engine.SweepSummary
-	opts := engine.Options{Workers: *workers}
-	opts.OnPoint = func(m engine.PointMetrics) {
-		summary.Observe(m)
-		if *verbose {
-			fmt.Fprintln(os.Stderr, "explore:", m)
-		}
+		opts = append(opts, coest.WithShadowAudit(*shadow))
 	}
 
 	var man *telemetry.Manifest
 	if *manifest != "" {
 		man = telemetry.NewManifest("explore", os.Args[1:], map[string]any{
-			"packets": *packets, "dma": dmas, "ecache": *ecache, "workers": *workers,
+			"packets": *packets, "dma": dmas, "ecache": *ecacheOn, "workers": *workers,
 		})
 	}
 
@@ -144,7 +138,7 @@ func main() {
 	if man != nil {
 		sweepDone = man.Phase("sweep")
 	}
-	points, err := explore.Sweep(ctx, p, []int{0, 1, 2, 3, 4, 5}, dmas, mutate, opts)
+	results, err := coest.Sweep(ctx, grid, opts...)
 	rootSpan.End()
 	if sweepDone != nil {
 		sweepDone()
@@ -158,32 +152,34 @@ func main() {
 		}
 	}
 	if err != nil {
-		// The sweep error is already "explore: ..."-prefixed by the library.
-		fmt.Fprintf(os.Stderr, "%v (%d of %d points completed)\n", err, len(points), 6*len(dmas))
+		fmt.Fprintf(os.Stderr, "explore: %v (%d of %d points completed)\n", err, len(results), grid.N)
 		os.Exit(1)
 	}
-	wall := time.Since(start)
+	fmt.Fprintf(os.Stderr, "explore: explored in %v\n", time.Since(start).Round(time.Millisecond))
 
-	fmt.Printf("design space: 6 priority assignments x %d DMA sizes = %d points, explored in %v\n",
-		len(dmas), len(points), wall.Round(time.Millisecond))
-	rowLabels := make([]string, 6)
+	fmt.Printf("design space: %d priority assignments x %d DMA sizes = %d points\n",
+		len(perms), len(dmas), grid.N)
+	rowLabels := make([]string, len(perms))
 	colLabels := make([]string, len(dmas))
 	for j, d := range dmas {
 		colLabels[j] = fmt.Sprintf("dma%d", d)
 	}
-	vals := make([][]float64, 6)
-	idx := 0
-	for i := 0; i < 6; i++ {
-		rowLabels[i] = systems.PriorityPermName(i)
+	vals := make([][]float64, len(perms))
+	energies := make([]float64, grid.N)
+	for i, perm := range perms {
+		rowLabels[i] = systems.PriorityPermName(perm)
 		vals[i] = make([]float64, len(dmas))
 		for j := range dmas {
-			vals[i][j] = float64(points[idx].Energy) / 1e-6
-			idx++
+			energies[i*len(dmas)+j] = results[i*len(dmas)+j].Report.Total.Joules()
+			vals[i][j] = energies[i*len(dmas)+j] / 1e-6
 		}
 	}
 	report.Grid(os.Stdout, rowLabels, colLabels, vals, "uJ")
 
-	min := explore.Min(points)
-	fmt.Printf("minimum energy %v at priority %s, DMA %d\n", min.Energy, min.PermName(), min.DMASize)
-	fmt.Print(summary.String())
+	mins := stats.ArgMins(energies)
+	fmt.Printf("minimum energy %v at %d point(s):\n", results[mins[0]].Report.Total, len(mins))
+	for _, i := range mins {
+		fmt.Printf("  priority %s, DMA %d\n", rowLabels[i/len(dmas)], dmas[i%len(dmas)])
+	}
+	fmt.Fprint(os.Stderr, summary.String())
 }

@@ -1,9 +1,10 @@
 // Command paperrun is the paper-grade experiment harness: it executes a
-// declarative experiments.json grid through pkg/coest sessions and writes a
+// declarative experiments.json grid through pkg/coest and writes a
 // timestamped, provenance-carrying run directory under paper_runs/, then
-// groups the repeats into statistics and renders the paper's tables as
-// Markdown. With -check it diffs the fresh run against a committed baseline
-// run and exits non-zero on drift beyond tolerance.
+// groups the repeats into statistics and renders every figure and table of
+// the paper's evaluation (Fig 3 is cmd/charlib's) as Markdown. With -check
+// it diffs the fresh run against a committed baseline run and exits
+// non-zero on drift beyond tolerance.
 //
 // Examples:
 //

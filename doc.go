@@ -16,14 +16,15 @@
 //
 // Start with README.md for orientation, DESIGN.md for the architecture and
 // substitution inventory, and EXPERIMENTS.md for the paper-vs-measured
-// record of every table and figure. The public entry points live in
-// internal/core (the co-estimation master), internal/systems (the three
-// case studies) and internal/experiments (the evaluation harness); the
-// executables under cmd/ and the runnable examples under examples/ show the
-// intended usage.
+// record of every table and figure. The public entry point is pkg/coest
+// (Estimate, Sweep, Session); internal/core is the co-estimation master and
+// internal/systems holds the three case studies. scripts/paper/run_all.sh
+// regenerates every figure and table through cmd/paperrun, cmd/explore runs
+// the Fig 7 design-space exploration, and the runnable examples under
+// examples/ show the intended usage.
 //
 // This file also anchors the root package for the repository-level
-// benchmark harness in bench_test.go:
+// benchmarks in bench_test.go:
 //
 //	go test -bench=. -benchmem
 package repro

@@ -45,8 +45,8 @@ func DefaultParams() Params {
 // Table1Params are the thresholds of the Table 1 reproduction: robust
 // caching of gate-level paths whose energy spreads a few percent with
 // operand values (thresh_variance / thresh_iss_calls, paper §4.2). Defined
-// once so internal/experiments and the paper harness measure the same
-// configuration.
+// once so the paper harness, cmd/explore -ecache and the benchmarks measure
+// the same configuration.
 func Table1Params() Params {
 	return Params{ThreshVariance: 0.15, ThreshCalls: 3}
 }

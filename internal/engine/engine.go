@@ -18,8 +18,8 @@
 //   - a per-point metrics record feeds a progress callback so long sweeps
 //     are observable while they run.
 //
-// internal/explore, internal/experiments and the CLIs all sweep through this
-// package; pkg/coest exposes it publicly as coest.Sweep.
+// pkg/coest exposes it publicly as coest.Sweep, which the paper harness and
+// the CLIs sweep through.
 package engine
 
 import (
@@ -79,17 +79,6 @@ func (o Options) workers(n int) int {
 type Result[T any] struct {
 	Index int
 	Value T
-}
-
-// Values flattens a complete result set (indices 0..n-1) into the bare
-// values. It must only be used on the success path, where Run guarantees
-// exactly one result per point in index order.
-func Values[T any](results []Result[T]) []T {
-	out := make([]T, len(results))
-	for i, r := range results {
-		out[i] = r.Value
-	}
-	return out
 }
 
 // Run executes point(ctx, i) for every i in [0, n) on a bounded worker pool

@@ -2,6 +2,7 @@ package macromodel
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/cfsm"
@@ -90,6 +91,21 @@ func TestParamFileRoundTrip(t *testing.T) {
 		de := float64(tb2.Energy[op] - tb.Energy[op])
 		if de > 1e-15 || de < -1e-15 {
 			t.Fatalf("%v energy: %v vs %v", op, tb2.Energy[op], tb.Energy[op])
+		}
+	}
+}
+
+// TestFig3ParamFileExcerpt checks the shape of the Fig 3 excerpt that
+// cmd/charlib writes: the units header, delay lines and energy lines.
+func TestFig3ParamFileExcerpt(t *testing.T) {
+	var buf bytes.Buffer
+	if err := getTable(t).ToParamFile().Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, want := range []string{".unit_energy nJ", ".time AVV", ".energy AEMIT"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("parameter file missing %q:\n%s", want, out)
 		}
 	}
 }

@@ -15,31 +15,38 @@ import (
 )
 
 // ecacheParams is the Table 1 caching aggressiveness — the canonical
-// thresholds shared with internal/experiments via ecache.Table1Params, so
-// the harness reproduces exactly the table cmd/repro renders.
-var ecacheParams = coest.ECacheParams(ecache.Table1Params())
+// thresholds of ecache.Table1Params, which cmd/explore -ecache applies too.
+var ecacheParams = ecache.Table1Params()
+
+// qualityShadowRate is the share of cached serves the quality kind re-runs
+// on the reference estimator.
+const qualityShadowRate = 0.25
+
+// tcpipParams resolves the TCP/IP scenario of one experiment point; dma 0
+// keeps the system's default DMA size.
+func (r *Runner) tcpipParams(e Experiment, dma int) coest.TCPIPParams {
+	p := coest.DefaultTCPIPParams()
+	p.Packets = e.packets(r.Spec)
+	if dma > 0 {
+		p.DMASize = dma
+	}
+	p.Seed = uint32(r.Spec.Seed)
+	return p
+}
 
 // buildSystem constructs the experiment's subject system for one point.
-func buildSystem(system string, packets, dma int, seed int64) (*coest.System, error) {
-	switch system {
+func (r *Runner) buildSystem(e Experiment, dma int) (*coest.System, error) {
+	switch e.system() {
 	case "tcpip":
-		p := coest.DefaultTCPIPParams()
-		p.Packets = packets
-		if dma > 0 {
-			p.DMASize = dma
-		}
-		p.Seed = uint32(seed)
-		return coest.TCPIP(p), nil
+		return coest.TCPIP(r.tcpipParams(e, dma)), nil
 	case "prodcons":
 		p := coest.DefaultProdConsParams()
-		if packets > 0 {
-			p.Packets = packets
-		}
+		p.Packets = e.packets(r.Spec)
 		return coest.ProdCons(p), nil
 	case "automotive":
 		return coest.Automotive(coest.DefaultAutomotiveParams()), nil
 	}
-	return nil, fmt.Errorf("paper: unknown system %q", system)
+	return nil, fmt.Errorf("paper: unknown system %q", e.system())
 }
 
 // runKind dispatches one experiment to its executor, writing the
@@ -48,15 +55,29 @@ func (r *Runner) runKind(ctx context.Context, e Experiment, log io.Writer) ([]Ro
 	ctx, span := telemetry.StartSpanWith(ctx, "experiment", e.ID, 0)
 	defer span.End()
 	switch e.Kind {
+	case KindSeparate:
+		return r.runSeparate(ctx, e, log)
+	case KindPathEnergy:
+		return r.runPathEnergy(ctx, e, log)
 	case KindTable1:
 		return r.runTable(ctx, e, log, "ecache",
 			[]coest.Option{coest.WithEnergyCacheParams(ecacheParams), coest.WithAttribution()})
 	case KindTable2:
-		return r.runTable(ctx, e, log, "macro",
+		rows, err := r.runTable(ctx, e, log, "macro",
 			[]coest.Option{coest.WithMacroModel(), coest.WithAttribution()})
+		if err == nil {
+			renderFig6Scatter(log, rows)
+		}
+		return rows, err
 	case KindTable3:
 		return r.runTable(ctx, e, log, "sampling",
 			[]coest.Option{coest.WithSampling(), coest.WithBusCompaction(32, 4), coest.WithAttribution()})
+	case KindDSE:
+		return r.runDSE(ctx, e, log)
+	case KindPartition:
+		return r.runPartition(ctx, e, log)
+	case KindQuality:
+		return r.runQuality(ctx, e, log)
 	case KindServing:
 		return r.runServing(ctx, e, log)
 	case KindWaveform:
@@ -86,14 +107,16 @@ func (r *Runner) baseRow(e Experiment, variant string, dma, rep int) Row {
 // energy caches, no cross-repeat warmth) and base/accel share one
 // compilation within a repeat, the compile-once/estimate-many path the
 // serving layer uses. Energies must be repeat-deterministic; the runner
-// enforces it (repeat-determinism check).
+// enforces it (repeat-determinism check). Runs with bus-trace compaction
+// also log its ratio and error, the §4.3 text.
 func (r *Runner) runTable(ctx context.Context, e Experiment, log io.Writer, accelName string, accelOpts []coest.Option) ([]Row, error) {
 	var rows []Row
+	var notes []string
 	repeats := e.repeats(r.Spec)
 	for _, dma := range e.dmaSizes(r.Spec) {
 		rowCtx, span := telemetry.StartSpanWith(ctx, "row", "dma", int64(dma))
 		for rep := 0; rep < repeats; rep++ {
-			sys, err := buildSystem(e.system(), e.packets(r.Spec), dma, r.Spec.Seed)
+			sys, err := r.buildSystem(e, dma)
 			if err != nil {
 				span.End()
 				return nil, err
@@ -119,6 +142,10 @@ func (r *Runner) runTable(ctx context.Context, e Experiment, log io.Writer, acce
 			}
 			accel.fill(accelRep)
 			rows = append(rows, base, accel)
+			if bc := accelRep.BusCompaction; bc != nil && rep == 0 {
+				notes = append(notes, fmt.Sprintf("  dma %d: bus trace compacted %.1fx with %.2f%% bus-energy error",
+					dma, bc.Stats.CompressionRatio(), bc.ErrorPct()))
+			}
 		}
 		span.End()
 	}
@@ -126,6 +153,12 @@ func (r *Runner) runTable(ctx context.Context, e Experiment, log io.Writer, acce
 		return rows, fmt.Errorf("paper: %s: %w", e.ID, err)
 	}
 	renderTableLog(log, e, accelName, rows)
+	if len(notes) > 0 {
+		fmt.Fprintln(log, "§4.3 sequence compaction of the bus trace:")
+		for _, n := range notes {
+			fmt.Fprintln(log, n)
+		}
+	}
 	return rows, nil
 }
 
@@ -191,7 +224,7 @@ func (r *Runner) runServing(ctx context.Context, e Experiment, log io.Writer) ([
 	repeats := e.repeats(r.Spec)
 	dma := e.dmaSizes(r.Spec)[0]
 	for rep := 0; rep < repeats; rep++ {
-		sys, err := buildSystem(e.system(), e.packets(r.Spec), dma, r.Spec.Seed)
+		sys, err := r.buildSystem(e, dma)
 		if err != nil {
 			return nil, err
 		}
@@ -261,7 +294,7 @@ func (r *Runner) runWaveform(ctx context.Context, e Experiment, log io.Writer) (
 	repeats := e.repeats(r.Spec)
 	dma := e.dmaSizes(r.Spec)[0]
 	for rep := 0; rep < repeats; rep++ {
-		sys, err := buildSystem(e.system(), e.packets(r.Spec), dma, r.Spec.Seed)
+		sys, err := r.buildSystem(e, dma)
 		if err != nil {
 			return nil, err
 		}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -19,12 +20,27 @@ func tinySpec() *Spec {
 		Packets:  2,
 		DMASizes: []int{4, 8},
 		Experiments: []Experiment{
+			{ID: "f1", Kind: KindSeparate, System: "prodcons"},
+			{ID: "f4", Kind: KindPathEnergy, Packets: 4},
 			{ID: "t1", Kind: KindTable1},
 			{ID: "t3", Kind: KindTable3},
+			{ID: "f7", Kind: KindDSE},
+			{ID: "pt", Kind: KindPartition, System: "prodcons"},
+			{ID: "q", Kind: KindQuality},
 			{ID: "sv", Kind: KindServing},
 			{ID: "wf", Kind: KindWaveform},
 		},
 	}
+}
+
+// kindOf returns the spec's first experiment of a kind.
+func kindOf(s *Spec, kind string) *Experiment {
+	for i := range s.Experiments {
+		if s.Experiments[i].Kind == kind {
+			return &s.Experiments[i]
+		}
+	}
+	panic("no experiment of kind " + kind)
 }
 
 func TestSpecValidate(t *testing.T) {
@@ -40,7 +56,12 @@ func TestSpecValidate(t *testing.T) {
 		func(s *Spec) { s.Experiments[0].ID = "" },
 		func(s *Spec) { s.Experiments[1].ID = s.Experiments[0].ID },
 		func(s *Spec) { s.Experiments[0].Kind = "table9" },
-		func(s *Spec) { s.Experiments[0].System = "prodcons" }, // table kinds are tcpip-only
+		func(s *Spec) { kindOf(s, KindTable1).System = "prodcons" }, // table kinds are tcpip-only
+		func(s *Spec) { kindOf(s, KindDSE).System = "prodcons" },
+		func(s *Spec) { kindOf(s, KindPathEnergy).System = "prodcons" },
+		func(s *Spec) { kindOf(s, KindQuality).System = "automotive" },
+		func(s *Spec) { kindOf(s, KindSeparate).System = "" }, // prodcons-only; empty means tcpip
+		func(s *Spec) { kindOf(s, KindPartition).System = "automotive" },
 		func(s *Spec) { s.Experiments[0].System = "nosuch" },
 		func(s *Spec) { s.Experiments[0].DMASizes = []int{0} },
 	}
@@ -49,6 +70,43 @@ func TestSpecValidate(t *testing.T) {
 		mutate(s)
 		if err := s.Validate(); err == nil {
 			t.Errorf("bad spec %d validated", i)
+		}
+	}
+}
+
+// TestCommittedSpecs pins the committed grids: experiments.json is the
+// built-in default, and each committed baseline has rows for every
+// experiment of its spec — Check only notes groups missing from a baseline,
+// so an experiment added without regenerating the baseline would go
+// ungated.
+func TestCommittedSpecs(t *testing.T) {
+	full, err := LoadSpec("../../scripts/paper/experiments.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(full, DefaultSpec()) {
+		t.Error("scripts/paper/experiments.json differs from DefaultSpec (regenerate it with paperrun -print-spec)")
+	}
+	for spec, baseline := range map[string]string{
+		"experiments.json":       "baseline",
+		"experiments_smoke.json": "baseline-smoke",
+	} {
+		s, err := LoadSpec(filepath.Join("../../scripts/paper", spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := ReadResultsFile(filepath.Join("../../paper_runs", baseline, "results.csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		have := map[string]bool{}
+		for _, r := range rows {
+			have[r.Experiment] = true
+		}
+		for _, e := range s.Experiments {
+			if !have[e.ID] {
+				t.Errorf("%s: experiment %q has no rows in paper_runs/%s", spec, e.ID, baseline)
+			}
 		}
 	}
 }
@@ -66,7 +124,7 @@ func TestLoadSpecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Name != "lajolo-rdl00" || len(s.Experiments) != 5 {
+	if s.Name != "lajolo-rdl00" || len(s.Experiments) != len(DefaultSpec().Experiments) {
 		t.Fatalf("round-tripped spec = %+v", s)
 	}
 	if _, err := LoadSpec(filepath.Join(t.TempDir(), "absent.json")); err == nil {
@@ -227,7 +285,8 @@ func TestRunnerEndToEnd(t *testing.T) {
 	}
 	for _, f := range []string{
 		"manifest.json", "results.csv",
-		"logs/t1.log", "logs/t3.log", "logs/sv.log", "logs/wf.log",
+		"logs/f1.log", "logs/f4.log", "logs/t1.log", "logs/t3.log", "logs/f7.log",
+		"logs/pt.log", "logs/q.log", "logs/sv.log", "logs/wf.log",
 		"analysis/summary_grouped.csv", "analysis/tables.md", "analysis/waveform-wf.csv",
 	} {
 		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
@@ -239,9 +298,10 @@ func TestRunnerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 2 tables x 2 dma x 2 repeats x 2 variants +
-	// 4 serving variants x 2 + 2 waveform repeats.
-	if want := 16 + 8 + 2; len(rows) != want {
+	// Per 2 repeats: 4 separate rows, 1 path-energy row, 2 tables x 2 dma
+	// x 2 variants, 6 priorities x 2 dma, 4 partitions, 1 quality row,
+	// 4 serving variants, 1 waveform row.
+	if want := 2 * (4 + 1 + 8 + 12 + 4 + 1 + 4 + 1); len(rows) != want {
 		t.Fatalf("got %d rows, want %d", len(rows), want)
 	}
 	for _, row := range rows {
@@ -273,7 +333,7 @@ func TestRunnerEndToEnd(t *testing.T) {
 	for _, p := range man.Phases {
 		phases[p.Name] = true
 	}
-	for _, want := range []string{"t1", "t3", "sv", "wf", "analyze"} {
+	for _, want := range []string{"f1", "f4", "t1", "t3", "f7", "pt", "q", "sv", "wf", "analyze"} {
 		if !phases[want] {
 			t.Errorf("manifest missing phase %s (got %v)", want, man.Phases)
 		}
@@ -284,7 +344,8 @@ func TestRunnerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"Table 1", "Table 3", "Serving warmth", "Peak power", "run t0"} {
+	for _, want := range []string{"Fig 1(b)", "Fig 4(b)", "Table 1", "Table 3", "Fig 7", "partition",
+		"Estimation quality", "Serving warmth", "Peak power", "run t0"} {
 		if !strings.Contains(string(tb), want) {
 			t.Errorf("tables.md missing %q", want)
 		}

@@ -19,13 +19,13 @@ type Row struct {
 	Experiment string // experiment id from the spec
 	Kind       string // experiment kind (table1, serving, ...)
 	System     string // subject system (tcpip, ...)
-	Variant    string // measurement variant: base, ecache, macro, sampling, cold, warm, ...
-	DMA        int    // DMA block size of the point
+	Variant    string // measurement variant: base, ecache, cold, a priority assignment, a HW/SW mapping, ...
+	DMA        int    // DMA block size of the point (0 for the prodcons-only kinds: no bus traffic)
 	Packets    int    // workload packets
 	Repeat     int    // 0-based independent repeat index
 	Seed       int64  // workload seed policy (spec.Seed)
 
-	EnergyJ float64 // report total energy
+	EnergyJ float64 // report total energy (separate kind: one machine's compute energy)
 	SWJ     float64
 	HWJ     float64
 	BusJ    float64

@@ -1,10 +1,10 @@
 // Package paper is the paper-grade experiment harness: a reproducible
-// runner and analyzer for the evaluation tables of the source paper.
+// runner and analyzer for every table and figure of the source paper's
+// evaluation.
 //
-// Where cmd/repro renders each table once as prose, this package executes a
-// declarative experiment grid (experiments.json: scenario knobs, sweep axes,
-// repeat counts, seed policy) through pkg/coest Sessions
-// and writes a timestamped run directory
+// It executes a declarative experiment grid (experiments.json: scenario
+// knobs, sweep axes, repeat counts, seed policy) through pkg/coest and
+// writes a timestamped run directory
 //
 //	paper_runs/<stamp>/
 //	  manifest.json   run provenance: spec snapshot, toolchain, host, phases
@@ -13,31 +13,48 @@
 //	  analysis/       grouped mean/std/CI95 CSV + generated Markdown tables
 //
 // so every published number carries its configuration snapshot and live
-// error budget. The analyzer groups repeats into statistics and renders the
-// paper's Tables 1-3 plus the warm-vs-cold serving and peak-power
-// tables as Markdown; Check diffs a fresh run against a committed baseline
-// run with per-metric-class tolerances, turning the evaluation into a
-// regression gate.
+// error budget. The analyzer groups repeats into statistics and renders
+// Figs 1, 6 and 7, Tables 1-3, the partition, quality, serving and
+// peak-power tables as Markdown; Check diffs a fresh run against a
+// committed baseline run with per-metric-class tolerances, turning the
+// evaluation into a regression gate.
 package paper
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 )
 
 // Experiment kinds. Each regenerates one evaluation artifact of the paper.
 const (
+	// KindSeparate is the Fig 1(b) motivation: the prodcons producer and
+	// consumer energies under separate estimation vs co-estimation.
+	KindSeparate = "separate"
+	// KindPathEnergy is the Fig 4(b) caching intuition: per-path energy
+	// histograms on the data-dependent DSP power model, in the log.
+	KindPathEnergy = "path-energy"
 	// KindTable1 is the energy & delay caching comparison (paper Table 1):
 	// base vs energy-cached runs over the DMA axis.
 	KindTable1 = "table1"
 	// KindTable2 is the software power macro-modeling comparison (paper
-	// Table 2): base vs macro-model runs over the DMA axis.
+	// Table 2): base vs macro-model runs over the DMA axis. The analyzer
+	// adds the Fig 6 relative-accuracy line to every table2 experiment.
 	KindTable2 = "table2"
 	// KindTable3 is the statistical sampling / bus-trace compaction
 	// comparison (paper §4.3, rendered as a third table): base vs
 	// sampled+compacted runs over the DMA axis.
 	KindTable3 = "table3"
+	// KindDSE is the Fig 7 communication-architecture exploration: all six
+	// bus-master priority assignments × the DMA axis.
+	KindDSE = "dse"
+	// KindPartition co-estimates the four HW/SW mappings of the prodcons
+	// producer and consumer.
+	KindPartition = "partition"
+	// KindQuality is one Table 1 caching run with the attribution ledger
+	// and a shadow audit, whose ledger, budget and audit go to the log.
+	KindQuality = "quality"
 	// KindServing measures cold Estimate vs warm Session.Estimate vs a
 	// repeat request on a persistent energy cache — the serving table.
 	KindServing = "serving"
@@ -46,13 +63,19 @@ const (
 	KindWaveform = "waveform"
 )
 
-// kinds is the closed set of valid experiment kinds.
-var kinds = map[string]bool{
-	KindTable1:   true,
-	KindTable2:   true,
-	KindTable3:   true,
-	KindServing:  true,
-	KindWaveform: true,
+// kindSystems is the closed set of valid experiment kinds, each with the
+// subject systems it runs on (nil: any system).
+var kindSystems = map[string][]string{
+	KindSeparate:   {"prodcons"},
+	KindPathEnergy: {"tcpip"},
+	KindTable1:     {"tcpip"},
+	KindTable2:     {"tcpip"},
+	KindTable3:     {"tcpip"},
+	KindDSE:        {"tcpip"},
+	KindPartition:  {"prodcons"},
+	KindQuality:    {"tcpip"},
+	KindServing:    nil,
+	KindWaveform:   nil,
 }
 
 // Experiment is one entry of the grid. Zero fields inherit the spec-level
@@ -64,8 +87,8 @@ type Experiment struct {
 	// Kind selects the executor (see the Kind constants).
 	Kind string `json:"kind"`
 	// System names the subject system ("tcpip", "prodcons", "automotive");
-	// table kinds require "tcpip" (their axes are the TCP/IP subsystem's).
-	// Empty means tcpip.
+	// every kind but serving and waveform runs on one system only (see
+	// kindSystems). Empty means tcpip.
 	System string `json:"system,omitempty"`
 	// Packets overrides the spec-level packet count.
 	Packets int `json:"packets,omitempty"`
@@ -97,8 +120,8 @@ type Spec struct {
 	Experiments []Experiment `json:"experiments"`
 }
 
-// DefaultSpec is the paper-scale grid: the Tables 1-3 axes at 12 packets,
-// three repeats.
+// DefaultSpec is the paper-scale grid: every artifact of the evaluation,
+// the Tables 1-3 axes at 12 packets, three repeats.
 func DefaultSpec() *Spec {
 	return &Spec{
 		Name:     "lajolo-rdl00",
@@ -107,9 +130,15 @@ func DefaultSpec() *Spec {
 		Packets:  12,
 		DMASizes: []int{2, 4, 8, 16, 32, 64},
 		Experiments: []Experiment{
+			{ID: "fig1-separate", Kind: KindSeparate, System: "prodcons", Packets: 8},
+			{ID: "fig4-path-energy", Kind: KindPathEnergy, Packets: 16, DMASizes: []int{4}},
 			{ID: "table1-ecache", Kind: KindTable1},
 			{ID: "table2-macro", Kind: KindTable2},
+			{ID: "fig6-macro", Kind: KindTable2, DMASizes: []int{2, 4, 8, 16, 32, 64, 128}},
 			{ID: "table3-sampling", Kind: KindTable3},
+			{ID: "fig7-dse", Kind: KindDSE, Packets: 3, DMASizes: []int{2, 4, 8, 16, 32, 64, 128}},
+			{ID: "partition", Kind: KindPartition, System: "prodcons", Packets: 8},
+			{ID: "quality", Kind: KindQuality, DMASizes: []int{4}},
 			{ID: "serving-warmth", Kind: KindServing},
 			{ID: "peak-power", Kind: KindWaveform},
 		},
@@ -158,17 +187,18 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("duplicate experiment id %q", e.ID)
 		}
 		seen[e.ID] = true
-		if !kinds[e.Kind] {
+		allowed, ok := kindSystems[e.Kind]
+		if !ok {
 			return fmt.Errorf("experiment %q: unknown kind %q", e.ID, e.Kind)
 		}
-		switch sys := e.system(); sys {
-		case "tcpip":
-		case "prodcons", "automotive":
-			if e.Kind != KindWaveform && e.Kind != KindServing {
-				return fmt.Errorf("experiment %q: kind %q requires the tcpip system (got %q)", e.ID, e.Kind, sys)
-			}
+		sys := e.system()
+		switch sys {
+		case "tcpip", "prodcons", "automotive":
 		default:
 			return fmt.Errorf("experiment %q: unknown system %q", e.ID, sys)
+		}
+		if allowed != nil && !slices.Contains(allowed, sys) {
+			return fmt.Errorf("experiment %q: kind %q requires the %s system (got %q)", e.ID, e.Kind, allowed[0], sys)
 		}
 		for _, d := range e.dmaSizes(s) {
 			if d <= 0 {

@@ -237,6 +237,22 @@ func Pearson(xs, ys []float64) float64 {
 	return sxy / math.Sqrt(sxx*syy)
 }
 
+// ArgMins returns the indices of every element equal to the minimum of xs,
+// in order: a design-space minimum can be a tie, and reporting only the
+// first index would hide the rest (nil for an empty slice).
+func ArgMins(xs []float64) []int {
+	var idx []int
+	for i, x := range xs {
+		switch {
+		case len(idx) == 0 || x < xs[idx[0]]:
+			idx = append(idx[:0], i)
+		case x == xs[idx[0]]:
+			idx = append(idx, i)
+		}
+	}
+	return idx
+}
+
 // RankOrder returns the permutation that sorts xs ascending: result[i] is the
 // rank of xs[i]. Ties are broken by index, keeping the function deterministic.
 func RankOrder(xs []float64) []int {

@@ -206,6 +206,32 @@ func TestPearson(t *testing.T) {
 	}
 }
 
+func TestArgMins(t *testing.T) {
+	cases := []struct {
+		xs   []float64
+		want []int
+	}{
+		{nil, nil},
+		{[]float64{5, 2, 9}, []int{1}},
+		// A tie reports every minimum, in order.
+		{[]float64{3, 1, 4, 1, 5, 1}, []int{1, 3, 5}},
+		{[]float64{2, 2}, []int{0, 1}},
+	}
+	for _, c := range cases {
+		got := ArgMins(c.xs)
+		if len(got) != len(c.want) {
+			t.Errorf("ArgMins(%v) = %v, want %v", c.xs, got, c.want)
+			continue
+		}
+		for i := range got {
+			if got[i] != c.want[i] {
+				t.Errorf("ArgMins(%v) = %v, want %v", c.xs, got, c.want)
+				break
+			}
+		}
+	}
+}
+
 func TestRankOrderAndSameRanking(t *testing.T) {
 	xs := []float64{10, 30, 20}
 	rank := RankOrder(xs)

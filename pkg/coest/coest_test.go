@@ -156,6 +156,68 @@ func TestSweepMatchesSerialEstimates(t *testing.T) {
 	}
 }
 
+// sweepReports runs grid through Sweep and returns its reports in index
+// order with the wall times zeroed, so runs compare bit for bit.
+func sweepReports(t *testing.T, grid coest.Grid, opts ...coest.Option) []coest.Report {
+	t.Helper()
+	results, err := coest.Sweep(context.Background(), grid, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != grid.N {
+		t.Fatalf("results = %d, want %d", len(results), grid.N)
+	}
+	reps := make([]coest.Report, len(results))
+	for i, r := range results {
+		if r.Index != i {
+			t.Fatalf("result %d has index %d", i, r.Index)
+		}
+		reps[i] = *r.Report
+		reps[i].Wall = 0
+	}
+	return reps
+}
+
+// TestTCPIPGridOrder pins the Fig 7 grid layout: perm-major, DMA-minor,
+// with a non-empty estimate at every point.
+func TestTCPIPGridOrder(t *testing.T) {
+	p := coest.DefaultTCPIPParams()
+	p.Packets = 3
+	perms, dmas := []int{0, 3}, []int{2, 64}
+	got := sweepReports(t, coest.TCPIPGrid(p, perms, dmas))
+	want := []struct{ perm, dma int }{{0, 2}, {0, 64}, {3, 2}, {3, 64}}
+	for i, w := range want {
+		if got[i].Total <= 0 || got[i].SimulatedTime <= 0 {
+			t.Fatalf("point %d empty", i)
+		}
+		pt := p
+		pt.PriorityPerm, pt.DMASize = w.perm, w.dma
+		serial, err := coest.Estimate(context.Background(), coest.TCPIP(pt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial.Wall = 0
+		if !reflect.DeepEqual(*serial, got[i]) {
+			t.Fatalf("point %d is not perm %d, DMA %d", i, w.perm, w.dma)
+		}
+	}
+}
+
+// TestSweepWorkersMatchSequential: a 4-worker Sweep gives the one-worker
+// Sweep's points, in the same order, bit for bit.
+func TestSweepWorkersMatchSequential(t *testing.T) {
+	p := coest.DefaultTCPIPParams()
+	p.Packets = 3
+	grid := coest.TCPIPGrid(p, []int{0, 5}, []int{2, 64})
+	seq := sweepReports(t, grid, coest.WithWorkers(1))
+	par := sweepReports(t, grid, coest.WithWorkers(4))
+	for i := range seq {
+		if !reflect.DeepEqual(par[i], seq[i]) {
+			t.Fatalf("point %d differs: %v vs %v", i, par[i].Total, seq[i].Total)
+		}
+	}
+}
+
 func TestSweepCancellation(t *testing.T) {
 	grid := coest.TCPIPGrid(quickTCPIP(), []int{0, 1, 2, 3, 4, 5}, []int{2, 4, 8, 16})
 	ctx, cancel := context.WithCancel(context.Background())
