@@ -70,6 +70,9 @@ func main() {
 	)
 	flag.Parse()
 
+	if err := checkOverrides(*packets, *dma, *perm); err != nil {
+		fatal(err)
+	}
 	if *serveURL != "" {
 		if err := runRemote(*serveURL, *file, *system, *packets, *dma,
 			*useCache, *useMacro, *useSamp, *deadline, *asJSON); err != nil {
@@ -289,6 +292,20 @@ func main() {
 			}
 		}
 	}
+}
+
+// checkOverrides rejects numeric overrides no system can take; 0 keeps
+// meaning "no override" for -packets and -dma.
+func checkOverrides(packets, dma, perm int) error {
+	switch {
+	case packets < 0:
+		return fmt.Errorf("-packets %d is negative", packets)
+	case dma < 0:
+		return fmt.Errorf("-dma %d is negative", dma)
+	case perm < 0 || perm > 5:
+		return fmt.Errorf("-perm %d is outside 0..5", perm)
+	}
+	return nil
 }
 
 // assemble builds the system under estimation — from a .cfsm source file or

@@ -4,7 +4,8 @@
 // groups the repeats into statistics and renders every figure and table of
 // the paper's evaluation (Fig 3 is cmd/charlib's) as Markdown. With -check
 // it diffs the fresh run against a committed baseline run and exits
-// non-zero on drift beyond tolerance.
+// non-zero when an answer (energies, counters, error budgets) drifts beyond
+// tolerance; wall times are reported but never gated.
 //
 // Examples:
 //
@@ -34,11 +35,6 @@ func main() {
 		stamp     = flag.String("stamp", "", "fixed run id instead of a UTC timestamp (for committed baselines)")
 		analyze   = flag.String("analyze", "", "re-analyze this existing run directory instead of running")
 		check     = flag.String("check", "", "baseline run directory to diff against (exit 1 on drift)")
-		checkWall = flag.Bool("check-wall", false, "include wall-time means in -check (off: baselines cross machines)")
-		tolEnergy = flag.Float64("tol-energy", 0, "override energy-metric relative tolerance for -check")
-		tolCount  = flag.Float64("tol-count", 0, "override counter-metric relative tolerance for -check")
-		tolBudget = flag.Float64("tol-budget", 0, "override budget-metric relative tolerance for -check")
-		tolWall   = flag.Float64("tol-wall", 0, "override wall-time relative tolerance for -check-wall")
 		repeats   = flag.Int("repeats", 0, "override the spec's repeat count")
 		packets   = flag.Int("packets", 0, "override the spec's packet count")
 		seed      = flag.Int64("seed", 0, "override the spec's workload seed")
@@ -56,21 +52,6 @@ func main() {
 		return
 	}
 
-	tol := paper.DefaultTolerances()
-	tol.CheckWall = *checkWall
-	if *tolEnergy > 0 {
-		tol.Energy = *tolEnergy
-	}
-	if *tolCount > 0 {
-		tol.Count = *tolCount
-	}
-	if *tolBudget > 0 {
-		tol.Budget = *tolBudget
-	}
-	if *tolWall > 0 {
-		tol.Wall = *tolWall
-	}
-
 	// -analyze: re-summarize an existing run directory, optionally gating it
 	// against a baseline, without re-running any experiment.
 	if *analyze != "" {
@@ -79,7 +60,7 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "paperrun: re-analyzed %s\n", *analyze)
 		if *check != "" {
-			runCheck(*check, *analyze, tol)
+			runCheck(*check, *analyze)
 		}
 		return
 	}
@@ -130,14 +111,14 @@ func main() {
 		fatal(err)
 	}
 	if *check != "" {
-		runCheck(*check, dir, tol)
+		runCheck(*check, dir)
 	}
 }
 
 // runCheck diffs fresh against baseline, printing the report and exiting 1
 // on drift.
-func runCheck(baselineDir, freshDir string, tol paper.Tolerances) {
-	res, err := paper.CheckDirs(baselineDir, freshDir, tol)
+func runCheck(baselineDir, freshDir string) {
+	res, err := paper.CheckDirs(baselineDir, freshDir)
 	if err != nil {
 		fatal(err)
 	}

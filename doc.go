@@ -22,9 +22,4 @@
 // regenerates every figure and table through cmd/paperrun, cmd/explore runs
 // the Fig 7 design-space exploration, and the runnable examples under
 // examples/ show the intended usage.
-//
-// This file also anchors the root package for the repository-level
-// benchmarks in bench_test.go:
-//
-//	go test -bench=. -benchmem
 package repro

@@ -42,11 +42,15 @@ func DefaultParams() Params {
 	return Params{ThreshVariance: 0.02, ThreshCalls: 2}
 }
 
-// Table1Params are the thresholds of the Table 1 reproduction: robust
-// caching of gate-level paths whose energy spreads a few percent with
-// operand values (thresh_variance / thresh_iss_calls, paper §4.2). Defined
-// once so the paper harness, cmd/explore -ecache and the benchmarks measure
-// the same configuration.
+// Table1Params are the thresholds of the Table 1 reproduction
+// (thresh_variance / thresh_iss_calls, paper §4.2). For a hardware path
+// the cache stores stall-inclusive energy: the gate-level energy of the
+// whole reaction, including the clock energy of the cycles it stalled on
+// the bus, next to its stall-free cycle count. That energy's spread
+// therefore follows the bus context (DMA size, arbitration, the other
+// masters' traffic) as well as operand values. Defined once so that
+// paperrun's table1, quality and serving experiments and cmd/explore
+// -ecache measure the same configuration.
 func Table1Params() Params {
 	return Params{ThreshVariance: 0.15, ThreshCalls: 3}
 }

@@ -8,47 +8,33 @@ import (
 	"strings"
 )
 
-// Tolerances classifies the grouped metrics into drift budgets. Energies
-// and counters are deterministic per seed, so their tolerances are tight
-// (they absorb only float-accumulation-order noise); error-budget metrics
-// are derived statistics with a looser band; wall times are machine load
-// and hardware, so the gate skips them unless explicitly enabled.
-type Tolerances struct {
-	// Energy is the relative tolerance of the energy-denominated metrics
-	// (energy_j, sw_j, hw_j, bus_j, attrib_total_j, peak_w).
-	Energy float64
-	// Count is the relative tolerance of the discrete execution counters
-	// (iss_calls, iss_insts, gate_execs, sim_ns).
-	Count float64
-	// Budget is the relative tolerance of the audit-layer budget metrics
-	// (budget_bound_j, budget_ci95_j).
-	Budget float64
-	// Wall is the relative tolerance of wall_ns when CheckWall is set.
-	Wall float64
-	// CheckWall compares wall-time means too. Off by default: committed
-	// baselines come from other machines.
-	CheckWall bool
-}
-
-// DefaultTolerances is the regression gate's drift budget. Relative
-// differences are |a-b|/max(|a|,|b|), so they saturate at 1.0; the wall
-// default 0.5 corresponds to a 2x slowdown/speedup.
-func DefaultTolerances() Tolerances {
-	return Tolerances{Energy: 0.002, Count: 0.001, Budget: 0.10, Wall: 0.5}
-}
+// The regression gate's drift budgets, relative differences
+// |a-b|/max(|a|,|b|). Energies and counters are deterministic per seed, so
+// their tolerances are tight (they absorb only float-accumulation-order
+// noise); error-budget metrics are derived statistics with a looser band.
+const (
+	// tolEnergy covers the energy-denominated metrics (energy_j, sw_j, hw_j,
+	// bus_j, attrib_total_j, peak_w).
+	tolEnergy = 0.002
+	// tolCount covers the discrete execution counters (iss_calls,
+	// iss_insts, gate_execs, sim_ns).
+	tolCount = 0.001
+	// tolBudget covers the audit-layer budget metrics (budget_bound_j,
+	// budget_ci95_j).
+	tolBudget = 0.10
+)
 
 // metricClass returns the tolerance for one metric, false when the metric
-// is outside the gate (wall times unless enabled).
-func (t Tolerances) metricClass(metric string) (float64, bool) {
+// is outside the gate. wall_ns is never gated: it measures the machine, and
+// committed baselines come from other machines.
+func metricClass(metric string) (float64, bool) {
 	switch metric {
 	case "energy_j", "sw_j", "hw_j", "bus_j", "attrib_total_j", "peak_w":
-		return t.Energy, true
+		return tolEnergy, true
 	case "iss_calls", "iss_insts", "gate_execs", "sim_ns":
-		return t.Count, true
+		return tolCount, true
 	case "budget_bound_j", "budget_ci95_j":
-		return t.Budget, true
-	case "wall_ns":
-		return t.Wall, t.CheckWall
+		return tolBudget, true
 	}
 	return 0, false
 }
@@ -89,13 +75,13 @@ func (r *CheckResult) OK() bool { return len(r.Drifts) == 0 }
 // fresh run lacks is a drift (the run shrank); a fresh group absent from
 // the baseline is reported in Extra but does not fail the gate (specs are
 // allowed to grow ahead of their baselines).
-func Check(baseline, fresh []Row, tol Tolerances) *CheckResult {
+func Check(baseline, fresh []Row) *CheckResult {
 	ab, af := Analyze(baseline), Analyze(fresh)
 	res := &CheckResult{}
 	for _, k := range ab.Keys() {
 		res.Groups++
 		for _, metric := range metricNames {
-			t, gated := tol.metricClass(metric)
+			t, gated := metricClass(metric)
 			if !gated {
 				continue
 			}
@@ -126,7 +112,7 @@ func Check(baseline, fresh []Row, tol Tolerances) *CheckResult {
 }
 
 // CheckDirs runs Check over two run directories' results.csv files.
-func CheckDirs(baselineDir, freshDir string, tol Tolerances) (*CheckResult, error) {
+func CheckDirs(baselineDir, freshDir string) (*CheckResult, error) {
 	baseline, err := ReadResultsFile(filepath.Join(baselineDir, "results.csv"))
 	if err != nil {
 		return nil, fmt.Errorf("paper: baseline: %w", err)
@@ -135,7 +121,7 @@ func CheckDirs(baselineDir, freshDir string, tol Tolerances) (*CheckResult, erro
 	if err != nil {
 		return nil, fmt.Errorf("paper: fresh run: %w", err)
 	}
-	return Check(baseline, fresh, tol), nil
+	return Check(baseline, fresh), nil
 }
 
 // Report renders the check outcome for humans.

@@ -183,14 +183,18 @@ func checkRepeatDeterminism(rows []Row) error {
 	return nil
 }
 
-// relDiff is |a-b| relative to max(|a|,|b|), 0 for two zeros.
+// relDiff is |a-b| relative to max(|a|,|b|), 0 for equal values. Two
+// values that differ and include a NaN or an infinity are +Inf apart, beyond
+// every tolerance (the plain ratio would be NaN, which no `rel > tol` test
+// catches).
 func relDiff(a, b float64) float64 {
-	d := math.Abs(a - b)
-	if d == 0 {
+	if a == b {
 		return 0
 	}
-	m := math.Max(math.Abs(a), math.Abs(b))
-	return d / m
+	if math.IsNaN(a) || math.IsNaN(b) || math.IsInf(a, 0) || math.IsInf(b, 0) {
+		return math.Inf(1)
+	}
+	return math.Abs(a-b) / math.Max(math.Abs(a), math.Abs(b))
 }
 
 // renderTableLog writes the per-repeat raw measurements of a table

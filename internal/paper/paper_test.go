@@ -220,17 +220,16 @@ func TestCheckGate(t *testing.T) {
 		{Experiment: "t1", Kind: KindTable1, Variant: "base", DMA: 4, EnergyJ: 1e-5, ISSCalls: 20},
 		{Experiment: "t1", Kind: KindTable1, Variant: "ecache", DMA: 4, EnergyJ: 1.0001e-5, ISSCalls: 17},
 	}
-	tol := DefaultTolerances()
 
 	// Identical runs pass.
-	if res := Check(base, base, tol); !res.OK() {
+	if res := Check(base, base); !res.OK() {
 		t.Fatalf("identical runs drifted: %+v", res.Drifts)
 	}
 
 	// Energy drift beyond tolerance fails.
 	drifted := append([]Row(nil), base...)
 	drifted[0].EnergyJ *= 1.01
-	res := Check(base, drifted, tol)
+	res := Check(base, drifted)
 	if res.OK() || res.Drifts[0].Metric != "energy_j" {
 		t.Fatalf("1%% energy drift not caught: %+v", res)
 	}
@@ -239,34 +238,88 @@ func TestCheckGate(t *testing.T) {
 	}
 
 	// A vanished baseline group fails; an extra fresh group only notes.
-	res = Check(base, base[:1], tol)
+	res = Check(base, base[:1])
 	if res.OK() {
 		t.Fatal("missing group passed")
 	}
 	serving := append(append([]Row(nil), base...),
 		Row{Experiment: "sv", Kind: KindServing, Variant: servCold, DMA: 4, EnergyJ: 1},
 		Row{Experiment: "sv", Kind: KindServing, Variant: servWarm, DMA: 4, EnergyJ: 1})
-	res = Check(serving, serving[:3], tol)
+	res = Check(serving, serving[:3])
 	if res.OK() || len(res.Drifts) != 1 ||
 		res.Drifts[0].String() != "sv/warm/dma=4: group missing from fresh run" {
 		t.Fatalf("missing serving variant not caught: %+v", res.Drifts)
 	}
 	extra := append(append([]Row(nil), base...),
 		Row{Experiment: "new", Kind: KindServing, Variant: servCold, EnergyJ: 1})
-	res = Check(base, extra, tol)
+	res = Check(base, extra)
 	if !res.OK() || len(res.Extra) != 1 {
 		t.Fatalf("extra group mishandled: %+v", res)
 	}
 
-	// Wall times are outside the gate until CheckWall.
+	// wall_ns is never gated: it measures the machine, not the answer.
 	slow := append([]Row(nil), base...)
 	slow[0].WallNS = 1 << 40
-	if res := Check(base, slow, tol); !res.OK() {
-		t.Fatalf("wall drift gated by default: %+v", res.Drifts)
+	if res := Check(base, slow); !res.OK() {
+		t.Fatalf("wall drift gated: %+v", res.Drifts)
 	}
-	tol.CheckWall = true
-	if res := Check(base, slow, tol); res.OK() {
-		t.Fatal("wall drift not gated with CheckWall")
+
+	// The drift budgets: 0.2% for energies, 0.1% for counters, 10% for
+	// budget metrics.
+	for metric, want := range map[string]float64{
+		"energy_j": 0.002, "peak_w": 0.002, "iss_calls": 0.001, "sim_ns": 0.001,
+		"budget_bound_j": 0.10, "budget_ci95_j": 0.10,
+	} {
+		if tol, gated := metricClass(metric); !gated || tol != want {
+			t.Errorf("%s: tolerance %g (gated %v), want %g", metric, tol, gated, want)
+		}
+	}
+}
+
+// TestCheckNonFinite: a NaN or an infinity that differs from its baseline
+// is a drift, however loose the tolerance.
+func TestCheckNonFinite(t *testing.T) {
+	row := func(e float64) []Row {
+		return []Row{{Experiment: "t1", Kind: KindTable1, Variant: "base", DMA: 4, EnergyJ: e}}
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name        string
+		base, fresh float64
+		drifts      int
+	}{
+		{"NaN vs finite", 1e-6, nan, 1},
+		{"+Inf vs finite", 1e-6, inf, 1},
+		{"-Inf vs finite", 1e-6, -inf, 1},
+		{"finite vs NaN", nan, 1e-6, 1},
+		{"NaN vs NaN", nan, nan, 1},
+		{"+Inf vs -Inf", inf, -inf, 1},
+		{"identical finite", 1e-6, 1e-6, 0},
+		{"identical +Inf", inf, inf, 0},
+	} {
+		res := Check(row(tc.base), row(tc.fresh))
+		if len(res.Drifts) != tc.drifts {
+			t.Errorf("%s: %d drifts, want %d: %+v", tc.name, len(res.Drifts), tc.drifts, res.Drifts)
+		} else if tc.drifts > 0 && res.Drifts[0].Metric != "energy_j" {
+			t.Errorf("%s: drift on %s, want energy_j", tc.name, res.Drifts[0].Metric)
+		}
+	}
+
+	// The repeat-determinism self-check rejects a non-finite repeat too.
+	for _, e := range []float64{nan, inf, -inf} {
+		rows := []Row{
+			{Variant: "base", DMA: 4, Repeat: 0, EnergyJ: 1e-6},
+			{Variant: "base", DMA: 4, Repeat: 1, EnergyJ: e},
+		}
+		if err := checkRepeatDeterminism(rows); err == nil {
+			t.Errorf("repeat energy %g passed the determinism check", e)
+		}
+	}
+	if err := checkRepeatDeterminism([]Row{
+		{Variant: "base", DMA: 4, Repeat: 0, EnergyJ: nan},
+		{Variant: "base", DMA: 4, Repeat: 1, EnergyJ: nan},
+	}); err == nil {
+		t.Error("NaN repeats passed the determinism check")
 	}
 }
 
@@ -357,7 +410,7 @@ func TestRunnerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := CheckDirs(dir, dir2, DefaultTolerances())
+	res, err := CheckDirs(dir, dir2)
 	if err != nil {
 		t.Fatal(err)
 	}
