@@ -12,9 +12,11 @@
 // energy-cache warmth, and their -shard-name must match the name given
 // here so placement and response attribution agree.
 //
-// Endpoints: POST /estimate, /batch, /snapshot, /restore (routed);
-// GET /shards (membership + health), /healthz, /readyz (200 while at least
-// one shard is routable); POST /ecache/sync (the central cache store).
+// Endpoints: POST /estimate, /snapshot, /restore (routed); GET /shards
+// (membership + health), /healthz, /readyz (200 while at least one shard
+// is routable); POST /ecache/sync (the central cache store). A shard's 429
+// is retried on the same shard with backoff and relayed, Retry-After
+// intact, once the retries run out.
 package main
 
 import (

@@ -182,20 +182,20 @@ func main() {
 		fmt.Print(coest.PrintCFSM(sys))
 		return
 	}
-	c, err := coest.Compile(sys, opts...)
+	sess, err := coest.NewSession(sys, opts...)
 	if err != nil {
 		fatal(err)
 	}
-	cfg := c.Config()
+	cfg := sess.Config()
 	if *asmDump {
-		if prog := c.SWProgram(); prog != nil {
+		if prog := sess.SWProgram(); prog != nil {
 			fmt.Print(prog.Disassemble())
 		} else {
 			fmt.Fprintln(os.Stderr, "no software partition to disassemble")
 		}
 	}
 	if *vlogDir != "" {
-		for name, nl := range c.HWNetlists() {
+		for name, nl := range sess.HWNetlists() {
 			path := filepath.Join(*vlogDir, name+".v")
 			f, err := os.Create(path)
 			if err != nil {
@@ -210,7 +210,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "wrote %s (%d gates, %d flops)\n", path, st.Gates, st.DFFs)
 		}
 	}
-	rep, err := c.Estimate(ctx)
+	rep, err := sess.Estimate(ctx)
 	rootSpan.End()
 	if err != nil {
 		fatal(err)
@@ -270,7 +270,7 @@ func main() {
 	}
 	if *probEst {
 		fmt.Println("  probabilistic HW power (uniform input statistics):")
-		for name, nl := range c.HWNetlists() {
+		for name, nl := range sess.HWNetlists() {
 			est, err := gate.EstimateProbabilistic(nl, cfg.HWVdd, gate.UniformInputs(len(nl.Inputs)))
 			if err != nil {
 				fatal(err)
@@ -280,7 +280,7 @@ func main() {
 		}
 	}
 	if *cacheRep {
-		rows := c.SWCacheReport()
+		rows := sess.SWCacheReport()
 		if rows == nil {
 			fmt.Println("  (energy cache disabled; pass -ecache)")
 		} else {
@@ -523,9 +523,6 @@ func runRemote(base, file, system string, packets, dma int, ecache, macro, sampl
 		where += " (shard " + resp.Shard + ")"
 	}
 	fmt.Printf("system %s via %s: %s\n", resp.System, where, warmth)
-	if resp.Degraded {
-		fmt.Printf("  DEGRADED answer (%s): macro-model fast tier, see error budget below\n", resp.DegradedReason)
-	}
 	if resp.TraceID != "" {
 		fmt.Printf("  trace %s (%s/debug/requests?trace=%s)\n", resp.TraceID, strings.TrimSuffix(base, "/"), resp.TraceID)
 	}

@@ -9,7 +9,11 @@
 // Endpoints:
 //
 //	POST /estimate        — estimate one design at one or more configuration
-//	                        points (coalesced into a single batched sweep)
+//	                        points (coalesced into a single batched sweep);
+//	                        429 + Retry-After once -workers + -queue
+//	                        requests are in the system
+//	POST /snapshot        — serialize one warm session
+//	POST /restore         — install a snapshot as a warm session
 //	GET  /healthz         — liveness (200 while the process serves)
 //	GET  /readyz          — routability; 503 from the first shutdown signal
 //	GET  /debug/requests  — recent request traces (also on -debug-addr);
@@ -62,12 +66,10 @@ func main() {
 		maxSpans     = flag.Int("max-spans", 0, "spans captured per request before dropping (0 = default 2048)")
 		accessLog    = flag.String("access-log", "", "append JSONL access lines (with trace ids) to this file, \"-\" for stderr (empty = off)")
 
-		shardName     = flag.String("shard-name", "", "fleet shard identity echoed on every response (empty = standalone)")
-		degradedSlots = flag.Int("degraded-slots", 0, "concurrent macro fast-tier answers under overload (0 = default 2, negative = off)")
-		macroPrewarm  = flag.Bool("macro-prewarm", false, "characterize macro tables in the background after each cold compile, so the degraded fast tier is ready before any macro request")
-		ecacheSync    = flag.String("ecache-sync", "", "fleet energy-cache store URL (e.g. http://router:8400/ecache/sync; empty = no cache sync)")
-		ecacheIntv    = flag.Duration("ecache-sync-interval", 2*time.Second, "write-behind period of the fleet cache sync")
-		restorePath   = flag.String("restore", "", "restore warm sessions on boot from this snapshot file (the bytes of POST /snapshot)")
+		shardName   = flag.String("shard-name", "", "fleet shard identity echoed on every response (empty = standalone)")
+		ecacheSync  = flag.String("ecache-sync", "", "fleet energy-cache store URL (e.g. http://router:8400/ecache/sync; empty = no cache sync)")
+		ecacheIntv  = flag.Duration("ecache-sync-interval", 2*time.Second, "write-behind period of the fleet cache sync")
+		restorePath = flag.String("restore", "", "restore warm sessions on boot from this snapshot file (the bytes of POST /snapshot)")
 	)
 	flag.Parse()
 
@@ -95,8 +97,6 @@ func main() {
 		MaxSpans:           *maxSpans,
 		SlowThreshold:      *slowThresh,
 		ShardName:          *shardName,
-		DegradedSlots:      *degradedSlots,
-		MacroPrewarm:       *macroPrewarm,
 		ECacheSyncInterval: *ecacheIntv,
 	}
 	if accessW != nil {

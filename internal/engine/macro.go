@@ -27,19 +27,6 @@ var (
 	macroTables = map[macroKey]*macromodel.Table{}
 )
 
-// MacroTableReady reports whether the characterization table for the given
-// models already exists — without characterizing on miss. The serving
-// layer's degraded fast tier consults this under overload: answering from
-// the macro tier is only cheap when the table is warm, so a cold table
-// means shed, not characterize.
-func MacroTableReady(timing *iss.TimingModel, power *iss.PowerModel) bool {
-	key := macroKey{timing: *timing, power: power.Name}
-	macroMu.Lock()
-	defer macroMu.Unlock()
-	_, ok := macroTables[key]
-	return ok
-}
-
 // SharedMacroTable returns the macro-model characterization table for the
 // given models, running the Fig 3 characterization flow at most once per
 // process for each (timing model, power model) pair. A sweep whose points

@@ -16,9 +16,10 @@
 //     configured hedge delay), a second copy races on the ring successor
 //     and the first answer wins.
 //
-// Under overload the fleet answers from the shards' macro-model fast tier
-// (marked Degraded, error budget attached) rather than propagating 429s;
-// the router surfaces those answers and counts them.
+// Under overload a shard sheds with 429 and Retry-After; the router backs
+// off and retries the owner, and relays the shard's own 429 envelope when
+// every attempt meets one. Every 200 it relays is the estimate the request
+// asked for.
 //
 // The router also hosts the fleet's central energy-cache store at
 // /ecache/sync, so shards pointed at it share path statistics: a path
@@ -34,7 +35,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/ecachesync"
@@ -48,7 +48,6 @@ var (
 	mRetries   = telemetry.Default.Counter("router_retries_total", "same-shard retries (overload backoff)")
 	mFailovers = telemetry.Default.Counter("router_failovers_total", "ring failovers after a shard failure")
 	mHedges    = telemetry.Default.Counter("router_hedges_total", "hedged requests launched on the ring successor")
-	mDegraded  = telemetry.Default.Counter("router_degraded_total", "degraded (macro fast tier) answers relayed")
 	mErrors    = telemetry.Default.Counter("router_errors_total", "requests answered with an error after all attempts")
 )
 
@@ -280,8 +279,8 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request, fp uint64, path,
 			continue
 		}
 		if resp.StatusCode == http.StatusTooManyRequests {
-			// Overloaded owner: its degraded tier could not answer either.
-			// Back off and retry the same shard — never fail over load.
+			// Overloaded owner: back off and retry the same shard — never
+			// fail over load.
 			mRetries.Inc()
 			last = resp
 			continue
@@ -398,10 +397,6 @@ func (rt *Router) relay(w http.ResponseWriter, resp *http.Response) {
 			w.Header().Set(h, v)
 		}
 	}
-	if resp.StatusCode == http.StatusOK && resp.Header.Get(coestapi.DegradedHeader) != "" {
-		w.Header().Set(coestapi.DegradedHeader, resp.Header.Get(coestapi.DegradedHeader))
-		mDegraded.Inc()
-	}
 	w.WriteHeader(resp.StatusCode)
 	io.Copy(w, resp.Body)
 }
@@ -444,58 +439,6 @@ func (rt *Router) handleRestore(w http.ResponseWriter, r *http.Request) {
 	}
 	fp := coestapi.Fingerprint(coestapi.CanonicalSystem(env.System), env.Packets)
 	rt.route(w, r, fp, "/restore", "application/octet-stream", body, false)
-}
-
-// handleBatch fans the batch's entries out to their owning shards as
-// per-shard sub-batches (concurrently), then reassembles the items in the
-// original order. A shard that fails all attempts yields per-item error
-// envelopes, not a failed batch.
-func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, coestapi.CodeMethodNotAllowed, "POST only", 0)
-		return
-	}
-	var breq coestapi.BatchRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 64<<20)).Decode(&breq); err != nil {
-		writeError(w, http.StatusBadRequest, coestapi.CodeBadRequest, "bad request: "+err.Error(), 0)
-		return
-	}
-	if err := coestapi.CheckVersion(breq.Version); err != nil {
-		writeError(w, http.StatusBadRequest, coestapi.CodeUnsupportedVersion, err.Error(), 0)
-		return
-	}
-	groups := map[uint64][]int{} // design fingerprint → original indices
-	for i := range breq.Requests {
-		req := &breq.Requests[i]
-		fp := coestapi.Fingerprint(coestapi.CanonicalSystem(req.System), req.Packets)
-		groups[fp] = append(groups[fp], i)
-	}
-	items := make([]coestapi.BatchItem, len(breq.Requests))
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	for fp, idxs := range groups {
-		wg.Add(1)
-		go func(fp uint64, idxs []int) {
-			defer wg.Done()
-			sub := coestapi.BatchRequest{Version: coestapi.Version}
-			for _, i := range idxs {
-				sub.Requests = append(sub.Requests, breq.Requests[i])
-			}
-			body, _ := json.Marshal(&sub)
-			rec := newRecorder()
-			rt.route(rec, r, fp, "/batch", "application/json", body, false)
-			out := rec.batchItems(len(idxs))
-			mu.Lock()
-			for j, i := range idxs {
-				items[i] = out[j]
-				items[i].Index = i
-			}
-			mu.Unlock()
-		}(fp, idxs)
-	}
-	wg.Wait()
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(&coestapi.BatchResponse{Version: coestapi.Version, Items: items})
 }
 
 // decodeRouted reads and decodes a routed POST body, emitting the error
@@ -548,8 +491,6 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	switch r.URL.Path {
 	case "/estimate":
 		rt.handleEstimate(w, r)
-	case "/batch":
-		rt.handleBatch(w, r)
 	case "/snapshot":
 		rt.handleSnapshot(w, r)
 	case "/restore":

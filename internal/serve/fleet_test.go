@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/serve"
@@ -69,107 +68,15 @@ func TestErrorEnvelopes(t *testing.T) {
 		}
 	}
 	check("/estimate", coestapi.Request{System: "nonesuch"}, http.StatusBadRequest, coestapi.CodeBadRequest)
+	// Over the packet bound: refused before anything is built.
+	check("/estimate", coestapi.Request{Packets: 4097, DeadlineMS: 50}, http.StatusBadRequest, coestapi.CodeBadRequest)
+	huge := json.RawMessage(`{"system":"` + strings.Repeat("a", 1<<20) + `"}`)
+	check("/estimate", huge, http.StatusRequestEntityTooLarge, coestapi.CodeBadRequest)
 	check("/snapshot", coestapi.SnapshotRequest{System: "tcpip", Packets: 99}, http.StatusNotFound, coestapi.CodeNotFound)
 	check("/nonesuch", struct{}{}, http.StatusNotFound, coestapi.CodeNotFound)
-}
-
-// TestDegradedFastTier: an overloaded node with a warm session and warm
-// macro tables answers 200 Degraded from the macro tier — ISS never runs,
-// the error budget rides every point — while a NoDegraded request is shed
-// with the 429 envelope.
-func TestDegradedFastTier(t *testing.T) {
-	_, ts := startServer(t, serve.Config{Workers: 1, Queue: -1, RetryAfter: time.Second})
-
-	// Warm the session and the process-wide macro tables through the full
-	// tier first; the degraded tier never characterizes on its own.
-	code, _, warm := post(t, ts.URL, coestapi.Request{Packets: 3, Points: []coestapi.PointSpec{{Macro: true}}})
-	if code != http.StatusOK || warm.Points[0].Error != "" {
-		t.Fatalf("warmup: status %d, resp %+v", code, warm)
-	}
-
-	// Saturate the single worker with long requests and probe until a probe
-	// observes the saturated server. The slow request may itself be shed or
-	// answered degraded when a probe wins the slot race; relaunch until done.
-	slow, _ := json.Marshal(coestapi.Request{Packets: 150, NoDegraded: true})
-	slowc := make(chan int, 8)
-	launch := func() {
-		go func() {
-			resp, err := http.Post(ts.URL+"/estimate", "application/json", bytes.NewReader(slow))
-			if err != nil {
-				slowc <- -1
-				return
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			slowc <- resp.StatusCode
-		}()
-	}
-	launch()
-
-	var degraded *coestapi.Response
-	var shedStatus int
-	var shedBody []byte
-	deadline := time.Now().Add(30 * time.Second)
-	for (degraded == nil || shedStatus == 0) && time.Now().Before(deadline) {
-		select {
-		case code := <-slowc:
-			if code != http.StatusOK && code != http.StatusTooManyRequests {
-				t.Fatalf("slow request: status %d", code)
-			}
-			launch()
-		default:
-		}
-		if degraded == nil {
-			code, _, body := postRaw(t, ts.URL, "/estimate", coestapi.Request{Packets: 3})
-			if code == http.StatusOK {
-				var resp coestapi.Response
-				if err := json.Unmarshal(body, &resp); err != nil {
-					t.Fatal(err)
-				}
-				if resp.Degraded {
-					degraded = &resp
-				}
-			}
-		}
-		if shedStatus == 0 {
-			code, _, body := postRaw(t, ts.URL, "/estimate", coestapi.Request{Packets: 3, NoDegraded: true})
-			if code == http.StatusTooManyRequests {
-				shedStatus, shedBody = code, body
-			}
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	if degraded == nil {
-		t.Fatal("no probe was answered from the degraded fast tier")
-	}
-	if degraded.DegradedReason != "overloaded" {
-		t.Fatalf("DegradedReason = %q", degraded.DegradedReason)
-	}
-	if !degraded.Warm {
-		t.Fatal("degraded answer must ride the warm session")
-	}
-	if len(degraded.Points) != 1 {
-		t.Fatalf("degraded points: %+v", degraded.Points)
-	}
-	pt := degraded.Points[0]
-	if pt.Error != "" {
-		t.Fatalf("degraded point failed: %s", pt.Error)
-	}
-	if pt.ISSCalls != 0 {
-		t.Fatalf("degraded answer ran the ISS %d times; the macro tier must not", pt.ISSCalls)
-	}
-	if pt.Budget == nil {
-		t.Fatal("degraded answer carries no error budget")
-	}
-
-	if shedStatus == 0 {
-		t.Fatal("no NoDegraded probe was shed while saturated")
-	}
-	var env coestapi.ErrorResponse
-	if err := json.Unmarshal(shedBody, &env); err != nil || env.Error.Code != coestapi.CodeOverloaded {
-		t.Fatalf("shed body = %s", shedBody)
-	}
+	check("/batch", struct {
+		Requests []coestapi.Request `json:"requests"`
+	}{[]coestapi.Request{{Packets: 2}}}, http.StatusNotFound, coestapi.CodeNotFound)
 }
 
 // TestSnapshotRestoreOverHTTP: a session snapshotted from one server and
@@ -299,36 +206,5 @@ func TestRestoreRejectsCorruptNetlist(t *testing.T) {
 	}
 	if code, _, _ := post(t, clone.URL, req); code != http.StatusOK {
 		t.Fatalf("estimate after a refused restore: status %d", code)
-	}
-}
-
-// TestBatchEndpoint: /batch runs independent entries with per-item
-// isolation — one invalid entry fails alone.
-func TestBatchEndpoint(t *testing.T) {
-	_, ts := startServer(t, serve.Config{})
-	breq := coestapi.BatchRequest{Requests: []coestapi.Request{
-		{Packets: 2},
-		{System: "nonesuch"},
-		{Packets: 2, Points: []coestapi.PointSpec{{Macro: true}}},
-	}}
-	code, _, body := postRaw(t, ts.URL, "/batch", breq)
-	if code != http.StatusOK {
-		t.Fatalf("batch status %d: %s", code, body)
-	}
-	var resp coestapi.BatchResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Items) != 3 {
-		t.Fatalf("%d items, want 3", len(resp.Items))
-	}
-	if resp.Items[0].Error != nil || resp.Items[0].Response == nil {
-		t.Fatalf("item 0: %+v", resp.Items[0])
-	}
-	if resp.Items[1].Error == nil || resp.Items[1].Error.Code != coestapi.CodeBadRequest {
-		t.Fatalf("item 1: %+v", resp.Items[1])
-	}
-	if resp.Items[2].Response == nil || resp.Items[2].Response.Points[0].ISSCalls != 0 {
-		t.Fatalf("item 2: %+v", resp.Items[2])
 	}
 }

@@ -167,11 +167,17 @@ func TestBatchCoalescing(t *testing.T) {
 	}
 }
 
-// TestBackpressure: with one worker, no queue and the degraded fast tier
-// off, a request arriving while the worker is busy is shed with 429 and a
-// Retry-After hint.
+// TestBackpressure: with one worker and no queue, a request arriving while
+// the worker is busy is shed with 429 and a Retry-After hint — even when
+// its session and the macro tables are warm, so a cheaper approximate
+// answer could be had.
 func TestBackpressure(t *testing.T) {
-	_, ts := startServer(t, serve.Config{Workers: 1, Queue: -1, RetryAfter: 2 * time.Second, DegradedSlots: -1})
+	_, ts := startServer(t, serve.Config{Workers: 1, Queue: -1, RetryAfter: 2 * time.Second})
+
+	warm := coestapi.Request{Packets: 2, Points: []coestapi.PointSpec{{Macro: true}}}
+	if code, _, resp := post(t, ts.URL, warm); code != http.StatusOK || resp.Points[0].Error != "" {
+		t.Fatalf("warmup: status %d, resp %+v", code, resp)
+	}
 
 	// A long request to occupy the single admission slot. A fast probe can
 	// win the slot race and shed the long request instead, so relaunch it
@@ -193,9 +199,9 @@ func TestBackpressure(t *testing.T) {
 	launch()
 
 	var header http.Header
-	rejected := false
+	var shed []byte
 	deadline := time.Now().Add(20 * time.Second)
-	for !rejected && time.Now().Before(deadline) {
+	for shed == nil && time.Now().Before(deadline) {
 		select {
 		case code := <-slowc:
 			switch code {
@@ -206,17 +212,29 @@ func TestBackpressure(t *testing.T) {
 			}
 		default:
 		}
-		code, h, _ := post(t, ts.URL, coestapi.Request{Packets: 2})
-		if code == http.StatusTooManyRequests {
-			rejected, header = true, h
+		code, h, body := postRaw(t, ts.URL, "/estimate", coestapi.Request{Packets: 2})
+		switch code {
+		case http.StatusTooManyRequests:
+			header, shed = h, body
+		case http.StatusOK:
+			// A probe that got through must carry the reference estimate
+			// it asked for, which runs the ISS.
+			var resp coestapi.Response
+			if err := json.Unmarshal(body, &resp); err != nil || len(resp.Points) != 1 || resp.Points[0].ISSCalls == 0 {
+				t.Fatalf("probe answered %s, not the reference estimate", body)
+			}
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if !rejected {
+	if shed == nil {
 		t.Fatal("no request was shed while the worker was saturated")
 	}
 	if header.Get("Retry-After") != "2" {
 		t.Fatalf("Retry-After = %q, want \"2\"", header.Get("Retry-After"))
+	}
+	var env coestapi.ErrorResponse
+	if err := json.Unmarshal(shed, &env); err != nil || env.Error.Code != coestapi.CodeOverloaded {
+		t.Fatalf("shed body = %s", shed)
 	}
 }
 
@@ -362,50 +380,56 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// TestLegacyBackendFieldIgnored: clients that predate the single estimator
-// path still send an estimator "backend" name (testdata holds such a v1
-// /estimate body). It must get a 200 with energies bit-identical to the
-// same body without the field.
+// TestLegacyBackendFieldIgnored: v1 clients may still send fields the
+// service no longer reads — an estimator "backend" name from before the
+// single estimator path, or "no_degraded" from before overload always shed
+// with 429 (testdata holds one such /estimate body each). Each must get a
+// 200 with energies bit-identical to the same body without the field.
 func TestLegacyBackendFieldIgnored(t *testing.T) {
 	_, ts := startServer(t, serve.Config{})
-	legacy, err := os.ReadFile("testdata/legacy-backend-request.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fields map[string]json.RawMessage
-	if err := json.Unmarshal(legacy, &fields); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := fields["backend"]; !ok {
-		t.Fatal("legacy request carries no backend field")
-	}
-	delete(fields, "backend")
-	plain, err := json.Marshal(fields)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var resps [2]coestapi.Response
-	for i, body := range [][]byte{plain, legacy} {
-		code, _, out := postRaw(t, ts.URL, "/estimate", json.RawMessage(body))
-		if code != http.StatusOK {
-			t.Fatalf("body %s: status %d (%s)", body, code, out)
-		}
-		if err := json.Unmarshal(out, &resps[i]); err != nil {
+	for _, tc := range []struct{ file, field string }{
+		{"testdata/legacy-backend-request.json", "backend"},
+		{"testdata/legacy-no-degraded-request.json", "no_degraded"},
+	} {
+		legacy, err := os.ReadFile(tc.file)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	ref, got := resps[0].Points, resps[1].Points
-	if len(ref) != 2 || len(got) != len(ref) {
-		t.Fatalf("points: %d without the field, %d with it", len(ref), len(got))
-	}
-	for i := range ref {
-		r, p := ref[i], got[i]
-		if math.Float64bits(r.TotalJ) != math.Float64bits(p.TotalJ) ||
-			math.Float64bits(r.SWJ) != math.Float64bits(p.SWJ) ||
-			math.Float64bits(r.HWJ) != math.Float64bits(p.HWJ) ||
-			r.ISSCalls != p.ISSCalls || r.SimulatedNS != p.SimulatedNS {
-			t.Fatalf("point %d differs with the legacy backend field:\nwithout %+v\nwith    %+v", i, r, p)
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(legacy, &fields); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := fields[tc.field]; !ok {
+			t.Fatalf("%s carries no %s field", tc.file, tc.field)
+		}
+		delete(fields, tc.field)
+		plain, err := json.Marshal(fields)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		var resps [2]coestapi.Response
+		for i, body := range [][]byte{plain, legacy} {
+			code, _, out := postRaw(t, ts.URL, "/estimate", json.RawMessage(body))
+			if code != http.StatusOK {
+				t.Fatalf("body %s: status %d (%s)", body, code, out)
+			}
+			if err := json.Unmarshal(out, &resps[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ref, got := resps[0].Points, resps[1].Points
+		if len(ref) != 2 || len(got) != len(ref) {
+			t.Fatalf("%s: points: %d without the field, %d with it", tc.field, len(ref), len(got))
+		}
+		for i := range ref {
+			r, p := ref[i], got[i]
+			if math.Float64bits(r.TotalJ) != math.Float64bits(p.TotalJ) ||
+				math.Float64bits(r.SWJ) != math.Float64bits(p.SWJ) ||
+				math.Float64bits(r.HWJ) != math.Float64bits(p.HWJ) ||
+				r.ISSCalls != p.ISSCalls || r.SimulatedNS != p.SimulatedNS {
+				t.Fatalf("point %d differs with the legacy %s field:\nwithout %+v\nwith    %+v", i, tc.field, r, p)
+			}
 		}
 	}
 }

@@ -3,12 +3,13 @@
 // design once (software image, gate netlists, shared macro tables) and keeps
 // persistent energy caches, so repeat requests skip synthesis entirely; the
 // server coalesces each request's grid points into one batched sweep over a
-// bounded worker pool, applies backpressure when the queue fills (answering
-// from the macro-model fast tier when it can instead of shedding), enforces
+// bounded worker pool, sheds with 429 and Retry-After when the queue fills,
+// bounds request bodies and packet counts before admission, enforces
 // per-request deadlines with prompt mid-run cancellation, serializes and
 // restores warm sessions as binary snapshots, optionally replicates
 // energy-cache warmth through a fleet cache-sync tier, and drains
-// gracefully on shutdown.
+// gracefully on shutdown. Every 200 answer is the estimate the request
+// asked for.
 //
 // The wire contract lives in pkg/coest/coestapi — one versioned package
 // shared by this daemon, the fleet router and the client library.
@@ -50,12 +51,9 @@ var (
 	mErrors = telemetry.Default.Counter("serve_errors_total", "requests that finished with a 5xx status")
 	mSlow   = telemetry.Default.Counter("serve_slow_requests_total", "requests slower than the slow-threshold")
 
-	// Fleet-tier metrics: degraded fast-path answers served under overload,
-	// sessions restored from snapshots, snapshots served.
-	mDegraded        = telemetry.Default.Counter("serve_degraded_total", "overloaded requests answered from the macro fast tier")
-	mDegradedUnavail = telemetry.Default.Counter("serve_degraded_unavailable_total", "overloaded requests shed because no warm macro tier existed")
-	mRestored        = telemetry.Default.Counter("serve_sessions_restored_total", "warm sessions restored from snapshots")
-	mSnapshots       = telemetry.Default.Counter("serve_snapshots_total", "session snapshots served")
+	// Fleet-tier metrics: sessions restored from snapshots, snapshots served.
+	mRestored  = telemetry.Default.Counter("serve_sessions_restored_total", "warm sessions restored from snapshots")
+	mSnapshots = telemetry.Default.Counter("serve_snapshots_total", "session snapshots served")
 
 	// Per-stage latency histograms: where an accepted /estimate request
 	// spends its wall time. "admission" is slot+queue wait, "session" the
@@ -98,8 +96,6 @@ func endpointName(path string) string {
 	switch path {
 	case "/estimate":
 		return "estimate"
-	case "/batch":
-		return "batch"
 	case "/snapshot":
 		return "snapshot"
 	case "/restore":
@@ -153,16 +149,6 @@ type Config struct {
 	// Response so clients (and the router's tests) can observe placement.
 	// Empty on standalone nodes.
 	ShardName string
-	// DegradedSlots bounds how many overloaded requests may run on the
-	// macro fast tier concurrently (default 2; negative disables the
-	// degraded tier entirely — overload always sheds with 429).
-	DegradedSlots int
-	// MacroPrewarm characterizes the macro tables in the background after
-	// each cold session compile, so the degraded fast tier is available
-	// before any client asks for a macro point. Off by default: prewarming
-	// moves the process-wide characterization counter, which strict
-	// warmth tests account for.
-	MacroPrewarm bool
 	// ECacheStore, when non-nil, replicates session energy-cache warmth
 	// through the fleet cache-sync tier: write-behind pushes every
 	// ECacheSyncInterval plus a prime pull the moment a session cache is
@@ -195,11 +181,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSpans <= 0 {
 		c.MaxSpans = 2048
-	}
-	if c.DegradedSlots == 0 {
-		c.DegradedSlots = 2
-	} else if c.DegradedSlots < 0 {
-		c.DegradedSlots = 0
 	}
 	if c.ECacheSyncInterval <= 0 {
 		c.ECacheSyncInterval = 2 * time.Second
@@ -252,10 +233,6 @@ type Server struct {
 	mu       sync.Mutex
 	sessions map[sessionKey]*coest.Session
 
-	// degradedSlots bounds concurrent macro fast-tier answers (nil when the
-	// degraded tier is disabled).
-	degradedSlots chan struct{}
-
 	// syncer replicates session energy caches through the fleet cache tier
 	// (nil without Config.ECacheStore).
 	syncer *ecachesync.Syncer
@@ -302,9 +279,6 @@ func New(cfg Config) *Server {
 	if cfg.TraceRing > 0 {
 		s.ring = newTraceRing(cfg.TraceRing)
 		s.slowRing = newTraceRing(cfg.TraceRing)
-	}
-	if cfg.DegradedSlots > 0 {
-		s.degradedSlots = make(chan struct{}, cfg.DegradedSlots)
 	}
 	if cfg.ECacheStore != nil {
 		s.syncer = ecachesync.New(cfg.ECacheStore, cfg.ECacheSyncInterval)
@@ -394,11 +368,9 @@ func (s *Server) sessionFor(system string, packets int) *coest.Session {
 }
 
 // installSessionLocked registers a session (cold-compiled or restored) and
-// wires it into the fleet tiers: its energy caches attach to the cache-sync
-// tier the moment they are created (the attach primes them from the store —
-// pull-on-miss), and, when macro prewarm is on and the tables are cold, a
-// background characterization run makes the degraded fast tier available
-// without waiting for a client to ask for a macro point. Callers hold s.mu.
+// wires it into the fleet cache-sync tier: its energy caches attach the
+// moment they are created (the attach primes them from the store —
+// pull-on-miss). Callers hold s.mu.
 func (s *Server) installSessionLocked(key sessionKey, sess *coest.Session) {
 	s.sessions[key] = sess
 	if s.syncer != nil {
@@ -413,13 +385,6 @@ func (s *Server) installSessionLocked(key sessionKey, sess *coest.Session) {
 			_ = syncer.Attach(ctx, ecachesync.Scope{Design: design, Role: "sw", Params: p}, sw)
 			_ = syncer.Attach(ctx, ecachesync.Scope{Design: design, Role: "hw", Params: p}, hw)
 		})
-	}
-	if s.cfg.MacroPrewarm && !sess.MacroReady() {
-		go func() {
-			ctx, cancel := context.WithTimeout(context.Background(), s.cfg.DefaultDeadline)
-			defer cancel()
-			_, _ = sess.Estimate(ctx, coest.WithMacroModel())
-		}()
 	}
 }
 
@@ -495,16 +460,15 @@ func (s *Server) estimate(ctx context.Context, req *coestapi.Request) (*coestapi
 		Points: make([]coestapi.PointResult, 0, len(results)),
 	}
 	for _, r := range results {
-		resp.Points = append(resp.Points, wirePoint(r, false))
+		resp.Points = append(resp.Points, wirePoint(r))
 		mPoints.Inc()
 	}
 	return resp, nil
 }
 
 // wirePoint converts one batch outcome to its wire form. The error budget
-// rides along whenever the run accumulated one worth reporting — always on
-// degraded answers (the budget is the answer's accuracy contract there).
-func wirePoint(r coest.PointResult, degraded bool) coestapi.PointResult {
+// rides along whenever the run accumulated one worth reporting.
+func wirePoint(r coest.PointResult) coestapi.PointResult {
 	pr := coestapi.PointResult{Index: r.Index}
 	if r.Err != nil {
 		pr.Error = r.Err.Error()
@@ -516,7 +480,7 @@ func wirePoint(r coest.PointResult, degraded bool) coestapi.PointResult {
 	pr.SimulatedNS = int64(r.Report.SimulatedTime)
 	pr.ISSCalls = r.Report.ISSCalls
 	pr.ISSInsts = r.Report.ISSInsts
-	if b := r.Report.Budget; b != nil && (degraded || b.Bound != 0 || b.CI95 != 0 || b.Uncalibrated) {
+	if b := r.Report.Budget; b != nil && (b.Bound != 0 || b.CI95 != 0 || b.Uncalibrated) {
 		pr.Budget = &coestapi.ErrorBudget{
 			TotalJ:       b.Total.Joules(),
 			BoundJ:       b.Bound.Joules(),
@@ -525,69 +489,6 @@ func wirePoint(r coest.PointResult, degraded bool) coestapi.PointResult {
 		}
 	}
 	return pr
-}
-
-// estimateDegraded answers an overloaded request from the macro-model fast
-// tier: only when the design's session is already warm in the registry and
-// the macro tables are characterized (MacroTableReady — under overload we
-// never start a characterization), and only within the degraded-slot bound.
-// Every point runs macro-only; the response is marked Degraded with each
-// point's error budget attached, so the client knows exactly how approximate
-// the answer is. Returns nil when the fast tier cannot answer — the caller
-// then sheds with 429 as before.
-func (s *Server) estimateDegraded(ctx context.Context, req *coestapi.Request) *coestapi.Response {
-	if s.degradedSlots == nil || req.NoDegraded {
-		return nil
-	}
-	sess := s.sessionFor(req.System, req.Packets)
-	if sess == nil || !sess.MacroReady() {
-		mDegradedUnavail.Inc()
-		return nil
-	}
-	select {
-	case s.degradedSlots <- struct{}{}:
-	default:
-		return nil
-	}
-	defer func() { <-s.degradedSlots }()
-
-	specs := req.Points
-	if len(specs) == 0 {
-		specs = []coestapi.PointSpec{{}}
-	}
-	points := make([][]coest.Option, len(specs))
-	for i, p := range specs {
-		// The fast tier honors the point's architecture knobs but replaces
-		// its estimation technique: macro-model only, which skips the ISS
-		// and gate-level simulation the saturated full tier is drowning in.
-		var opts []coest.Option
-		if p.DMASize != 0 {
-			opts = append(opts, coest.WithDMASize(p.DMASize))
-		}
-		if p.MaxSimTimeNS > 0 {
-			opts = append(opts, coest.WithMaxSimTime(time.Duration(p.MaxSimTimeNS)))
-		}
-		opts = append(opts, coest.WithMacroModel())
-		points[i] = opts
-	}
-	_, dspan := telemetry.StartSpanWith(ctx, "degraded", canonicalSystem(req.System), int64(len(points)))
-	results, err := sess.EstimateBatch(ctx, points, coest.WithWorkers(1))
-	dspan.End()
-	if err != nil {
-		return nil
-	}
-	resp := &coestapi.Response{
-		Version: coestapi.Version, System: canonicalSystem(req.System),
-		Shard: s.cfg.ShardName, Warm: true,
-		Degraded: true, DegradedReason: "overloaded",
-		Points: make([]coestapi.PointResult, 0, len(results)),
-	}
-	for _, r := range results {
-		resp.Points = append(resp.Points, wirePoint(r, true))
-		mPoints.Inc()
-	}
-	mDegraded.Inc()
-	return resp
 }
 
 // statusRecorder captures the response status for metrics, access logs and
@@ -707,14 +608,13 @@ func (s *Server) finish(w *statusRecorder, r *http.Request, st *traceState, star
 	}
 }
 
-// ServeHTTP routes the estimation endpoints (POST /estimate, /batch), the
-// snapshot pair (POST /snapshot, /restore), the health probes, and the
-// trace ring.
+// ServeHTTP routes the estimation endpoint (POST /estimate), the snapshot
+// pair (POST /snapshot, /restore), the health probes, and the trace ring.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	sr := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 	var st *traceState
-	if (r.URL.Path == "/estimate" || r.URL.Path == "/batch") && s.tracing() {
+	if r.URL.Path == "/estimate" && s.tracing() {
 		st = s.startTrace(sr, r)
 		r = r.WithContext(st.ctx)
 	}
@@ -736,8 +636,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 	case "/estimate":
 		s.handleEstimate(sr, r, st)
-	case "/batch":
-		s.handleBatch(sr, r, st)
 	case "/snapshot":
 		s.handleSnapshot(sr, r, st)
 	case "/restore":
@@ -780,14 +678,44 @@ func (s *Server) writeError(w http.ResponseWriter, st *traceState, e *reqError) 
 	_ = json.NewEncoder(w).Encode(resp)
 }
 
+// Request bounds, checked before admission: validation runs ahead of the
+// drain check and the admission slot, so neither limits what it costs.
+const (
+	// maxPackets caps a request's packet count. Validation builds the
+	// system, one stimulus closure and payload per packet (~312 B each).
+	maxPackets = 4096
+	// maxBodyBytes caps the JSON body of /estimate and /snapshot.
+	maxBodyBytes = 1 << 20
+)
+
+// decodeBody decodes a JSON request body of at most maxBodyBytes: 413 when
+// it is larger, 400 when it does not decode.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) *reqError {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return nil
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return &reqError{status: http.StatusRequestEntityTooLarge, code: coestapi.CodeBadRequest,
+			msg: fmt.Sprintf("bad request: body exceeds %d bytes", maxBodyBytes)}
+	}
+	return &reqError{status: http.StatusBadRequest, code: coestapi.CodeBadRequest, msg: "bad request: " + err.Error()}
+}
+
 // validateRequest admission-checks one wire request: version negotiation
 // (400 with unsupported_version on an unknown major), then the shape checks.
+// The packet bound comes before anything is built.
 func validateRequest(req *coestapi.Request) *reqError {
 	if err := coestapi.CheckVersion(req.Version); err != nil {
 		return &reqError{status: http.StatusBadRequest, code: coestapi.CodeUnsupportedVersion, msg: err.Error()}
 	}
 	if req.DeadlineMS < 0 {
 		return &reqError{status: http.StatusBadRequest, code: coestapi.CodeBadRequest, msg: "bad request: negative deadline"}
+	}
+	if req.Packets > maxPackets {
+		return &reqError{status: http.StatusBadRequest, code: coestapi.CodeBadRequest,
+			msg: fmt.Sprintf("bad request: packets %d exceeds %d", req.Packets, maxPackets)}
 	}
 	if _, err := buildSystem(req); err != nil {
 		return &reqError{status: http.StatusBadRequest, code: coestapi.CodeBadRequest, msg: "bad request: " + err.Error()}
@@ -796,9 +724,7 @@ func validateRequest(req *coestapi.Request) *reqError {
 }
 
 // runOne executes one validated, accepted request: admission token, worker
-// handoff, and error mapping. Under overload it first tries the macro
-// fast tier (estimateDegraded); only when that cannot answer does the
-// request shed with 429. Shared by /estimate and /batch.
+// handoff, and error mapping. A saturated server sheds it with 429.
 func (s *Server) runOne(rctx context.Context, req *coestapi.Request, st *traceState) (*coestapi.Response, *reqError) {
 	deadline := s.cfg.DefaultDeadline
 	if req.DeadlineMS > 0 {
@@ -817,16 +743,9 @@ func (s *Server) runOne(rctx context.Context, req *coestapi.Request, st *traceSt
 	select {
 	case s.slots <- struct{}{}:
 	default:
-		// Backpressure: queue and workers are saturated. Answer from the
-		// degraded macro tier when it is warm; shed otherwise, so the
-		// client can retry a less-busy replica instead of piling on.
+		// Backpressure: queue and workers are saturated. Shed, so the
+		// client backs off instead of piling on.
 		admit.End(0, 0)
-		if resp := s.estimateDegraded(ctx, req); resp != nil {
-			if st != nil {
-				st.system, st.points, st.warm = resp.System, len(resp.Points), resp.Warm
-			}
-			return resp, nil
-		}
 		mRejected.Inc()
 		return nil, &reqError{status: http.StatusTooManyRequests, code: coestapi.CodeOverloaded,
 			msg: "queue full", retryAfter: s.cfg.RetryAfter}
@@ -867,8 +786,8 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request, st *trac
 		return
 	}
 	var req coestapi.Request
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, st, &reqError{status: http.StatusBadRequest, code: coestapi.CodeBadRequest, msg: "bad request: " + err.Error()})
+	if e := decodeBody(w, r, &req); e != nil {
+		s.writeError(w, st, e)
 		return
 	}
 	if e := validateRequest(&req); e != nil {
@@ -894,9 +813,6 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request, st *trac
 	}
 	respondStart := time.Now()
 	mark := telemetry.SpanScopeFrom(r.Context()).Begin("respond", "")
-	if resp.Degraded {
-		w.Header().Set(coestapi.DegradedHeader, resp.DegradedReason)
-	}
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(resp); err != nil {
 		// Response already committed; nothing more to do.
@@ -904,57 +820,6 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request, st *trac
 	}
 	mark.End(0, 0)
 	hStageRespond.Observe(time.Since(respondStart).Seconds())
-}
-
-// handleBatch estimates several designs in one round trip: each entry runs
-// the same validation/admission/fast-tier path as /estimate, with per-entry
-// error envelopes so one bad entry never fails the batch.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, st *traceState) {
-	if r.Method != http.MethodPost {
-		s.writeError(w, st, &reqError{status: http.StatusMethodNotAllowed, code: coestapi.CodeMethodNotAllowed, msg: "POST only"})
-		return
-	}
-	var breq coestapi.BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&breq); err != nil {
-		s.writeError(w, st, &reqError{status: http.StatusBadRequest, code: coestapi.CodeBadRequest, msg: "bad request: " + err.Error()})
-		return
-	}
-	if err := coestapi.CheckVersion(breq.Version); err != nil {
-		s.writeError(w, st, &reqError{status: http.StatusBadRequest, code: coestapi.CodeUnsupportedVersion, msg: err.Error()})
-		return
-	}
-	if !s.accept() {
-		mDrained.Inc()
-		s.writeError(w, st, &reqError{status: http.StatusServiceUnavailable, code: coestapi.CodeDraining,
-			msg: "draining", retryAfter: s.cfg.RetryAfter})
-		return
-	}
-	defer s.inflight.Done()
-
-	out := coestapi.BatchResponse{Version: coestapi.Version, Items: make([]coestapi.BatchItem, len(breq.Requests))}
-	for i := range breq.Requests {
-		req := breq.Requests[i]
-		out.Items[i].Index = i
-		if e := validateRequest(&req); e != nil {
-			out.Items[i].Error = &coestapi.ErrorInfo{Code: e.code, Message: e.msg, Shard: s.cfg.ShardName}
-			continue
-		}
-		resp, rerr := s.runOne(r.Context(), &req, st)
-		if rerr != nil {
-			info := coestapi.ErrorInfo{Code: rerr.code, Message: rerr.msg, Shard: s.cfg.ShardName}
-			if rerr.retryAfter > 0 {
-				info.RetryAfterMS = int(rerr.retryAfter / time.Millisecond)
-			}
-			out.Items[i].Error = &info
-			continue
-		}
-		if st != nil {
-			resp.TraceID = st.id.String()
-		}
-		out.Items[i].Response = resp
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(&out)
 }
 
 // handleSnapshot serializes one warm session. The session must already
@@ -965,8 +830,8 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, st *trac
 		return
 	}
 	var req coestapi.SnapshotRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeError(w, st, &reqError{status: http.StatusBadRequest, code: coestapi.CodeBadRequest, msg: "bad request: " + err.Error()})
+	if e := decodeBody(w, r, &req); e != nil {
+		s.writeError(w, st, e)
 		return
 	}
 	if err := coestapi.CheckVersion(req.Version); err != nil {

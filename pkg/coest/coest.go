@@ -57,7 +57,7 @@ var (
 // New; the zero value is not usable.
 //
 // A System is safe for concurrent use: every estimation entry point
-// (Estimate, Compile, NewSession, Sweep) clones the network first and
+// (Estimate, NewSession, Sweep) clones the network first and
 // simulates the clone, so the System itself is never mutated. The historic
 // "may be estimated repeatedly, but not concurrently" restriction is gone —
 // callers that built a fresh System per goroutine keep working, but no

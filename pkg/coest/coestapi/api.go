@@ -53,10 +53,6 @@ const (
 	// ParentSpanHeader carries the caller's span id (hex) — the receiving
 	// node's root request span parents under it.
 	ParentSpanHeader = "X-Coest-Parent-Span"
-	// DegradedHeader marks a 200 answer served from the macro fast tier
-	// (value = the DegradedReason), so intermediaries can count degraded
-	// answers without parsing bodies.
-	DegradedHeader = "X-Coest-Degraded"
 )
 
 // Request asks for the co-estimation of one design under one or more
@@ -77,11 +73,6 @@ type Request struct {
 	// (0 = the server default). On expiry in-flight simulation aborts
 	// mid-run and the request fails with 504.
 	DeadlineMS int `json:"deadline_ms,omitempty"`
-	// NoDegraded refuses the macro-model fast tier: under overload the
-	// request is shed with 429 instead of answered approximately. By
-	// default an overloaded node with a warm session answers from the
-	// macro tier and marks the response Degraded with its error budget.
-	NoDegraded bool `json:"no_degraded,omitempty"`
 	// Points are the configuration points to estimate.
 	Points []PointSpec `json:"points,omitempty"`
 }
@@ -108,8 +99,8 @@ type PointSpec struct {
 }
 
 // ErrorBudget is the wire form of a run's accumulated error budget — how
-// far the enabled accelerations (or a degraded macro-tier answer) may have
-// strayed from the reference estimate.
+// far the point's enabled accelerations may have strayed from the
+// reference estimate.
 type ErrorBudget struct {
 	// TotalJ is the reported total energy the bounds are relative to.
 	TotalJ float64 `json:"total_j"`
@@ -138,8 +129,8 @@ type PointResult struct {
 	ISSCalls    uint64 `json:"iss_calls,omitempty"`
 	ISSInsts    uint64 `json:"iss_insts,omitempty"`
 
-	// Budget carries the point's error budget on degraded answers (always)
-	// and on any point whose accelerations accumulated one.
+	// Budget carries the point's error budget whenever its accelerations
+	// accumulated one.
 	Budget *ErrorBudget `json:"budget,omitempty"`
 }
 
@@ -159,37 +150,8 @@ type Response struct {
 	TraceID string `json:"trace_id,omitempty"`
 	// Warm reports whether the request hit an existing session: true means
 	// zero recompilation, resynthesis or recharacterization happened.
-	Warm bool `json:"warm"`
-	// Degraded marks an answer from the macro-model fast tier: the node
-	// (or router) was overloaded, so instead of shedding it served an
-	// approximate estimate whose per-point Budget bounds the error.
-	Degraded bool `json:"degraded,omitempty"`
-	// DegradedReason says why the fast tier answered ("overloaded",
-	// "no-shard", ...), empty on full-fidelity answers.
-	DegradedReason string        `json:"degraded_reason,omitempty"`
-	Points         []PointResult `json:"points"`
-}
-
-// BatchRequest estimates several designs in one round trip. Each entry is
-// an independent Request; the router fans entries out to their owning
-// shards by design fingerprint and reassembles the replies in order.
-type BatchRequest struct {
-	Version  string    `json:"version,omitempty"`
-	Requests []Request `json:"requests"`
-}
-
-// BatchItem is one BatchRequest entry's outcome: a Response or an error
-// envelope, never both.
-type BatchItem struct {
-	Index    int        `json:"index"`
-	Response *Response  `json:"response,omitempty"`
-	Error    *ErrorInfo `json:"error,omitempty"`
-}
-
-// BatchResponse is the reply to a BatchRequest, index-ordered.
-type BatchResponse struct {
-	Version string      `json:"version"`
-	Items   []BatchItem `json:"items"`
+	Warm   bool          `json:"warm"`
+	Points []PointResult `json:"points"`
 }
 
 // SnapshotRequest selects which warm session POST /snapshot serializes.

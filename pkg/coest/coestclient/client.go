@@ -24,13 +24,10 @@ import (
 
 // Sentinel errors mapped from wire error codes; match with errors.Is.
 var (
-	// ErrOverloaded: the service shed the request (429) — every shard's
-	// queue was full and the degraded fast tier could not answer.
+	// ErrOverloaded: the service shed the request (429) — every admission
+	// slot (in-flight plus queued) of the design's shard was taken. Retry
+	// after APIError.RetryAfter.
 	ErrOverloaded = errors.New("coestclient: service overloaded")
-	// ErrDegraded: the answer came from the macro-model fast tier. Only
-	// returned by clients constructed WithRequireFull; the degraded
-	// response still accompanies the error.
-	ErrDegraded = errors.New("coestclient: degraded answer")
 	// ErrUnavailable: the service is draining, unreachable, or the request
 	// was canceled server-side.
 	ErrUnavailable = errors.New("coestclient: service unavailable")
@@ -95,9 +92,8 @@ func (e *APIError) Unwrap() error {
 // Client is a connection-reusing client bound to one service base URL. The
 // zero value is not usable; construct with New. Safe for concurrent use.
 type Client struct {
-	base        string
-	hc          *http.Client
-	requireFull bool
+	base string
+	hc   *http.Client
 }
 
 // Option configures a Client.
@@ -108,10 +104,11 @@ type Option func(*Client)
 // repeat estimations ride one TCP connection.
 func WithHTTPClient(hc *http.Client) Option { return func(c *Client) { c.hc = hc } }
 
-// WithRequireFull makes Estimate return ErrDegraded (alongside the
-// response) when the service answered from the macro fast tier, for callers
-// that must not silently consume approximate energies.
-func WithRequireFull() Option { return func(c *Client) { c.requireFull = true } }
+// WithRequireFull does nothing: every answer the service gives is the
+// estimate the request asked for, or an error.
+//
+// Deprecated: drop the option; it has no effect.
+func WithRequireFull() Option { return func(*Client) {} }
 
 // New returns a client for the service at base (e.g. http://localhost:8350).
 func New(base string, opts ...Option) *Client {
@@ -206,9 +203,7 @@ func decodeError(resp *http.Response) error {
 }
 
 // Estimate runs one estimation request. The request's Version is filled in
-// when empty. A degraded (macro fast tier) answer is returned as a normal
-// response unless the client was built WithRequireFull, in which case the
-// response is accompanied by ErrDegraded.
+// when empty.
 func (c *Client) Estimate(ctx context.Context, req coestapi.Request) (*coestapi.Response, error) {
 	if req.Version == "" {
 		req.Version = coestapi.Version
@@ -221,26 +216,6 @@ func (c *Client) Estimate(ctx context.Context, req coestapi.Request) (*coestapi.
 	}
 	var resp coestapi.Response
 	if err := c.do(ctx, "/estimate", "application/json", body, &resp); err != nil {
-		return nil, err
-	}
-	if resp.Degraded && c.requireFull {
-		return &resp, fmt.Errorf("%w: %s", ErrDegraded, resp.DegradedReason)
-	}
-	return &resp, nil
-}
-
-// EstimateBatch runs several estimation requests in one round trip. Items
-// fail individually: inspect each BatchItem's Error.
-func (c *Client) EstimateBatch(ctx context.Context, breq coestapi.BatchRequest) (*coestapi.BatchResponse, error) {
-	if breq.Version == "" {
-		breq.Version = coestapi.Version
-	}
-	body, err := json.Marshal(&breq)
-	if err != nil {
-		return nil, err
-	}
-	var resp coestapi.BatchResponse
-	if err := c.do(ctx, "/batch", "application/json", body, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil

@@ -122,30 +122,6 @@ func TestTraceHeaderAlwaysPresent(t *testing.T) {
 	}
 }
 
-// TestRequireFull: a degraded answer surfaces ErrDegraded alongside the
-// response for strict callers, and passes silently otherwise.
-func TestRequireFull(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(&coestapi.Response{
-			Version: coestapi.Version, Degraded: true, DegradedReason: "overloaded",
-		})
-	}))
-	defer srv.Close()
-
-	resp, err := New(srv.URL).Estimate(context.Background(), coestapi.Request{})
-	if err != nil || !resp.Degraded {
-		t.Fatalf("lenient client: resp %+v err %v", resp, err)
-	}
-	resp, err = New(srv.URL, WithRequireFull()).Estimate(context.Background(), coestapi.Request{})
-	if !errors.Is(err, ErrDegraded) {
-		t.Fatalf("strict client: err %v, want ErrDegraded", err)
-	}
-	if resp == nil || !resp.Degraded {
-		t.Fatal("strict client must still return the degraded response")
-	}
-}
-
 // TestClientDeadline: a request-level deadline bounds a hung connection.
 func TestClientDeadline(t *testing.T) {
 	release := make(chan struct{})

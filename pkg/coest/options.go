@@ -79,8 +79,8 @@ const (
 	scopeConfig optionScope = 1 << iota
 	// scopeRun options steer a multi-point run — worker-pool width,
 	// progress callbacks, summary aggregation. They are valid on Sweep and
-	// Session.EstimateBatch only; passing one to Estimate, Compile,
-	// NewSession or Compiled.Estimate fails with ErrOptionScope.
+	// Session.EstimateBatch only; passing one to Estimate, NewSession or
+	// Session.Estimate fails with ErrOptionScope.
 	scopeRun
 )
 
@@ -306,8 +306,8 @@ func WithWaveform(bucket time.Duration) Option {
 
 // WithWorkers bounds the worker pool of a multi-point run — Sweep or
 // Session.EstimateBatch (0 or negative = GOMAXPROCS). It is a run-level
-// option: passing it to a single estimation (Estimate, Compile, NewSession,
-// Compiled.Estimate) fails with ErrOptionScope.
+// option: passing it to a single estimation (Estimate, NewSession,
+// Session.Estimate) fails with ErrOptionScope.
 func WithWorkers(n int) Option {
 	return runOption("WithWorkers", func(st *settings) { st.workers = n })
 }

@@ -109,15 +109,6 @@ func (s *Session) SWCacheReport() []CachePathReport {
 	return last.SWCacheReport()
 }
 
-// MacroReady reports whether the process-wide macro-model characterization
-// table for this session's timing/power models is already warm. A serving
-// layer's degraded fast tier answers from the macro tier only when this is
-// true — macro estimation is only cheap once characterization has happened,
-// and an overloaded node must not start one.
-func (s *Session) MacroReady() bool {
-	return engine.MacroTableReady(s.base.Timing, s.base.Power)
-}
-
 // runConfig resolves per-run options on top of the session baseline and
 // attaches the session's persistent caches.
 func (s *Session) runConfig(call string, opts []Option) (core.Config, error) {

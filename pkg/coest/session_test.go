@@ -213,9 +213,6 @@ func TestOptionScope(t *testing.T) {
 		if _, err := coest.NewSession(sys, tc.opt); !errors.Is(err, coest.ErrOptionScope) {
 			t.Fatalf("NewSession(%s): err = %v, want ErrOptionScope", tc.name, err)
 		}
-		if _, err := coest.Compile(sys, tc.opt); !errors.Is(err, coest.ErrOptionScope) {
-			t.Fatalf("Compile(%s): err = %v, want ErrOptionScope", tc.name, err)
-		}
 	}
 	// Sweep accepts both scopes.
 	grid := coest.Grid{N: 1, Build: func(int) (*coest.System, error) { return coest.TCPIP(quickTCPIP()), nil }}
@@ -242,39 +239,39 @@ func TestSystemClone(t *testing.T) {
 	}
 }
 
-// TestCompiledReusable: Compiled is no longer single-use and its Estimate
-// takes the full per-run option list (the old API took none).
-func TestCompiledReusable(t *testing.T) {
-	c, err := coest.Compile(coest.TCPIP(quickTCPIP()))
+// TestSessionReusable: a Session exposes its synthesis artifacts, estimates
+// repeatedly, and its Estimate takes the full per-run option list.
+func TestSessionReusable(t *testing.T) {
+	sess, err := coest.NewSession(coest.TCPIP(quickTCPIP()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.SWProgram() == nil {
+	if sess.SWProgram() == nil {
 		t.Fatal("compiled system has no software program")
 	}
-	if len(c.HWNetlists()) == 0 {
+	if len(sess.HWNetlists()) == 0 {
 		t.Fatal("compiled system has no hardware netlists")
 	}
-	a, err := c.Estimate(context.Background())
+	a, err := sess.Estimate(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.Estimate(context.Background())
+	b, err := sess.Estimate(context.Background())
 	if err != nil {
-		t.Fatalf("second Estimate on Compiled: %v", err)
+		t.Fatalf("second Estimate on Session: %v", err)
 	}
 	if a.Total != b.Total {
 		t.Fatalf("repeat estimates differ: %v vs %v", a.Total, b.Total)
 	}
-	refined, err := c.Estimate(context.Background(), coest.WithDMASize(64))
+	refined, err := sess.Estimate(context.Background(), coest.WithDMASize(64))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if refined.Total == a.Total {
-		t.Fatal("Compiled.Estimate options must refine the run")
+		t.Fatal("Session.Estimate options must refine the run")
 	}
-	if _, err := c.Estimate(context.Background(), coest.WithWorkers(2)); !errors.Is(err, coest.ErrOptionScope) {
-		t.Fatalf("Compiled.Estimate(WithWorkers): err = %v, want ErrOptionScope", err)
+	if _, err := sess.Estimate(context.Background(), coest.WithWorkers(2)); !errors.Is(err, coest.ErrOptionScope) {
+		t.Fatalf("Session.Estimate(WithWorkers): err = %v, want ErrOptionScope", err)
 	}
 }
 
