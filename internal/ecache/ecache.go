@@ -8,6 +8,7 @@
 package ecache
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 
@@ -377,8 +378,18 @@ func (c *Cache) Dump() []PathStat {
 }
 
 // Load restores dumped path state into the cache (fresh caches only:
-// existing entries are overwritten, counters untouched).
-func (c *Cache) Load(paths []PathStat) {
+// existing entries are overwritten, counters untouched). Every path's
+// statistics are checked first (stats.RunningState.Validate): if one fails,
+// Load returns its error and loads nothing.
+func (c *Cache) Load(paths []PathStat) error {
+	for _, ps := range paths {
+		if err := ps.Energy.Validate(); err != nil {
+			return fmt.Errorf("ecache: path %d/%d energy: %w", ps.Key.Machine, ps.Key.Path, err)
+		}
+		if err := ps.Cycles.Validate(); err != nil {
+			return fmt.Errorf("ecache: path %d/%d cycles: %w", ps.Key.Machine, ps.Key.Path, err)
+		}
+	}
 	c.lock()
 	defer c.unlock()
 	for _, ps := range paths {
@@ -388,6 +399,7 @@ func (c *Cache) Load(paths []PathStat) {
 		e.Hits = ps.Hits
 		e.pendE, e.pendC = stats.Running{}, stats.Running{}
 	}
+	return nil
 }
 
 // Entry exposes a path's record (nil if never observed) for reporting —

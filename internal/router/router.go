@@ -31,6 +31,7 @@ import (
 	"context"
 	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -427,9 +428,8 @@ func (rt *Router) handleRestore(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, coestapi.CodeMethodNotAllowed, "POST only", 0)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 256<<20))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, coestapi.CodeBadRequest, "reading snapshot: "+err.Error(), 0)
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	var env coestapi.SnapshotEnvelope
@@ -441,6 +441,24 @@ func (rt *Router) handleRestore(w http.ResponseWriter, r *http.Request) {
 	rt.route(w, r, fp, "/restore", "application/octet-stream", body, false)
 }
 
+// readBody reads a request body of at most coestapi.MaxBodyBytes, emitting
+// the error envelope on failure: 413 when the body is larger, before any
+// shard sees it.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, coestapi.MaxBodyBytes))
+	if err == nil {
+		return body, true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, coestapi.CodeBadRequest,
+			fmt.Sprintf("bad request: body exceeds %d bytes", coestapi.MaxBodyBytes), 0)
+	} else {
+		writeError(w, http.StatusBadRequest, coestapi.CodeBadRequest, "reading request: "+err.Error(), 0)
+	}
+	return nil, false
+}
+
 // decodeRouted reads and decodes a routed POST body, emitting the error
 // envelope (including version negotiation) on failure. The raw body is
 // returned for forwarding.
@@ -450,9 +468,8 @@ func decodeRouted[T any](w http.ResponseWriter, r *http.Request) ([]byte, T, boo
 		writeError(w, http.StatusMethodNotAllowed, coestapi.CodeMethodNotAllowed, "POST only", 0)
 		return nil, req, false
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, coestapi.CodeBadRequest, "reading request: "+err.Error(), 0)
+	body, ok := readBody(w, r)
+	if !ok {
 		return nil, req, false
 	}
 	if err := json.Unmarshal(body, &req); err != nil {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -307,6 +308,28 @@ func TestVersionNegotiationAtRouter(t *testing.T) {
 	for _, s := range shards {
 		if s.hits.Load() != 0 {
 			t.Fatalf("shard %s was consulted for a request rejected at the edge", s.name)
+		}
+	}
+}
+
+// TestOversizedBodiesRefusedAtRouter: a body over coestapi.MaxBodyBytes on
+// any routed endpoint is answered at the edge with 413 and the bad_request
+// envelope, without a shard round trip.
+func TestOversizedBodiesRefusedAtRouter(t *testing.T) {
+	shards, rt := fleet(t, "a", "b")
+	huge := []byte(`{"system":"` + strings.Repeat("a", coestapi.MaxBodyBytes) + `"}`)
+	for _, path := range []string{"/estimate", "/snapshot", "/restore"} {
+		rec := httptest.NewRecorder()
+		rt.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(huge)))
+		var env coestapi.ErrorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); rec.Code != http.StatusRequestEntityTooLarge ||
+			err != nil || env.Error.Code != coestapi.CodeBadRequest {
+			t.Fatalf("POST %s: status %d, body %s", path, rec.Code, rec.Body.String())
+		}
+	}
+	for _, s := range shards {
+		if s.hits.Load() != 0 {
+			t.Fatalf("shard %s was consulted for an oversized body", s.name)
 		}
 	}
 }

@@ -5,11 +5,12 @@ import (
 	"encoding/gob"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/ecache"
 	"repro/internal/serve"
 	"repro/internal/telemetry"
 	"repro/pkg/coest/coestapi"
@@ -72,6 +73,7 @@ func TestErrorEnvelopes(t *testing.T) {
 	check("/estimate", coestapi.Request{Packets: 4097, DeadlineMS: 50}, http.StatusBadRequest, coestapi.CodeBadRequest)
 	huge := json.RawMessage(`{"system":"` + strings.Repeat("a", 1<<20) + `"}`)
 	check("/estimate", huge, http.StatusRequestEntityTooLarge, coestapi.CodeBadRequest)
+	check("/restore", huge, http.StatusRequestEntityTooLarge, coestapi.CodeBadRequest)
 	check("/snapshot", coestapi.SnapshotRequest{System: "tcpip", Packets: 99}, http.StatusNotFound, coestapi.CodeNotFound)
 	check("/nonesuch", struct{}{}, http.StatusNotFound, coestapi.CodeNotFound)
 	check("/batch", struct {
@@ -80,9 +82,10 @@ func TestErrorEnvelopes(t *testing.T) {
 }
 
 // TestSnapshotRestoreOverHTTP: a session snapshotted from one server and
-// restored into a fresh one is warm from its very first request — zero
-// compiles, zero syntheses, zero characterizations — and the restored
-// energy-cache state carries over.
+// restored into a fresh one compiles the design once at the restore — one
+// software compile and one synthesis per HW module — and is then warm from
+// its very first request, which compiles nothing; the restored energy-cache
+// state carries over.
 func TestSnapshotRestoreOverHTTP(t *testing.T) {
 	_, origin := startServer(t, serve.Config{})
 
@@ -107,14 +110,9 @@ func TestSnapshotRestoreOverHTTP(t *testing.T) {
 	macro := telemetry.Default.Counter("coest_macro_characterizations_total", "")
 	sw0, hw0, macro0 := sw.Value(), hw.Value(), macro.Value()
 
-	resp, err := http.Post(clone.URL+"/restore", "application/octet-stream", bytes.NewReader(blob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	restoredBody, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("restore: status %d: %s", resp.StatusCode, restoredBody)
+	code, restoredBody := postSnapshot(t, clone.URL, blob)
+	if code != http.StatusOK {
+		t.Fatalf("restore: status %d: %s", code, restoredBody)
 	}
 	var restored coestapi.RestoreResponse
 	if err := json.Unmarshal(restoredBody, &restored); err != nil {
@@ -126,7 +124,12 @@ func TestSnapshotRestoreOverHTTP(t *testing.T) {
 	if restored.Paths == 0 {
 		t.Fatal("restored session carried no energy-cache paths")
 	}
+	if sw.Value()-sw0 != 1 || hw.Value()-hw0 != 1 || macro.Value() != macro0 {
+		t.Fatalf("restore cost sw %d, hw %d, macro %d; want 1, 1, 0",
+			sw.Value()-sw0, hw.Value()-hw0, macro.Value()-macro0)
+	}
 
+	sw0, hw0 = sw.Value(), hw.Value()
 	code, _, first := post(t, clone.URL, req)
 	if code != http.StatusOK {
 		t.Fatalf("restored estimate: status %d", code)
@@ -135,7 +138,7 @@ func TestSnapshotRestoreOverHTTP(t *testing.T) {
 		t.Fatal("first request on the restored clone must be warm")
 	}
 	if sw.Value() != sw0 || hw.Value() != hw0 || macro.Value() != macro0 {
-		t.Fatalf("restore compiled: sw %d→%d, hw %d→%d, macro %d→%d",
+		t.Fatalf("first request on the restored clone compiled: sw %d→%d, hw %d→%d, macro %d→%d",
 			sw0, sw.Value(), hw0, hw.Value(), macro0, macro.Value())
 	}
 
@@ -149,62 +152,115 @@ func TestSnapshotRestoreOverHTTP(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsCorruptNetlist: a snapshot whose gate netlist reads a
-// net the netlist does not have is refused at POST /restore with the 400
-// error envelope, and the shard goes on serving that design — the corrupt
-// netlist never reaches a simulation.
-func TestRestoreRejectsCorruptNetlist(t *testing.T) {
-	_, origin := startServer(t, serve.Config{})
-	req := coestapi.Request{Packets: 2}
-	if code, _, _ := post(t, origin.URL, req); code != http.StatusOK {
-		t.Fatalf("origin estimate failed: %d", code)
-	}
-	code, _, blob := postRaw(t, origin.URL, "/snapshot", coestapi.SnapshotRequest{Packets: 2})
-	if code != http.StatusOK {
-		t.Fatalf("snapshot: status %d: %s", code, blob)
-	}
-
-	// Point one gate of every HW module at net 9999, behind the session
-	// snapshot's own magic and version header.
-	var env coestapi.SnapshotEnvelope
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&env); err != nil {
-		t.Fatal(err)
-	}
-	const header = 10
-	var snap struct{ Artifacts core.ArtifactsState }
-	if err := gob.NewDecoder(bytes.NewReader(env.Blob[header:])).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.Artifacts.HW) == 0 {
-		t.Fatal("snapshot carries no HW modules")
-	}
-	for _, ms := range snap.Artifacts.HW {
-		ms.N.Gates[len(ms.N.Gates)-1].Ins[0] = 9999
-	}
-	var payload bytes.Buffer
-	payload.Write(env.Blob[:header])
-	if err := gob.NewEncoder(&payload).Encode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	env.Blob = payload.Bytes()
-	var corrupt bytes.Buffer
-	if err := gob.NewEncoder(&corrupt).Encode(&env); err != nil {
-		t.Fatal(err)
-	}
-
-	_, clone := startServer(t, serve.Config{})
-	resp, err := http.Post(clone.URL+"/restore", "application/octet-stream", &corrupt)
+// postSnapshot posts a snapshot envelope to /restore.
+func postSnapshot(t *testing.T, url string, env []byte) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(url+"/restore", "application/octet-stream", bytes.NewReader(env))
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var e coestapi.ErrorResponse
-	if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(body, &e) != nil ||
-		e.Error.Code != coestapi.CodeBadRequest || !strings.Contains(e.Error.Message, "out of range") {
-		t.Fatalf("corrupt restore: status %d: %s", resp.StatusCode, body)
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if code, _, _ := post(t, clone.URL, req); code != http.StatusOK {
-		t.Fatalf("estimate after a refused restore: status %d", code)
+	return resp.StatusCode, body
+}
+
+// snapPayload mirrors the gob payload of a version-2 session snapshot,
+// which follows the snapshot's 10-byte magic and version header.
+type snapPayload struct {
+	HWWidth  int
+	Machines []struct {
+		Name        string
+		Transitions int
+	}
+	Caches []struct {
+		Params ecache.Params
+		SW, HW []ecache.PathStat
+	}
+}
+
+// TestRestoreRejectsCorruptSnapshot: a snapshot whose cache statistics no
+// run could produce, that is of another design or HW width, or that is of
+// format version 1 is refused at POST /restore with the 400 error envelope,
+// and the shard goes on serving the design.
+func TestRestoreRejectsCorruptSnapshot(t *testing.T) {
+	_, origin := startServer(t, serve.Config{})
+	snapshot := func(system string, packets int) coestapi.SnapshotEnvelope {
+		t.Helper()
+		req := coestapi.Request{System: system, Packets: packets, Points: []coestapi.PointSpec{{ECache: true}}}
+		if code, _, _ := post(t, origin.URL, req); code != http.StatusOK {
+			t.Fatalf("origin estimate of %s failed: %d", system, code)
+		}
+		code, _, blob := postRaw(t, origin.URL, "/snapshot", coestapi.SnapshotRequest{System: system, Packets: packets})
+		if code != http.StatusOK {
+			t.Fatalf("snapshot of %s: status %d: %s", system, code, blob)
+		}
+		var env coestapi.SnapshotEnvelope
+		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&env); err != nil {
+			t.Fatal(err)
+		}
+		return env
+	}
+	tcpip, prodcons := snapshot("tcpip", 2), snapshot("prodcons", 0)
+
+	// damage re-encodes the tcpip snapshot's payload after fn edits it.
+	const header = 10
+	damage := func(fn func(p *snapPayload)) []byte {
+		t.Helper()
+		var p snapPayload
+		if err := gob.NewDecoder(bytes.NewReader(tcpip.Blob[header:])).Decode(&p); err != nil {
+			t.Fatal(err)
+		}
+		if len(p.Caches) == 0 || len(p.Caches[0].SW) == 0 {
+			t.Fatal("snapshot carries no learned SW paths")
+		}
+		fn(&p)
+		var buf bytes.Buffer
+		buf.Write(tcpip.Blob[:header])
+		if err := gob.NewEncoder(&buf).Encode(&p); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	v1 := append([]byte(nil), tcpip.Blob...)
+	v1[8], v1[9] = 1, 0
+
+	cases := []struct {
+		name string
+		blob []byte
+		want string
+	}{
+		{"NaN energy mean", damage(func(p *snapPayload) { p.Caches[0].SW[0].Energy.Mean = math.NaN() }), "non-finite"},
+		{"negative M2", damage(func(p *snapPayload) { p.Caches[0].SW[0].Energy.M2 = -1 }), "negative M2"},
+		{"min above max", damage(func(p *snapPayload) {
+			e := &p.Caches[0].SW[0].Energy
+			e.Min = e.Max + 1
+		}), "above max"},
+		{"NaN cache threshold", damage(func(p *snapPayload) { p.Caches[0].Params.ThreshVariance = math.NaN() }), "NaN"},
+		{"another design", prodcons.Blob, "another design"},
+		{"HW width 0", damage(func(p *snapPayload) { p.HWWidth = 0 }), "HW width"},
+		{"version 1", v1, "format v1 not supported"},
+	}
+	_, clone := startServer(t, serve.Config{})
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			env := tcpip
+			env.Blob = c.blob
+			var body bytes.Buffer
+			if err := gob.NewEncoder(&body).Encode(&env); err != nil {
+				t.Fatal(err)
+			}
+			code, out := postSnapshot(t, clone.URL, body.Bytes())
+			var e coestapi.ErrorResponse
+			if code != http.StatusBadRequest || json.Unmarshal(out, &e) != nil ||
+				e.Error.Code != coestapi.CodeBadRequest || !strings.Contains(e.Error.Message, c.want) {
+				t.Fatalf("restore: status %d: %s, want 400 naming %q", code, out, c.want)
+			}
+			if code, _, _ := post(t, clone.URL, coestapi.Request{Packets: 2}); code != http.StatusOK {
+				t.Fatalf("estimate after a refused restore: status %d", code)
+			}
+		})
 	}
 }

@@ -678,29 +678,29 @@ func (s *Server) writeError(w http.ResponseWriter, st *traceState, e *reqError) 
 	_ = json.NewEncoder(w).Encode(resp)
 }
 
-// Request bounds, checked before admission: validation runs ahead of the
-// drain check and the admission slot, so neither limits what it costs.
-const (
-	// maxPackets caps a request's packet count. Validation builds the
-	// system, one stimulus closure and payload per packet (~312 B each).
-	maxPackets = 4096
-	// maxBodyBytes caps the JSON body of /estimate and /snapshot.
-	maxBodyBytes = 1 << 20
-)
+// maxPackets caps a request's packet count, checked before admission:
+// validation runs ahead of the drain check and the admission slot, so
+// neither limits what it costs. Validation builds the system, one stimulus
+// closure and payload per packet (~312 B each).
+const maxPackets = 4096
 
-// decodeBody decodes a JSON request body of at most maxBodyBytes: 413 when
-// it is larger, 400 when it does not decode.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) *reqError {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
-	if err == nil {
-		return nil
-	}
+// bodyError maps a failure to read or decode a request body: 413 past
+// coestapi.MaxBodyBytes, 400 otherwise.
+func bodyError(err error) *reqError {
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {
 		return &reqError{status: http.StatusRequestEntityTooLarge, code: coestapi.CodeBadRequest,
-			msg: fmt.Sprintf("bad request: body exceeds %d bytes", maxBodyBytes)}
+			msg: fmt.Sprintf("bad request: body exceeds %d bytes", coestapi.MaxBodyBytes)}
 	}
 	return &reqError{status: http.StatusBadRequest, code: coestapi.CodeBadRequest, msg: "bad request: " + err.Error()}
+}
+
+// decodeBody decodes a JSON request body of at most coestapi.MaxBodyBytes.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) *reqError {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, coestapi.MaxBodyBytes)).Decode(v); err != nil {
+		return bodyError(err)
+	}
+	return nil
 }
 
 // validateRequest admission-checks one wire request: version negotiation
@@ -858,12 +858,12 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, st *trac
 }
 
 // RestoreSnapshot installs a warm session from a snapshot envelope (the
-// bytes served by POST /snapshot): the design is rebuilt from its name, the
-// artifacts rebound without software compilation or hardware synthesis
-// (only the gate netlists are levelized, which rejects a corrupt one), and
-// the session registered under its key — unless the key is already warm, in
-// which case the existing session (and its locally learned state) wins.
-// Used by both POST /restore and the daemon's restore-on-boot.
+// bytes served by POST /snapshot): the design is rebuilt from its name and
+// compiled once (coest.RestoreSession), the snapshot's learned energy caches
+// are checked and loaded into it, and the session is registered under its
+// key — unless the key is already warm, in which case the existing session
+// (and its locally learned state) wins. Used by both POST /restore and the
+// daemon's restore-on-boot.
 func (s *Server) RestoreSnapshot(data []byte) (coestapi.RestoreResponse, error) {
 	var env coestapi.SnapshotEnvelope
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&env); err != nil {
@@ -899,9 +899,9 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request, st *trace
 		s.writeError(w, st, &reqError{status: http.StatusMethodNotAllowed, code: coestapi.CodeMethodNotAllowed, msg: "POST only"})
 		return
 	}
-	data, err := io.ReadAll(io.LimitReader(r.Body, 256<<20))
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, coestapi.MaxBodyBytes))
 	if err != nil {
-		s.writeError(w, st, &reqError{status: http.StatusBadRequest, code: coestapi.CodeBadRequest, msg: "reading snapshot: " + err.Error()})
+		s.writeError(w, st, bodyError(err))
 		return
 	}
 	resp, err := s.RestoreSnapshot(data)

@@ -116,6 +116,27 @@ func (r *Running) State() RunningState {
 	return RunningState{N: r.n, Mean: r.mean, M2: r.m2, Min: r.min, Max: r.max}
 }
 
+// Validate reports whether the state could have come from an accumulator:
+// Mean, M2, Min and Max are finite, M2 is not negative, Min does not exceed
+// Max, and an empty state is all zero. It is the check for state taken from
+// outside the process.
+func (s RunningState) Validate() error {
+	for _, v := range [...]float64{s.Mean, s.M2, s.Min, s.Max} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("stats: non-finite running state %+v", s)
+		}
+	}
+	switch {
+	case s.M2 < 0:
+		return fmt.Errorf("stats: running state has negative M2 %g", s.M2)
+	case s.Min > s.Max:
+		return fmt.Errorf("stats: running state has min %g above max %g", s.Min, s.Max)
+	case s.N == 0 && s != RunningState{}:
+		return fmt.Errorf("stats: empty running state carries values %+v", s)
+	}
+	return nil
+}
+
 // RunningFromState rebuilds an accumulator from its exported state.
 func RunningFromState(s RunningState) Running {
 	return Running{n: s.N, mean: s.Mean, m2: s.M2, min: s.Min, max: s.Max}

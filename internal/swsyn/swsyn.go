@@ -57,7 +57,6 @@ type Compiled struct {
 
 // MachineCode is the synthesized artifact for one machine.
 type MachineCode struct {
-	Index    int
 	M        *cfsm.CFSM
 	VarsBase uint32
 	InBase   uint32
@@ -129,7 +128,6 @@ func Compile(machines []*cfsm.CFSM) (*Compiled, error) {
 
 	for mi, m := range machines {
 		mc := &MachineCode{
-			Index:    mi,
 			M:        m,
 			VarsBase: DataBase + uint32(mi)*MachineStride + VarsOff,
 			InBase:   DataBase + uint32(mi)*MachineStride + InBufOff,

@@ -44,6 +44,12 @@ func CheckVersion(v string) error {
 	return nil
 }
 
+// MaxBodyBytes bounds every request body the service reads, at a shard and
+// at the router: a larger body is refused with 413 and the CodeBadRequest
+// envelope before it is decoded. A snapshot envelope of the largest design
+// in the repository is about 2 KB.
+const MaxBodyBytes = 1 << 20
+
 // Trace-propagation headers: the response always carries the request's
 // trace id; inbound values are adopted so the router can stitch one logical
 // request across fleet nodes.

@@ -132,14 +132,19 @@ func (s *Session) runConfig(call string, opts []Option) (core.Config, error) {
 	return cfg, nil
 }
 
+// newCachePair returns an empty pair, marked concurrent: batch points and
+// overlapping requests may share it.
+func newCachePair(p ECacheParams) *cachePair {
+	return &cachePair{sw: ecache.New(p).Shared(), hw: ecache.New(p).Shared()}
+}
+
 // cachePairFor returns (building on demand) the session's persistent
-// energy-cache pair for one parameter setting. The caches are marked
-// concurrent: batch points and overlapping requests may share them.
+// energy-cache pair for one parameter setting.
 func (s *Session) cachePairFor(p ECacheParams) *cachePair {
 	s.mu.Lock()
 	pair, ok := s.caches[p]
 	if !ok {
-		pair = &cachePair{sw: ecache.New(p).Shared(), hw: ecache.New(p).Shared()}
+		pair = newCachePair(p)
 		s.caches[p] = pair
 	}
 	fn := s.onPair

@@ -5,26 +5,37 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sort"
 
-	"repro/internal/core"
+	"repro/internal/cfsm"
 	"repro/internal/ecache"
 )
 
 // Snapshot container format: magic, format version, then one gob stream.
 // The version is bumped on any incompatible change to the snapshot payload;
-// ReadSnapshot rejects unknown versions rather than guessing.
+// RestoreSession rejects every other version rather than guessing.
 var snapshotMagic = [8]byte{'C', 'O', 'E', 'S', 'N', 'A', 'P', 0}
 
-// SnapshotVersion is the binary snapshot format version this build writes.
-const SnapshotVersion uint16 = 1
+// SnapshotVersion is the binary snapshot format version this build writes
+// and the only one it reads.
+const SnapshotVersion uint16 = 2
 
-// sessionSnap is the gob payload of a session snapshot. Gob skips fields
-// the payload carries but the struct lacks, so version-1 snapshots that
-// still name an estimator backend restore unchanged.
+// sessionSnap is the gob payload of a session snapshot: the learned energy
+// caches, and the identity of the design they were learned on.
 type sessionSnap struct {
-	Artifacts core.ArtifactsState
-	Caches    []cacheSnap
+	HWWidth int
+	// Machines lists the network's machines in order: cache keys name a
+	// machine by its index.
+	Machines []machineID
+	Caches   []cacheSnap
+}
+
+// machineID is the part of a machine a snapshot must agree with.
+type machineID struct {
+	Name        string
+	Transitions int
 }
 
 // cacheSnap is one persistent energy-cache pair's learned state.
@@ -33,15 +44,24 @@ type cacheSnap struct {
 	SW, HW []ecache.PathStat
 }
 
-// WriteSnapshot serializes the session's warm state — compiled artifacts
-// plus every persistent energy cache — to w as a versioned binary snapshot.
-// A fresh process that restores it (RestoreSession) starts warm: zero
-// recompilation, resynthesis or recharacterization, and the learned energy
-// paths intact.
+// machineIDs lists the identities of ms, in order.
+func machineIDs(ms []*cfsm.CFSM) []machineID {
+	out := make([]machineID, len(ms))
+	for i, m := range ms {
+		out[i] = machineID{Name: m.Name, Transitions: len(m.Transitions)}
+	}
+	return out
+}
+
+// WriteSnapshot serializes the session's learned state — every persistent
+// energy cache, with the HW width and machine list they belong to — to w as
+// a versioned binary snapshot. The compiled artifacts are not part of it: a
+// process that restores it (RestoreSession) compiles the design and starts
+// with the learned energy paths intact.
 //
 // WriteSnapshot is safe for concurrent use with estimation.
 func (s *Session) WriteSnapshot(w io.Writer) error {
-	snap := sessionSnap{Artifacts: s.art.State()}
+	snap := sessionSnap{HWWidth: s.art.HWWidth, Machines: machineIDs(s.spec.Net.Machines)}
 	s.mu.Lock()
 	params := make([]ECacheParams, 0, len(s.caches))
 	for p := range s.caches {
@@ -94,53 +114,49 @@ func readSnap(r io.Reader) (*sessionSnap, error) {
 	return &snap, nil
 }
 
-// RestoreSession rebuilds a warm session from a snapshot written by
-// WriteSnapshot. sys must be the same design the snapshot was taken from —
-// in a fleet, both sides construct it from the same named system
-// specification (BySystemName), which makes the CFSM network deterministic
-// and the artifact rebind by machine name exact. opts take the same
-// config-scope options as NewSession and must resolve to the HW width the
-// artifacts were compiled at.
+// RestoreSession builds a session of sys with NewSession and loads the
+// energy caches of a snapshot written by WriteSnapshot into it. sys must be
+// the design the snapshot was taken from — in a fleet, both sides construct
+// it from the same named system specification (BySystemName) — and opts
+// take the same config-scope options as NewSession.
 //
-// Restore performs no software compilation, hardware synthesis or
-// characterization: the session is as warm as the origin, including every
-// energy-cache path the origin had learned. It compiles each gate netlist
-// once (the levelized program warm runs share), which also rejects a
-// snapshot whose netlist could not be simulated.
+// The restored session has compiled the design once, as a cold session
+// does, and starts with every energy-cache path the origin had learned. A
+// snapshot is refused with an error when its machine list differs from
+// sys, when its HW width differs from the session's compiled width, or when
+// any cached path's statistics could not come from a real run.
 func RestoreSession(sys *System, r io.Reader, opts ...Option) (*Session, error) {
 	snap, err := readSnap(r)
 	if err != nil {
 		return nil, err
 	}
-	cfg, err := sys.configured("RestoreSession", scopeConfig, opts)
-	if err != nil {
-		return nil, err
+	if want := machineIDs(sys.spec.Net.Machines); !slices.Equal(snap.Machines, want) {
+		return nil, fmt.Errorf("coest: RestoreSession: snapshot is of another design (the system's machines are %v)", want)
 	}
-	spec := sys.spec.Clone()
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	art, err := core.ArtifactsFromState(snap.Artifacts, spec)
-	if err != nil {
-		return nil, fmt.Errorf("coest: restoring artifacts: %w", err)
-	}
-	if cfg.HWWidth != art.HWWidth {
-		return nil, fmt.Errorf(
-			"coest: RestoreSession: HW width %d differs from the snapshot's compiled width %d",
-			cfg.HWWidth, art.HWWidth)
-	}
-	s := &Session{
-		spec:   spec,
-		base:   cfg,
-		art:    art,
-		caches: make(map[ECacheParams]*cachePair),
-	}
+	caches := make(map[ECacheParams]*cachePair, len(snap.Caches))
 	for _, cs := range snap.Caches {
-		pair := &cachePair{sw: ecache.New(cs.Params).Shared(), hw: ecache.New(cs.Params).Shared()}
-		pair.sw.Load(cs.SW)
-		pair.hw.Load(cs.HW)
-		s.caches[cs.Params] = pair
+		if math.IsNaN(cs.Params.ThreshVariance) {
+			return nil, fmt.Errorf("coest: RestoreSession: snapshot cache has a NaN variance threshold")
+		}
+		pair := newCachePair(cs.Params)
+		if err := pair.sw.Load(cs.SW); err != nil {
+			return nil, fmt.Errorf("coest: RestoreSession: SW cache: %w", err)
+		}
+		if err := pair.hw.Load(cs.HW); err != nil {
+			return nil, fmt.Errorf("coest: RestoreSession: HW cache: %w", err)
+		}
+		caches[cs.Params] = pair
 	}
+	s, err := NewSession(sys, opts...)
+	if err != nil {
+		return nil, err
+	}
+	if snap.HWWidth != s.art.HWWidth {
+		return nil, fmt.Errorf(
+			"coest: RestoreSession: snapshot was taken at HW width %d, the session compiles at %d",
+			snap.HWWidth, s.art.HWWidth)
+	}
+	s.caches = caches
 	return s, nil
 }
 
