@@ -23,14 +23,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/gate"
 	"repro/internal/telemetry"
 	"repro/internal/units"
-	"repro/internal/vcd"
 	"repro/pkg/coest"
 	"repro/pkg/coest/coestapi"
 	"repro/pkg/coest/coestclient"
@@ -50,7 +48,6 @@ func main() {
 		dsp       = flag.Bool("dsp", false, "use the data-dependent DSP-flavored power model")
 		waveform  = flag.Bool("waveform", false, "record and summarize the power waveform")
 		waveCSV   = flag.String("waveform-csv", "", "write the per-component power waveform as a CSV file")
-		vcdPath   = flag.String("vcd", "", "write the per-component power waveform as a VCD file")
 		vlogDir   = flag.String("verilog", "", "export each HW block's synthesized netlist as Verilog into this directory")
 		trace     = flag.Bool("trace", false, "print the simulation master's event trace")
 		traceJSON = flag.String("trace-jsonl", "", "write the typed event stream as JSON lines to this path")
@@ -60,7 +57,6 @@ func main() {
 		breakdown = flag.Bool("breakdown", false, "print per-transition energy (functional/power correlation)")
 		asJSON    = flag.Bool("json", false, "emit the report as JSON")
 		asmDump   = flag.Bool("asm", false, "print the synthesized SPARC program listing")
-		probEst   = flag.Bool("prob", false, "print probabilistic (vectorless) power estimates for each HW block")
 		exportSys = flag.Bool("export", false, "print the system in the textual CFSM language and exit")
 		paramFile = flag.String("params", "", "macro-model parameter file (skips characterization; implies -macromodel)")
 		attribRep = flag.Bool("attrib", false, "print the hierarchical energy attribution ledger")
@@ -122,7 +118,7 @@ func main() {
 	if *shadow > 0 {
 		opts = append(opts, coest.WithShadowAudit(*shadow))
 	}
-	if *waveform || *vcdPath != "" || *waveCSV != "" {
+	if *waveform || *waveCSV != "" {
 		opts = append(opts, coest.WithWaveform(10*time.Microsecond))
 	}
 	var sinks []coest.TraceSink
@@ -186,7 +182,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cfg := sess.Config()
 	if *asmDump {
 		if prog := sess.SWProgram(); prog != nil {
 			fmt.Print(prog.Disassemble())
@@ -256,28 +251,11 @@ func main() {
 		at, peak := rep.Waveform.Peak()
 		fmt.Printf("  peak power %v at %v\n", peak, at)
 	}
-	if *vcdPath != "" && rep.Waveform != nil {
-		if err := writeVCD(*vcdPath, rep); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("  power waveform written to %s\n", *vcdPath)
-	}
 	if *waveCSV != "" && rep.Waveform != nil {
 		if err := writeWaveformCSV(*waveCSV, rep); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("  power waveform written to %s\n", *waveCSV)
-	}
-	if *probEst {
-		fmt.Println("  probabilistic HW power (uniform input statistics):")
-		for name, nl := range sess.HWNetlists() {
-			est, err := gate.EstimateProbabilistic(nl, cfg.HWVdd, gate.UniformInputs(len(nl.Inputs)))
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("    %-14s %v avg (%v/cycle, %d fixpoint iters)\n",
-				name, est.Power(cfg.HWClock), est.EnergyPerCycle, est.Iterations)
-		}
 	}
 	if *cacheRep {
 		rows := sess.SWCacheReport()
@@ -355,41 +333,6 @@ func assemble(file, system string, packets, dma, perm int) (*coest.System, []coe
 		return coest.Automotive(coest.DefaultAutomotiveParams()), opts, nil
 	}
 	return nil, nil, fmt.Errorf("unknown system %q (want tcpip, prodcons or automotive)", system)
-}
-
-// writeVCD exports the per-component power waveform as real-valued VCD
-// signals (in watts), viewable in GTKWave.
-func writeVCD(path string, rep *coest.Report) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-
-	w := vcd.NewWriter(f, rep.Waveform.Bucket)
-	names := rep.Waveform.Names()
-	sort.Strings(names)
-	vars := make(map[string]vcd.Var, len(names))
-	series := make(map[string][]units.Power, len(names))
-	maxLen := 0
-	for _, n := range names {
-		vars[n] = w.Real("power", n)
-		series[n] = rep.Waveform.Series(n)
-		if len(series[n]) > maxLen {
-			maxLen = len(series[n])
-		}
-	}
-	for i := 0; i < maxLen; i++ {
-		t := units.Time(i) * rep.Waveform.Bucket
-		for _, n := range names {
-			v := 0.0
-			if i < len(series[n]) {
-				v = float64(series[n][i])
-			}
-			w.SetReal(t, vars[n], v)
-		}
-	}
-	return w.Close()
 }
 
 // writeWaveformCSV exports the waveform through the library's CSV accessor

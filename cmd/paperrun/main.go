@@ -2,10 +2,10 @@
 // declarative experiments.json grid through pkg/coest and writes a
 // timestamped, provenance-carrying run directory under paper_runs/, then
 // groups the repeats into statistics and renders every figure and table of
-// the paper's evaluation (Fig 3 is cmd/charlib's) as Markdown. With -check
-// it diffs the fresh run against a committed baseline run and exits
-// non-zero when an answer (energies, counters, error budgets) drifts beyond
-// tolerance; wall times are reported but never gated.
+// the paper's evaluation as Markdown, the Fig 3 parameter file beside them.
+// With -check it diffs the fresh run against a committed baseline run and
+// exits non-zero when an answer (energies, counters, error budgets) drifts
+// beyond tolerance; wall times are reported but never gated.
 //
 // Examples:
 //

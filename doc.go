@@ -19,7 +19,6 @@
 // record of every table and figure. The public entry point is pkg/coest
 // (Estimate, Sweep, Session); internal/core is the co-estimation master and
 // internal/systems holds the three case studies. scripts/paper/run_all.sh
-// regenerates every figure and table through cmd/paperrun, cmd/explore runs
-// the Fig 7 design-space exploration, and the runnable examples under
-// examples/ show the intended usage.
+// regenerates every figure and table through cmd/paperrun, and the runnable
+// examples under examples/ show the intended usage.
 package repro

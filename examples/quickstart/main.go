@@ -73,8 +73,7 @@ func main() {
 
 	// 4. Co-estimate: the DE master drives the ISS for the counter and the
 	// gate-level simulator for the synthesized alarm netlist. The typed
-	// event stream goes to a JSONL trace file. (WithTelemetry is run-scope
-	// — it aggregates a multi-point Sweep, not a single Estimate.)
+	// event stream goes to a JSONL trace file.
 	tf, err := os.Create("quickstart-trace.jsonl")
 	if err != nil {
 		log.Fatal(err)

@@ -114,8 +114,8 @@ func ParseOp(name string) (OpKind, bool) {
 }
 
 // AllOps returns every macro-operation kind, in declaration order. The
-// characterization flow (cmd/charlib, internal/macromodel) iterates this to
-// build the parameter file.
+// characterization flow (internal/macromodel, paperrun's characterize kind)
+// iterates this to build the parameter file.
 func AllOps() []OpKind {
 	ops := make([]OpKind, NumOps)
 	for i := range ops {

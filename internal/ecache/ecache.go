@@ -50,8 +50,8 @@ func DefaultParams() Params {
 // the bus, next to its stall-free cycle count. That energy's spread
 // therefore follows the bus context (DMA size, arbitration, the other
 // masters' traffic) as well as operand values. Defined once so that
-// paperrun's table1, quality and serving experiments and cmd/explore
-// -ecache measure the same configuration.
+// paperrun's table1, quality and serving experiments measure the same
+// configuration.
 func Table1Params() Params {
 	return Params{ThreshVariance: 0.15, ThreshCalls: 3}
 }
@@ -328,34 +328,103 @@ func (c *Cache) ExportDelta() []PathStat {
 // whatever local observations are still pending (unpushed), so nothing is
 // counted twice as long as the global state already contains this cache's
 // exported deltas. Unknown paths are interned — this is how warmth learned
-// on one shard reaches every other shard's cache.
-func (c *Cache) MergeGlobal(global []PathStat) {
+// on one shard reaches every other shard's cache. A global state that fails
+// validation, or whose merge with the pending observations would, is
+// refused with an error and leaves the cache unchanged.
+func (c *Cache) MergeGlobal(global []PathStat) error {
+	if err := validatePaths(global); err != nil {
+		return err
+	}
 	c.lock()
 	defer c.unlock()
-	for _, ps := range global {
-		e := c.findOrCreate(ps.Key)
-		en := stats.RunningFromState(ps.Energy)
-		cy := stats.RunningFromState(ps.Cycles)
-		en.Merge(&e.pendE)
-		cy.Merge(&e.pendC)
-		e.Energy, e.Cycles = en, cy
+	merged := make([][2]stats.Running, len(global))
+	for i, ps := range global {
+		var pendE, pendC stats.Running
+		if e, _ := c.find(ps.Key, keyHash(ps.Key)); e != nil {
+			pendE, pendC = e.pendE, e.pendC
+		}
+		m := &merged[i]
+		m[0], m[1] = stats.RunningFromState(ps.Energy), stats.RunningFromState(ps.Cycles)
+		if err := mergeChecked(ps.Key, m, pendE, pendC); err != nil {
+			return err
+		}
 	}
+	for i, ps := range global {
+		e := c.findOrCreate(ps.Key)
+		e.Energy, e.Cycles = merged[i][0], merged[i][1]
+	}
+	return nil
 }
 
 // MergeDelta folds exported deltas into this cache's effective statistics —
 // the store-side half of the sync protocol. Unlike MergeGlobal it treats
 // the incoming stats as new evidence (merged in), not as a replacement
-// base, and leaves this cache's own pending accumulators untouched.
-func (c *Cache) MergeDelta(delta []PathStat) {
+// base, and leaves this cache's own pending accumulators untouched. The
+// merge is all or nothing: a delta that fails validation, or whose merge
+// would leave a path's statistics invalid, is refused with an error and the
+// cache is left unchanged, so every state the cache holds passes
+// stats.RunningState.Validate.
+func (c *Cache) MergeDelta(delta []PathStat) error {
+	if err := validatePaths(delta); err != nil {
+		return err
+	}
 	c.lock()
 	defer c.unlock()
+	// A key may repeat within one delta; stage per key so each repeat
+	// merges onto the previous one, as sequential merges would.
+	staged := make(map[Key]*[2]stats.Running, len(delta))
 	for _, ps := range delta {
-		e := c.findOrCreate(ps.Key)
-		en := stats.RunningFromState(ps.Energy)
-		cy := stats.RunningFromState(ps.Cycles)
-		e.Energy.Merge(&en)
-		e.Cycles.Merge(&cy)
+		m, ok := staged[ps.Key]
+		if !ok {
+			m = new([2]stats.Running)
+			if e, _ := c.find(ps.Key, keyHash(ps.Key)); e != nil {
+				m[0], m[1] = e.Energy, e.Cycles
+			}
+			staged[ps.Key] = m
+		}
+		if err := mergeChecked(ps.Key, m, stats.RunningFromState(ps.Energy), stats.RunningFromState(ps.Cycles)); err != nil {
+			return err
+		}
 	}
+	for _, ps := range delta {
+		m := staged[ps.Key]
+		e := c.findOrCreate(ps.Key)
+		e.Energy, e.Cycles = m[0], m[1]
+	}
+	return nil
+}
+
+// validatePaths checks every path's statistics with
+// stats.RunningState.Validate, the check for state from outside the
+// process.
+func validatePaths(paths []PathStat) error {
+	for _, ps := range paths {
+		if err := ps.Energy.Validate(); err != nil {
+			return fmt.Errorf("ecache: path %d/%d energy: %w", ps.Key.Machine, ps.Key.Path, err)
+		}
+		if err := ps.Cycles.Validate(); err != nil {
+			return fmt.Errorf("ecache: path %d/%d cycles: %w", ps.Key.Machine, ps.Key.Path, err)
+		}
+	}
+	return nil
+}
+
+// mergeChecked merges energy and cycles into m and fails when a result
+// would not pass stats.RunningState.Validate or its count would wrap: two
+// valid states can merge to an invalid one (finite means of ±1e308 have an
+// infinite difference).
+func mergeChecked(k Key, m *[2]stats.Running, energy, cycles stats.Running) error {
+	for i, o := range [2]stats.Running{energy, cycles} {
+		n := m[i].N()
+		m[i].Merge(&o)
+		if m[i].N() < n {
+			return fmt.Errorf("ecache: path %d/%d: merged count overflows", k.Machine, k.Path)
+		}
+		if err := m[i].State().Validate(); err != nil {
+			return fmt.Errorf("ecache: path %d/%d: merged state: %w", k.Machine, k.Path, err)
+		}
+	}
+	return nil
 }
 
 // Dump captures the cache's full effective per-path state for a session
@@ -382,13 +451,8 @@ func (c *Cache) Dump() []PathStat {
 // statistics are checked first (stats.RunningState.Validate): if one fails,
 // Load returns its error and loads nothing.
 func (c *Cache) Load(paths []PathStat) error {
-	for _, ps := range paths {
-		if err := ps.Energy.Validate(); err != nil {
-			return fmt.Errorf("ecache: path %d/%d energy: %w", ps.Key.Machine, ps.Key.Path, err)
-		}
-		if err := ps.Cycles.Validate(); err != nil {
-			return fmt.Errorf("ecache: path %d/%d cycles: %w", ps.Key.Machine, ps.Key.Path, err)
-		}
+	if err := validatePaths(paths); err != nil {
+		return err
 	}
 	c.lock()
 	defer c.unlock()

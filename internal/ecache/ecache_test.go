@@ -2,6 +2,7 @@ package ecache
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -252,5 +253,30 @@ func TestLoadRejectsInvalidStats(t *testing.T) {
 				t.Fatalf("a refused Load left %d paths in the cache", n)
 			}
 		})
+	}
+}
+
+// TestMergeGlobalRefusesInvalidState: a shard refuses a global state that
+// fails validation, or that would merge with its pending observations into
+// one that does, and keeps its cache unchanged.
+func TestMergeGlobalRefusesInvalidState(t *testing.T) {
+	c := New(DefaultParams())
+	c.Update(Key{Path: 1}, 90*units.Nanojoule, 10)
+	c.Update(Key{Path: 2}, 1e308, 10)
+	before := c.Dump()
+	one := func(mean float64) stats.RunningState {
+		return stats.RunningState{N: 1, Mean: mean, Min: mean, Max: mean}
+	}
+	for name, global := range map[string][]PathStat{
+		"negative M2":             {{Key: Key{Path: 1}, Energy: stats.RunningState{N: 2, M2: -1}, Cycles: one(10)}},
+		"invalid after valid":     {{Key: Key{Path: 3}, Energy: one(1e-9), Cycles: one(10)}, {Key: Key{Path: 1}, Energy: one(math.NaN()), Cycles: one(10)}},
+		"infinite merged pending": {{Key: Key{Path: 2}, Energy: one(-1e308), Cycles: one(10)}},
+	} {
+		if err := c.MergeGlobal(global); err == nil {
+			t.Errorf("%s: MergeGlobal accepted %+v", name, global)
+		}
+		if after := c.Dump(); !reflect.DeepEqual(after, before) {
+			t.Errorf("%s: refused global changed the cache:\n got %+v\nwant %+v", name, after, before)
+		}
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -91,31 +92,46 @@ func NewMemory() *Memory {
 	}
 }
 
+// ErrInvalidPush marks a Sync refused because a push carries path
+// statistics that fail validation or would merge into invalid ones. Nothing
+// of the call is applied; HTTP stores answer it with 400.
+var ErrInvalidPush = errors.New("ecachesync: invalid push")
+
 // Sync implements Store: exact Welford merge of the unapplied pushes, full
 // dump back. The store lock covers the seq check, the merge and the dump as
 // one atomic step, so concurrent retries of the same push (a timed-out sync
-// racing its own replay) cannot both apply it.
+// racing its own replay) cannot both apply it. The merge is all or nothing:
+// if any unapplied push is invalid, Sync fails with ErrInvalidPush, merges
+// nothing, does not advance the node's seq and creates no scope.
 func (m *Memory) Sync(_ context.Context, scope Scope, node string, pushes []Push) ([]ecache.PathStat, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	seq := m.applied[scope][node]
+	var paths []ecache.PathStat
+	for _, p := range pushes {
+		if p.Seq <= seq {
+			continue // already applied; a retry after a lost response
+		}
+		paths = append(paths, p.Paths...)
+		seq = p.Seq
+	}
 	c, ok := m.scopes[scope]
 	if !ok {
 		// Shared: Paths (and any future reader) dumps outside m.mu.
 		c = ecache.New(scope.Params).Shared()
+	}
+	if err := c.MergeDelta(paths); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrInvalidPush, err)
+	}
+	if !ok {
 		m.scopes[scope] = c
 		mStoreScope.Inc()
 	}
-	seqs := m.applied[scope]
-	if seqs == nil {
-		seqs = make(map[string]uint64)
-		m.applied[scope] = seqs
-	}
-	for _, p := range pushes {
-		if p.Seq <= seqs[node] {
-			continue // already applied; a retry after a lost response
+	if seq > m.applied[scope][node] {
+		if m.applied[scope] == nil {
+			m.applied[scope] = make(map[string]uint64)
 		}
-		c.MergeDelta(p.Paths)
-		seqs[node] = p.Seq
+		m.applied[scope][node] = seq
 	}
 	return c.Dump(), nil
 }
@@ -240,7 +256,12 @@ func (y *Syncer) syncOne(ctx context.Context, a *attached) error {
 		pushed += len(p.Paths)
 	}
 	a.unacked = nil
-	a.cache.MergeGlobal(global)
+	if err := a.cache.MergeGlobal(global); err != nil {
+		// The store applied the pushes; the cache keeps its own view
+		// until a later round returns a valid global state.
+		mSyncErrs.Inc()
+		return fmt.Errorf("ecachesync: scope %v: global state: %w", a.scope, err)
+	}
 	mSyncs.Inc()
 	mPushed.Add(uint64(pushed))
 	mPulled.Add(uint64(len(global)))

@@ -1,15 +1,20 @@
 package ecachesync
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
+	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/cfsm"
 	"repro/internal/ecache"
+	"repro/internal/stats"
 	"repro/internal/units"
 )
 
@@ -288,5 +293,95 @@ func TestHTTPStore(t *testing.T) {
 	}
 	if _, _, ok := cold.Lookup(key(3, 11)); !ok {
 		t.Fatal("HTTP-synced cold cache missing the warm path")
+	}
+}
+
+// primedStore returns a store holding one real shard push under
+// testScope(), from node "prime" with seq 1.
+func primedStore(t testing.TB) *Memory {
+	c := ecache.New(testScope().Params)
+	c.Update(key(0, 1), 1.0e-9, 10)
+	c.Update(key(0, 1), 1.1e-9, 11)
+	c.Update(key(1, 2), 5.0e-9, 50)
+	mem := NewMemory()
+	if _, err := mem.Sync(context.Background(), testScope(), "prime", []Push{{Seq: 1, Paths: c.ExportDelta()}}); err != nil {
+		t.Fatal(err)
+	}
+	return mem
+}
+
+// dumpAll returns every scope's global state.
+func dumpAll(m *Memory) map[Scope][]ecache.PathStat {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make(map[Scope][]ecache.PathStat, len(m.scopes))
+	for s, c := range m.scopes {
+		out[s] = c.Dump()
+	}
+	return out
+}
+
+// postSync serves one sync body through h and returns the status code.
+func postSync(h http.Handler, body []byte) int {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ecache/sync", bytes.NewReader(body)))
+	return rec.Code
+}
+
+// syncBody renders one push of paths from node as a sync request body.
+func syncBody(t *testing.T, node string, seq uint64, paths ...ecache.PathStat) []byte {
+	t.Helper()
+	b, err := json.Marshal(syncWire{Scope: testScope(), Node: node, Pushes: []Push{{Seq: seq, Paths: paths}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestSyncRefusesPoison: a push whose statistics fail validation, or would
+// merge into statistics that do, is a 400 that merges nothing and does not
+// advance the node's seq; the same node's valid push at that seq still
+// merges.
+func TestSyncRefusesPoison(t *testing.T) {
+	mem := primedStore(t)
+	h := Handler(mem)
+	before := dumpAll(mem)
+	valid := stats.RunningState{N: 1, Mean: 2e-9, Min: 2e-9, Max: 2e-9}
+	ps := func(k ecache.Key, energy stats.RunningState) ecache.PathStat {
+		return ecache.PathStat{Key: k, Energy: energy, Cycles: stats.RunningState{N: energy.N, Mean: 20, Min: 20, Max: 20}}
+	}
+	huge := func(mean float64) stats.RunningState {
+		return stats.RunningState{N: 1, Mean: mean, Min: mean, Max: mean}
+	}
+	for _, tc := range []struct {
+		name  string
+		paths []ecache.PathStat
+	}{
+		{"negative M2", []ecache.PathStat{ps(key(0, 1), stats.RunningState{N: 2, Mean: 1e-9, M2: -1e-30, Min: 1e-9, Max: 1e-9})}},
+		{"min above max", []ecache.PathStat{ps(key(0, 1), stats.RunningState{N: 2, Mean: 1e-9, Min: 2e-9, Max: 1e-9})}},
+		{"empty state with values", []ecache.PathStat{ps(key(0, 1), stats.RunningState{Mean: 1e-9, Min: 1e-9, Max: 1e-9})}},
+		// A valid path first: the refusal is all or nothing.
+		{"invalid after valid", []ecache.PathStat{ps(key(2, 3), valid), ps(key(0, 1), stats.RunningState{N: 1, M2: -1})}},
+		{"means of ±1e308", []ecache.PathStat{ps(key(2, 3), huge(1e308)), ps(key(2, 3), huge(-1e308))}},
+		{"count wraps", []ecache.PathStat{ps(key(0, 1), stats.RunningState{N: math.MaxUint64, Mean: 1e-9, Min: 1e-9, Max: 1e-9})}},
+	} {
+		if code := postSync(h, syncBody(t, "shard", 1, tc.paths...)); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", tc.name, code)
+		}
+		if after := dumpAll(mem); !reflect.DeepEqual(after, before) {
+			t.Errorf("%s: refused push changed the store:\n got %+v\nwant %+v", tc.name, after, before)
+		}
+	}
+	if code := postSync(h, syncBody(t, "shard", 1, ps(key(0, 1), valid))); code != http.StatusOK {
+		t.Fatalf("valid push after the refusals: status %d, want 200", code)
+	}
+	global, err := mem.Sync(context.Background(), testScope(), "probe", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range global {
+		if g.Key == key(0, 1) && g.Energy.N != 3 {
+			t.Fatalf("path %v holds n=%d after the valid push, want 3", g.Key, g.Energy.N)
+		}
 	}
 }

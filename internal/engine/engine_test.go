@@ -152,9 +152,6 @@ func TestRunReportsMetricsHook(t *testing.T) {
 		if m.CompactionRatio != 1 {
 			t.Fatalf("point %d: compaction off must report ratio 1, got %g", m.Index, m.CompactionRatio)
 		}
-		if m.String() == "" {
-			t.Fatal("empty metrics rendering")
-		}
 	}
 }
 

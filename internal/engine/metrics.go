@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/core"
@@ -37,30 +36,6 @@ type PointMetrics struct {
 	// Err is the point's failure, nil on success. A failed point carries no
 	// estimator metrics.
 	Err error
-}
-
-// ECacheHitRate returns hits/lookups, 0 when the cache was never consulted.
-func (m PointMetrics) ECacheHitRate() float64 {
-	if m.ECacheLookups == 0 {
-		return 0
-	}
-	return float64(m.ECacheHits) / float64(m.ECacheLookups)
-}
-
-// String renders a compact single-line progress record. A point that never
-// consulted the energy cache prints "ecache off" — a 0% hit rate means the
-// cache ran and missed, which is a different situation than not caching.
-func (m PointMetrics) String() string {
-	if m.Err != nil {
-		return fmt.Sprintf("point %d/%d failed after %v: %v", m.Index+1, m.Total, m.Wall.Round(time.Millisecond), m.Err)
-	}
-	ecache := "ecache off"
-	if m.ECacheLookups > 0 {
-		ecache = fmt.Sprintf("ecache %.0f%%", m.ECacheHitRate()*100)
-	}
-	return fmt.Sprintf("point %d/%d in %v: %d ISS insts, %d gate evals, %s, compaction %.1fx",
-		m.Index+1, m.Total, m.Wall.Round(time.Millisecond),
-		m.ISSInsts, m.GateEvals, ecache, m.CompactionRatio)
 }
 
 // Fill copies the estimator counters out of a finished report into the

@@ -96,7 +96,8 @@ func TestParamFileRoundTrip(t *testing.T) {
 }
 
 // TestFig3ParamFileExcerpt checks the shape of the Fig 3 excerpt that
-// cmd/charlib writes: the units header, delay lines and energy lines.
+// paperrun's characterize kind writes: the units header, delay lines and
+// energy lines.
 func TestFig3ParamFileExcerpt(t *testing.T) {
 	var buf bytes.Buffer
 	if err := getTable(t).ToParamFile().Write(&buf); err != nil {

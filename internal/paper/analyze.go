@@ -199,20 +199,21 @@ func fmtSpeedup(base, accel float64) string {
 
 // kindTitles maps kinds to their paper framing.
 var kindTitles = map[string]string{
-	KindSeparate:   "Fig 1(b) — separate estimation vs co-estimation",
-	KindPathEnergy: "Fig 4(b) — per-path energy run on the DSP power model (histograms in the log)",
-	KindTable1:     "Table 1 — energy & delay caching (base vs ecache)",
-	KindTable2:     "Table 2 — software power macro-modeling (base vs macro)",
-	KindTable3:     "Table 3 — statistical sampling + bus compaction (base vs sampled)",
-	KindDSE:        "Fig 7 — energy vs priority assignment × DMA size",
-	KindPartition:  "HW/SW partition exploration",
-	KindQuality:    "Estimation quality — ecache with attribution and a shadow audit (ledger, budget and audit in the log)",
-	KindServing:    "Serving warmth",
-	KindWaveform:   "Peak power",
+	KindSeparate:     "Fig 1(b) — separate estimation vs co-estimation",
+	KindCharacterize: "Fig 3 — characterized macro-operation energies (parameter file in analysis/)",
+	KindPathEnergy:   "Fig 4(b) — per-path energy run on the DSP power model (histograms in the log)",
+	KindTable1:       "Table 1 — energy & delay caching (base vs ecache)",
+	KindTable2:       "Table 2 — software power macro-modeling (base vs macro)",
+	KindTable3:       "Table 3 — statistical sampling + bus compaction (base vs sampled)",
+	KindDSE:          "Fig 7 — energy vs priority assignment × DMA size",
+	KindPartition:    "HW/SW partition exploration",
+	KindQuality:      "Estimation quality — ecache with attribution and a shadow audit (ledger, budget and audit in the log)",
+	KindServing:      "Serving warmth",
+	KindWaveform:     "Peak power",
 }
 
 // RenderTables writes the generated Markdown tables of the analysis, one
-// section per experiment in run order: Figs 1, 4 and 7, the paper's
+// section per experiment in run order: Figs 1, 3, 4 and 7, the paper's
 // Tables 1-3 (per-DMA base-vs-accelerated energy, accuracy, error budget
 // and wall-time speedup, plus the Fig 6 line for Table 2), the partition
 // and quality studies, the serving warmth table and the waveform peaks.
@@ -429,8 +430,8 @@ func (a *Analysis) renderWaveform(w io.Writer, id string) {
 }
 
 // renderVariants writes one line per variant of the single-point kinds
-// (partition, path-energy, quality) and, when there are several, the
-// lowest-energy ones.
+// (characterize, partition, path-energy, quality) and, when there are
+// several, the lowest-energy ones.
 func (a *Analysis) renderVariants(w io.Writer, id string) {
 	fmt.Fprintln(w, "| variant | DMA | energy | SW | HW | bus | sim time | budget bound |")
 	fmt.Fprintln(w, "|---|---:|---:|---:|---:|---:|---:|---:|")

@@ -1,9 +1,12 @@
 package paper
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"slices"
 	"sort"
 	"strconv"
@@ -11,6 +14,8 @@ import (
 	"repro/internal/cfsm"
 	"repro/internal/core"
 	"repro/internal/ecache"
+	"repro/internal/iss"
+	"repro/internal/macromodel"
 	"repro/internal/report"
 	"repro/internal/stats"
 	"repro/internal/systems"
@@ -63,6 +68,44 @@ func (r *Runner) runSeparate(ctx context.Context, e Experiment, log io.Writer) (
 	t.Row("co-est", energyString(rows[2].EnergyJ), energyString(rows[3].EnergyJ))
 	t.Render(log)
 	fmt.Fprintf(log, "  consumer under-estimated by %.0f%% (paper: ~62%%)\n", underPct(rows[1].EnergyJ, rows[3].EnergyJ))
+	return rows, nil
+}
+
+// runCharacterize runs the Fig 3 flow once per repeat: every
+// macro-operation is characterized on the ISS under the SPARClite timing and
+// power models. Each operation is one row, variant its mnemonic, whose
+// energy is its characterized energy. The first repeat's parameter file goes
+// to the log and to analysis/<id>.params, the file coest -params reads. The
+// kind ignores the system, packet and DMA settings.
+func (r *Runner) runCharacterize(e Experiment, log io.Writer) ([]Row, error) {
+	var params bytes.Buffer
+	rows, err := r.repeatRows(e, func(rep int) ([]Row, error) {
+		tbl, err := macromodel.Characterize(iss.SPARCliteTiming(), iss.SPARCliteModel())
+		if err != nil {
+			return nil, err
+		}
+		if rep == 0 {
+			if err := tbl.ToParamFile().Write(&params); err != nil {
+				return nil, err
+			}
+		}
+		out := make([]Row, 0, cfsm.NumOps)
+		for _, op := range cfsm.AllOps() {
+			row := r.baseRow(e, op.String(), 0, rep)
+			row.EnergyJ = tbl.Energy[op].Joules()
+			out = append(out, row)
+		}
+		return out, nil
+	})
+	if err != nil {
+		return rows, err
+	}
+	fmt.Fprintf(log, "%s (%s): parameter file of %d macro-operations on the SPARClite model\n",
+		e.ID, e.Kind, cfsm.NumOps)
+	fmt.Fprint(log, params.String())
+	if err := os.WriteFile(filepath.Join(r.dir, "analysis", e.ID+".params"), params.Bytes(), 0o644); err != nil {
+		return rows, fmt.Errorf("paper: %s: %w", e.ID, err)
+	}
 	return rows, nil
 }
 

@@ -15,7 +15,7 @@ import (
 )
 
 // ecacheParams is the Table 1 caching aggressiveness — the canonical
-// thresholds of ecache.Table1Params, which cmd/explore -ecache applies too.
+// thresholds of ecache.Table1Params.
 var ecacheParams = ecache.Table1Params()
 
 // qualityShadowRate is the share of cached serves the quality kind re-runs
@@ -57,6 +57,8 @@ func (r *Runner) runKind(ctx context.Context, e Experiment, log io.Writer) ([]Ro
 	switch e.Kind {
 	case KindSeparate:
 		return r.runSeparate(ctx, e, log)
+	case KindCharacterize:
+		return r.runCharacterize(e, log)
 	case KindPathEnergy:
 		return r.runPathEnergy(ctx, e, log)
 	case KindTable1:

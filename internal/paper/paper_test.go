@@ -7,8 +7,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/cfsm"
+	"repro/pkg/coest"
 )
 
 // tinySpec is a fast everything-kind grid for runner tests.
@@ -21,6 +25,7 @@ func tinySpec() *Spec {
 		DMASizes: []int{4, 8},
 		Experiments: []Experiment{
 			{ID: "f1", Kind: KindSeparate, System: "prodcons"},
+			{ID: "f3", Kind: KindCharacterize},
 			{ID: "f4", Kind: KindPathEnergy, Packets: 4},
 			{ID: "t1", Kind: KindTable1},
 			{ID: "t3", Kind: KindTable3},
@@ -70,6 +75,52 @@ func TestSpecValidate(t *testing.T) {
 		mutate(s)
 		if err := s.Validate(); err == nil {
 			t.Errorf("bad spec %d validated", i)
+		}
+	}
+	// The default grid regenerates every figure and table: it runs every
+	// kind.
+	for kind := range kindSystems {
+		if !slices.ContainsFunc(DefaultSpec().Experiments, func(e Experiment) bool { return e.Kind == kind }) {
+			t.Errorf("default spec has no %s experiment", kind)
+		}
+	}
+}
+
+// TestFig3ParamsDriveMacroModel: the parameter file the characterize kind
+// writes is the macro-model itself. Estimating with it gives the energy of
+// characterizing at run time, up to the nJ text round trip.
+func TestFig3ParamsDriveMacroModel(t *testing.T) {
+	spec := tinySpec()
+	e := *kindOf(spec, KindCharacterize)
+	spec.Experiments = []Experiment{e}
+	dir, err := (&Runner{Spec: spec, OutRoot: t.TempDir(), Stamp: "f3"}).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(filepath.Join(dir, "analysis", e.ID+".params"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf, err := coest.ParseParamFile(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"tcpip", "prodcons", "automotive"} {
+		sys, err := coest.BySystemName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := coest.Estimate(context.Background(), sys, coest.WithMacroModel())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := coest.Estimate(context.Background(), sys, coest.WithMacroModelParams(pf))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rel := relDiff(got.Total.Joules(), want.Total.Joules()); rel > 1e-12 {
+			t.Errorf("%s: parameter-file total %v, characterized %v (rel %.3g)", name, got.Total, want.Total, rel)
 		}
 	}
 }
@@ -338,9 +389,9 @@ func TestRunnerEndToEnd(t *testing.T) {
 	}
 	for _, f := range []string{
 		"manifest.json", "results.csv",
-		"logs/f1.log", "logs/f4.log", "logs/t1.log", "logs/t3.log", "logs/f7.log",
+		"logs/f1.log", "logs/f3.log", "logs/f4.log", "logs/t1.log", "logs/t3.log", "logs/f7.log",
 		"logs/pt.log", "logs/q.log", "logs/sv.log", "logs/wf.log",
-		"analysis/summary_grouped.csv", "analysis/tables.md", "analysis/waveform-wf.csv",
+		"analysis/summary_grouped.csv", "analysis/tables.md", "analysis/waveform-wf.csv", "analysis/f3.params",
 	} {
 		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
 			t.Errorf("missing artifact %s: %v", f, err)
@@ -351,10 +402,10 @@ func TestRunnerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Per 2 repeats: 4 separate rows, 1 path-energy row, 2 tables x 2 dma
-	// x 2 variants, 6 priorities x 2 dma, 4 partitions, 1 quality row,
-	// 4 serving variants, 1 waveform row.
-	if want := 2 * (4 + 1 + 8 + 12 + 4 + 1 + 4 + 1); len(rows) != want {
+	// Per 2 repeats: 4 separate rows, one row per macro-operation, 1
+	// path-energy row, 2 tables x 2 dma x 2 variants, 6 priorities x 2 dma,
+	// 4 partitions, 1 quality row, 4 serving variants, 1 waveform row.
+	if want := 2 * (4 + int(cfsm.NumOps) + 1 + 8 + 12 + 4 + 1 + 4 + 1); len(rows) != want {
 		t.Fatalf("got %d rows, want %d", len(rows), want)
 	}
 	for _, row := range rows {
@@ -386,7 +437,7 @@ func TestRunnerEndToEnd(t *testing.T) {
 	for _, p := range man.Phases {
 		phases[p.Name] = true
 	}
-	for _, want := range []string{"f1", "f4", "t1", "t3", "f7", "pt", "q", "sv", "wf", "analyze"} {
+	for _, want := range []string{"f1", "f3", "f4", "t1", "t3", "f7", "pt", "q", "sv", "wf", "analyze"} {
 		if !phases[want] {
 			t.Errorf("manifest missing phase %s (got %v)", want, man.Phases)
 		}
@@ -397,7 +448,7 @@ func TestRunnerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"Fig 1(b)", "Fig 4(b)", "Table 1", "Table 3", "Fig 7", "partition",
+	for _, want := range []string{"Fig 1(b)", "Fig 3", "Fig 4(b)", "Table 1", "Table 3", "Fig 7", "partition",
 		"Estimation quality", "Serving warmth", "Peak power", "run t0"} {
 		if !strings.Contains(string(tb), want) {
 			t.Errorf("tables.md missing %q", want)

@@ -14,7 +14,7 @@
 //
 // so every published number carries its configuration snapshot and live
 // error budget. The analyzer groups repeats into statistics and renders
-// Figs 1, 6 and 7, Tables 1-3, the partition, quality, serving and
+// Figs 1, 3, 6 and 7, Tables 1-3, the partition, quality, serving and
 // peak-power tables as Markdown; Check diffs a fresh run against a
 // committed baseline run with per-metric-class tolerances, turning the
 // evaluation into a regression gate.
@@ -32,6 +32,10 @@ const (
 	// KindSeparate is the Fig 1(b) motivation: the prodcons producer and
 	// consumer energies under separate estimation vs co-estimation.
 	KindSeparate = "separate"
+	// KindCharacterize is the Fig 3 characterization flow: every
+	// macro-operation measured on the ISS, one row per operation with its
+	// characterized energy, and the parameter file in analysis/<id>.params.
+	KindCharacterize = "characterize"
 	// KindPathEnergy is the Fig 4(b) caching intuition: per-path energy
 	// histograms on the data-dependent DSP power model, in the log.
 	KindPathEnergy = "path-energy"
@@ -66,16 +70,17 @@ const (
 // kindSystems is the closed set of valid experiment kinds, each with the
 // subject systems it runs on (nil: any system).
 var kindSystems = map[string][]string{
-	KindSeparate:   {"prodcons"},
-	KindPathEnergy: {"tcpip"},
-	KindTable1:     {"tcpip"},
-	KindTable2:     {"tcpip"},
-	KindTable3:     {"tcpip"},
-	KindDSE:        {"tcpip"},
-	KindPartition:  {"prodcons"},
-	KindQuality:    {"tcpip"},
-	KindServing:    nil,
-	KindWaveform:   nil,
+	KindSeparate:     {"prodcons"},
+	KindCharacterize: nil,
+	KindPathEnergy:   {"tcpip"},
+	KindTable1:       {"tcpip"},
+	KindTable2:       {"tcpip"},
+	KindTable3:       {"tcpip"},
+	KindDSE:          {"tcpip"},
+	KindPartition:    {"prodcons"},
+	KindQuality:      {"tcpip"},
+	KindServing:      nil,
+	KindWaveform:     nil,
 }
 
 // Experiment is one entry of the grid. Zero fields inherit the spec-level
@@ -87,8 +92,8 @@ type Experiment struct {
 	// Kind selects the executor (see the Kind constants).
 	Kind string `json:"kind"`
 	// System names the subject system ("tcpip", "prodcons", "automotive");
-	// every kind but serving and waveform runs on one system only (see
-	// kindSystems). Empty means tcpip.
+	// every kind but characterize, serving and waveform runs on one system
+	// only (see kindSystems). Empty means tcpip.
 	System string `json:"system,omitempty"`
 	// Packets overrides the spec-level packet count.
 	Packets int `json:"packets,omitempty"`
@@ -131,6 +136,7 @@ func DefaultSpec() *Spec {
 		DMASizes: []int{2, 4, 8, 16, 32, 64},
 		Experiments: []Experiment{
 			{ID: "fig1-separate", Kind: KindSeparate, System: "prodcons", Packets: 8},
+			{ID: "fig3-params", Kind: KindCharacterize},
 			{ID: "fig4-path-energy", Kind: KindPathEnergy, Packets: 16, DMASizes: []int{4}},
 			{ID: "table1-ecache", Kind: KindTable1},
 			{ID: "table2-macro", Kind: KindTable2},

@@ -71,6 +71,8 @@ func TestErrorEnvelopes(t *testing.T) {
 	check("/estimate", coestapi.Request{System: "nonesuch"}, http.StatusBadRequest, coestapi.CodeBadRequest)
 	// Over the packet bound: refused before anything is built.
 	check("/estimate", coestapi.Request{Packets: 4097, DeadlineMS: 50}, http.StatusBadRequest, coestapi.CodeBadRequest)
+	// Over the point bound: refused before admission.
+	check("/estimate", coestapi.Request{Packets: 2, Points: make([]coestapi.PointSpec, 257)}, http.StatusBadRequest, coestapi.CodeBadRequest)
 	huge := json.RawMessage(`{"system":"` + strings.Repeat("a", 1<<20) + `"}`)
 	check("/estimate", huge, http.StatusRequestEntityTooLarge, coestapi.CodeBadRequest)
 	check("/restore", huge, http.StatusRequestEntityTooLarge, coestapi.CodeBadRequest)

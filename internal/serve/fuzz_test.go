@@ -9,8 +9,8 @@ import (
 
 // FuzzValidateRequest feeds arbitrary bodies through the /estimate decoder
 // and validator. It must never panic, and a request it accepts must stay
-// inside the packet bound and build, so a request that passes validation
-// never fails later with a 500.
+// inside the packet and point bounds and build, so a request that passes
+// validation never fails later with a 500.
 func FuzzValidateRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req coestapi.Request
@@ -22,6 +22,9 @@ func FuzzValidateRequest(f *testing.F) {
 		}
 		if req.Packets > maxPackets {
 			t.Fatalf("accepted %d packets, bound is %d", req.Packets, maxPackets)
+		}
+		if len(req.Points) > maxPoints {
+			t.Fatalf("accepted %d points, bound is %d", len(req.Points), maxPoints)
 		}
 		if _, err := buildSystem(&req); err != nil {
 			t.Fatalf("accepted request does not build: %v", err)

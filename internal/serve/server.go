@@ -684,6 +684,12 @@ func (s *Server) writeError(w http.ResponseWriter, st *traceState, e *reqError) 
 // closure and payload per packet (~312 B each).
 const maxPackets = 4096
 
+// maxPoints caps a request's point count, checked with maxPackets before
+// admission: the client picks its own deadline, so without a bound one
+// request could hold a worker for hours. In-repo callers send one point;
+// the Fig 7 grid is 42.
+const maxPoints = 256
+
 // bodyError maps a failure to read or decode a request body: 413 past
 // coestapi.MaxBodyBytes, 400 otherwise.
 func bodyError(err error) *reqError {
@@ -705,7 +711,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) *reqError {
 
 // validateRequest admission-checks one wire request: version negotiation
 // (400 with unsupported_version on an unknown major), then the shape checks.
-// The packet bound comes before anything is built.
+// The packet and point bounds come before anything is built.
 func validateRequest(req *coestapi.Request) *reqError {
 	if err := coestapi.CheckVersion(req.Version); err != nil {
 		return &reqError{status: http.StatusBadRequest, code: coestapi.CodeUnsupportedVersion, msg: err.Error()}
@@ -716,6 +722,10 @@ func validateRequest(req *coestapi.Request) *reqError {
 	if req.Packets > maxPackets {
 		return &reqError{status: http.StatusBadRequest, code: coestapi.CodeBadRequest,
 			msg: fmt.Sprintf("bad request: packets %d exceeds %d", req.Packets, maxPackets)}
+	}
+	if len(req.Points) > maxPoints {
+		return &reqError{status: http.StatusBadRequest, code: coestapi.CodeBadRequest,
+			msg: fmt.Sprintf("bad request: %d points exceed %d", len(req.Points), maxPoints)}
 	}
 	if _, err := buildSystem(req); err != nil {
 		return &reqError{status: http.StatusBadRequest, code: coestapi.CodeBadRequest, msg: "bad request: " + err.Error()}

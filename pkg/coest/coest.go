@@ -136,7 +136,7 @@ func (s *System) Spec() *Spec { return s.spec }
 // time and fails with ErrSimTimeExceeded, never with a context error.
 //
 // Estimate accepts config-scope options only; run-level options
-// (WithWorkers, WithProgress, WithTelemetry) fail with ErrOptionScope.
+// (WithWorkers, WithProgress) fail with ErrOptionScope.
 func Estimate(ctx context.Context, sys *System, opts ...Option) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -197,7 +197,7 @@ func Sweep(ctx context.Context, grid Grid, opts ...Option) ([]PointResult, error
 		return nil, err
 	}
 	results, err := engine.RunReports(ctx, grid.N,
-		engine.Options{Workers: st.workers, OnPoint: st.pointHook()},
+		engine.Options{Workers: st.workers, OnPoint: st.onPoint},
 		func(i int) (*core.System, core.Config, error) {
 			sys, err := grid.Build(i)
 			if err != nil {

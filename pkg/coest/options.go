@@ -31,29 +31,8 @@ type settings struct {
 	cfg     *core.Config // nil when only run-level fields are harvested
 	workers int
 	onPoint func(PointMetrics)
-	summary *engine.SweepSummary
 	macro   bool // characterize-and-share a macro table at run time
 	err     error
-}
-
-// point delivers one finished point to the run-level observers (the
-// WithTelemetry summary, then the WithProgress callback). Callers serialize.
-func (st *settings) point(m PointMetrics) {
-	if st.summary != nil {
-		st.summary.Observe(m)
-	}
-	if st.onPoint != nil {
-		st.onPoint(m)
-	}
-}
-
-// pointHook returns point as an engine OnPoint hook, nil when nothing
-// observes.
-func (st *settings) pointHook() func(PointMetrics) {
-	if st.summary == nil && st.onPoint == nil {
-		return nil
-	}
-	return st.point
 }
 
 func newSettings(cfg *core.Config) *settings { return &settings{cfg: cfg} }
@@ -78,7 +57,7 @@ const (
 	// they are valid on every entry point.
 	scopeConfig optionScope = 1 << iota
 	// scopeRun options steer a multi-point run — worker-pool width,
-	// progress callbacks, summary aggregation. They are valid on Sweep and
+	// progress callbacks. They are valid on Sweep and
 	// Session.EstimateBatch only; passing one to Estimate, NewSession or
 	// Session.Estimate fails with ErrOptionScope.
 	scopeRun
@@ -87,7 +66,7 @@ const (
 // Option refines how a system is estimated. Options are applied in order;
 // later options win on conflict. Every option carries its scope: config
 // options (accelerations, deadlines, models, trace sinks) apply everywhere,
-// run options (WithWorkers, WithProgress, WithTelemetry) apply only to
+// run options (WithWorkers, WithProgress) apply only to
 // multi-point calls, and misuse is rejected with a typed ErrOptionScope
 // error instead of being silently ignored. The zero Option is a no-op.
 type Option struct {

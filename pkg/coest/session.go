@@ -72,10 +72,6 @@ func NewSession(sys *System, opts ...Option) (*Session, error) {
 	}, nil
 }
 
-// Config returns the session's resolved baseline configuration (a private
-// copy).
-func (s *Session) Config() RunConfig { return s.base.Clone() }
-
 // SWProgram returns the compiled SPARC program image of the software
 // partition, or nil when no process maps to software.
 func (s *Session) SWProgram() *Program {
@@ -225,7 +221,7 @@ func (s *Session) run(ctx context.Context, cfg core.Config) (*Report, error) {
 // engine sweep over a bounded worker pool: points[i] is the config-scope
 // option list of point i, applied on top of the batch-wide options. opts
 // accepts both scopes — config options are applied to every point, run
-// options (WithWorkers, WithProgress, WithTelemetry) steer the batch.
+// options (WithWorkers, WithProgress) steer the batch.
 //
 // Unlike Sweep, a failing point does not abort the batch: its error lands
 // in the point's PointResult.Err and the other points complete. The
@@ -258,7 +254,7 @@ func (s *Session) EstimateBatch(ctx context.Context, points [][]Option, opts ...
 	defer span.End()
 	outs, err := engine.RunOutcomes(ctx, n, engine.Options{
 		Workers:   st.workers,
-		OnPoint:   st.pointHook(),
+		OnPoint:   st.onPoint,
 		Artifacts: s.art,
 		OnRun: func(_ int, cs *core.CoSim) {
 			s.mu.Lock()

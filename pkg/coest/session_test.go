@@ -199,7 +199,6 @@ func TestOptionScope(t *testing.T) {
 	}{
 		{"WithWorkers", coest.WithWorkers(2)},
 		{"WithProgress", coest.WithProgress(func(coest.PointMetrics) {})},
-		{"WithTelemetry", coest.WithTelemetry(&coest.SweepSummary{})},
 	}
 	for _, tc := range runOnly {
 		_, err := coest.Estimate(context.Background(), sys, tc.opt)

@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/engine"
 	"repro/internal/telemetry"
 )
 
-// Observability re-exports: the typed simulation event stream and the
-// sweep-level aggregation record.
+// Observability re-exports: the typed simulation event stream.
 type (
 	// TraceEvent is one typed simulation occurrence (reaction dispatch,
 	// estimator invocation, cache hit, bus grant, ...) with its simulated
@@ -21,13 +19,6 @@ type (
 	// WithTraceSink are synchronized automatically, so one sink instance
 	// may serve a parallel Sweep; Close the sink after the run to flush.
 	TraceSink = telemetry.Sink
-
-	// SweepSummary rolls per-point metrics into a sweep-level record:
-	// wall-time histogram and extremes, total ISS instructions and gate
-	// evaluations, aggregate energy-cache hit rate, and the failed-point
-	// count. Install with WithTelemetry; read it after Sweep (or
-	// Estimate) returns.
-	SweepSummary = engine.SweepSummary
 )
 
 // NewJSONLTraceSink returns a sink writing one JSON object per event,
@@ -62,24 +53,5 @@ func WithTraceSink(sink TraceSink) Option {
 			return
 		}
 		st.config(func(c *RunConfig) { c.Sink = wrapped })
-	})
-}
-
-// WithTelemetry aggregates per-point metrics into sum as points finish:
-// after the run, sum holds the sweep-level wall-time histogram, total
-// simulation work, aggregate energy-cache hit rate and failure count.
-// Observation is serialized by the engine, so the same summary may be
-// shared with a WithProgress callback.
-//
-// WithTelemetry is a run-level option: it applies to Sweep and
-// Session.EstimateBatch; passing it to a single Estimate fails with
-// ErrOptionScope.
-func WithTelemetry(sum *SweepSummary) Option {
-	return runOption("WithTelemetry", func(st *settings) {
-		if sum == nil {
-			st.fail(fmt.Errorf("nil telemetry summary"))
-			return
-		}
-		st.summary = sum
 	})
 }

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -153,54 +152,10 @@ func TestJSONLTraceSinkOnSweep(t *testing.T) {
 	}
 }
 
-func TestWithTelemetrySummary(t *testing.T) {
-	var sum coest.SweepSummary
-	grid := coest.Grid{N: 4, Build: func(i int) (*coest.System, error) {
-		return coest.TCPIP(quickTCPIP()), nil
-	}}
-	results, err := coest.Sweep(context.Background(), grid,
-		coest.WithTelemetry(&sum), coest.WithEnergyCache())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 4 {
-		t.Fatalf("got %d results", len(results))
-	}
-	if sum.Points != 4 || sum.Failed != 0 {
-		t.Fatalf("summary: %d points, %d failed", sum.Points, sum.Failed)
-	}
-	if sum.ISSInsts == 0 || sum.ECacheLookups == 0 {
-		t.Fatalf("summary missing work totals: %+v", sum)
-	}
-	if sum.TotalWall <= 0 || sum.MaxWall < sum.MinWall {
-		t.Fatalf("summary wall stats inconsistent: %+v", sum)
-	}
-
-	// WithTelemetry is run-scope: a single Estimate rejects it with the
-	// typed scope error instead of silently ignoring it.
-	var one coest.SweepSummary
-	_, err = coest.Estimate(context.Background(), coest.TCPIP(quickTCPIP()),
-		coest.WithTelemetry(&one))
-	if !errors.Is(err, coest.ErrOptionScope) {
-		t.Fatalf("Estimate(WithTelemetry) error = %v, want ErrOptionScope", err)
-	}
-	var scope *coest.OptionScopeError
-	if !errors.As(err, &scope) || scope.Option != "WithTelemetry" || scope.Call != "Estimate" {
-		t.Fatalf("scope error detail = %+v", scope)
-	}
-}
-
 func TestWithTraceSinkNil(t *testing.T) {
 	if _, err := coest.Estimate(context.Background(), coest.TCPIP(quickTCPIP()),
 		coest.WithTraceSink(nil)); err == nil {
 		t.Fatal("nil sink must fail")
-	}
-	grid := coest.Grid{N: 1, Build: func(int) (*coest.System, error) {
-		return coest.TCPIP(quickTCPIP()), nil
-	}}
-	if _, err := coest.Sweep(context.Background(), grid,
-		coest.WithTelemetry(nil)); err == nil {
-		t.Fatal("nil summary must fail")
 	}
 }
 

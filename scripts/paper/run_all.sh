@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # run_all.sh — one-command reproduction of the paper's evaluation: Figs 1,
-# 4, 6 and 7, Tables 1-3, the partition and quality studies, serving warmth
-# and peak power (Fig 3 is cmd/charlib's).
+# 3, 4, 6 and 7, Tables 1-3, the partition and quality studies, serving
+# warmth and peak power.
 #
 # Runs the full experiments.json grid through cmd/paperrun, writing a
 # timestamped provenance-carrying run directory under paper_runs/ and
