@@ -141,6 +141,10 @@ type Bus struct {
 	trace     []Grant
 	keepTrace bool
 	trc       *telemetry.Tracer
+
+	// next is arbitrate bound once, so scheduling the next arbitration
+	// after every grant allocates nothing.
+	next func()
 }
 
 // New returns a bus attached to the kernel.
@@ -148,7 +152,9 @@ func New(k *sim.Kernel, cfg Config) (*Bus, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Bus{cfg: cfg, kernel: k, perMaster: make(map[int]*Stats)}, nil
+	b := &Bus{cfg: cfg, kernel: k, perMaster: make(map[int]*Stats)}
+	b.next = b.arbitrate
+	return b, nil
 }
 
 // MustNew is New, panicking on config errors.
@@ -296,7 +302,7 @@ func (b *Bus) arbitrate() {
 			b.kernel.At(end, done)
 		}
 	}
-	b.kernel.At(end, b.arbitrate)
+	b.kernel.At(end, b.next)
 }
 
 func mask(bits int) uint32 {

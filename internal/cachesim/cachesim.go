@@ -67,10 +67,11 @@ type line struct {
 // Cache is one set-associative LRU cache instance.
 type Cache struct {
 	cfg      Config
-	sets     [][]line
+	lines    []line // set s is lines[s*Ways : (s+1)*Ways]
 	stamp    uint64
 	stats    Stats
 	lineBits uint
+	setBits  uint
 	setMask  uint32
 }
 
@@ -85,16 +86,13 @@ func New(cfg Config) (*Cache, error) {
 	if cfg.Ways <= 0 {
 		return nil, fmt.Errorf("cachesim: ways must be positive, got %d", cfg.Ways)
 	}
-	c := &Cache{
+	return &Cache{
 		cfg:      cfg,
-		sets:     make([][]line, cfg.Sets),
+		lines:    make([]line, cfg.Sets*cfg.Ways),
 		lineBits: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		setBits:  uint(bits.TrailingZeros(uint(cfg.Sets))),
 		setMask:  uint32(cfg.Sets - 1),
-	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
-	}
-	return c, nil
+	}, nil
 }
 
 // MustNew is New, panicking on config errors.
@@ -114,11 +112,7 @@ func (c *Cache) Stats() Stats { return c.stats }
 
 // Reset invalidates all lines and clears statistics.
 func (c *Cache) Reset() {
-	for i := range c.sets {
-		for j := range c.sets[i] {
-			c.sets[i][j] = line{}
-		}
-	}
+	clear(c.lines)
 	c.stamp = 0
 	c.stats = Stats{}
 }
@@ -128,8 +122,9 @@ func (c *Cache) Access(addr uint32) bool {
 	c.stamp++
 	c.stats.Accesses++
 	lineAddr := addr >> c.lineBits
-	set := c.sets[lineAddr&c.setMask]
-	tag := lineAddr >> uint(bits.TrailingZeros(uint(c.cfg.Sets)))
+	first := int(lineAddr&c.setMask) * c.cfg.Ways
+	set := c.lines[first : first+c.cfg.Ways]
+	tag := lineAddr >> c.setBits
 
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {

@@ -101,6 +101,13 @@ type PathKey uint64
 // Reaction is the result of executing one CFSM transition — the paper's unit
 // of synchronization between the simulation master and the component power
 // estimators.
+//
+// A Reaction returned by React lives in buffers its machine owns and
+// reuses: the struct and its Ops, Emits, MemOps and Decisions slices stay
+// valid until that machine's next reaction, which overwrites them. A
+// caller that keeps a reaction past that point keeps Copy's result
+// instead. A clone of the machine (CFSM.Clone) reacts into buffers of its
+// own.
 type Reaction struct {
 	Machine   *CFSM
 	TransIdx  int
@@ -116,6 +123,17 @@ type Reaction struct {
 	// software synthesizer replays these to reconstruct the exact
 	// instruction-fetch trace of the path without invoking the ISS.
 	Decisions []int32
+}
+
+// Copy returns a reaction that owns its slices: it survives the machine's
+// later reactions.
+func (r *Reaction) Copy() *Reaction {
+	out := *r
+	out.Ops = append([]OpKind(nil), r.Ops...)
+	out.Emits = append([]Emission(nil), r.Emits...)
+	out.MemOps = append([]MemAccess(nil), r.MemOps...)
+	out.Decisions = append([]int32(nil), r.Decisions...)
+	return &out
 }
 
 type inputState struct {
@@ -138,6 +156,9 @@ type CFSM struct {
 	state  int
 	vars   []Value
 	inputs []inputState
+
+	last     Reaction // React's result buffers (see Reaction)
+	guardOps []OpKind // scratch trace of Enabled's guard evaluations
 }
 
 // Reset returns the machine to its initial state: state 0, variables at their
@@ -159,11 +180,12 @@ func (c *CFSM) State() int { return c.state }
 // VarValue returns the current value of variable v.
 func (c *CFSM) VarValue(v int) Value { return c.vars[v] }
 
-// VarSnapshot returns a copy of all variable values — the pre-reaction
-// state the simulation master captures so estimators can be re-synchronized
-// after acceleration techniques skip invocations.
-func (c *CFSM) VarSnapshot() []Value {
-	return append([]Value(nil), c.vars...)
+// AppendVars appends the current variable values to dst and returns the
+// extended slice — the pre-reaction state the simulation master captures,
+// into a buffer it reuses, so estimators can be re-synchronized after
+// acceleration techniques skip invocations.
+func (c *CFSM) AppendVars(dst []Value) []Value {
+	return append(dst, c.vars...)
 }
 
 // SetVar overrides the current value of variable v (test hook).
@@ -254,8 +276,10 @@ func (c *CFSM) Enabled() int {
 			continue
 		}
 		if tr.Guard != nil {
-			scratch := execCtx{c: c, vars: c.vars, env: NullEnv{}}
-			if tr.Guard.eval(&scratch) == 0 {
+			scratch := execCtx{c: c, vars: c.vars, env: NullEnv{}, ops: c.guardOps[:0]}
+			v := tr.Guard.eval(&scratch)
+			c.guardOps = scratch.ops
+			if v == 0 {
 				continue
 			}
 		}
@@ -269,7 +293,8 @@ func (c *CFSM) Enabled() int {
 // transition fired. Trigger events are consumed; non-trigger pending events
 // remain pending. Guard ops of the fired transition are part of the trace
 // (the generated code must evaluate them), prefixed by one ADETECT per
-// trigger event and terminated by ARET.
+// trigger event and terminated by ARET. The Reaction is the machine's own
+// buffer, valid until its next reaction (see Reaction).
 func (c *CFSM) React(env Env) (*Reaction, bool) {
 	ti := c.Enabled()
 	if ti < 0 {
@@ -277,7 +302,11 @@ func (c *CFSM) React(env Env) (*Reaction, bool) {
 	}
 	tr := c.Transitions[ti]
 
-	x := execCtx{c: c, vars: c.vars, env: env, hash: 14695981039346656037}
+	r := &c.last
+	x := execCtx{
+		c: c, vars: c.vars, env: env, hash: 14695981039346656037,
+		ops: r.Ops[:0], emits: r.Emits[:0], memops: r.MemOps[:0], decisions: r.Decisions[:0],
+	}
 	x.mix32(uint32(ti))
 	for range tr.Trigger {
 		x.trace(ADETECT)
@@ -303,7 +332,7 @@ func (c *CFSM) React(env Env) (*Reaction, bool) {
 	from := c.state
 	c.state = tr.To
 
-	return &Reaction{
+	*r = Reaction{
 		Machine:   c,
 		TransIdx:  ti,
 		FromState: from,
@@ -313,7 +342,8 @@ func (c *CFSM) React(env Env) (*Reaction, bool) {
 		Emits:     x.emits,
 		MemOps:    x.memops,
 		Decisions: x.decisions,
-	}, true
+	}
+	return r, true
 }
 
 func execBlock(b []Stmt, x *execCtx) {

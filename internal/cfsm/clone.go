@@ -5,6 +5,9 @@ package cfsm
 // runtime state (current state, variable values, pending input events) is
 // copied. Cloning an in-flight machine captures its state at that instant;
 // cloning a freshly Reset machine yields a machine ready for a fresh run.
+// The clone shares none of the reaction buffers (see Reaction): its first
+// reaction allocates its own, and the original's last Reaction stays as
+// it was.
 //
 // The specification slices must not be mutated after construction — that is
 // already the package-wide contract (the synthesizers and the simulation
@@ -14,6 +17,8 @@ func (c *CFSM) Clone() *CFSM {
 	out := *c
 	out.vars = append([]Value(nil), c.vars...)
 	out.inputs = append([]inputState(nil), c.inputs...)
+	out.last = Reaction{}
+	out.guardOps = nil
 	return &out
 }
 

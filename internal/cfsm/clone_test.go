@@ -1,6 +1,9 @@
 package cfsm
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // cloneTestMachine builds a two-state machine with one input, one output and
 // one variable, mirroring the shape the builders produce.
@@ -79,5 +82,34 @@ func TestNetCloneSharesWiringClonesMachines(t *testing.T) {
 	c.Machines[0].Post(0, 3)
 	if n.Machines[0].Pending(0) {
 		t.Fatalf("posting to clone leaked into original")
+	}
+}
+
+// TestCloneSharesNoReactionBuffers pins the lifetime rule of React's
+// reused buffers across Clone: a clone reacting into its own buffers must
+// leave the original's last Reaction exactly as the original produced it.
+func TestCloneSharesNoReactionBuffers(t *testing.T) {
+	m := cloneTestMachine(t, "m")
+	m.Post(0, 7)
+	r, ok := m.React(NullEnv{})
+	if !ok {
+		t.Fatal("original did not react")
+	}
+	want := r.Copy()
+
+	c := m.Clone()
+	c.Post(0, 9)
+	cr, ok := c.React(NullEnv{})
+	if !ok {
+		t.Fatal("clone did not react")
+	}
+	if cr == r || cr.Machine != c {
+		t.Fatalf("clone returned the original's reaction (machine %p, original %p)", cr.Machine, m)
+	}
+	if cr.TransIdx == r.TransIdx {
+		t.Fatalf("clone fired the original's transition %d; the test needs a different one", r.TransIdx)
+	}
+	if !reflect.DeepEqual(r, want) {
+		t.Fatalf("clone's reaction changed the original's last reaction:\n got %+v\nwant %+v", r, want)
 	}
 }

@@ -2,9 +2,12 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
+	"repro/internal/cachesim"
 	"repro/internal/cfsm"
 	"repro/internal/hwsyn"
+	"repro/internal/iss"
 	"repro/internal/swsyn"
 )
 
@@ -35,13 +38,19 @@ type Artifacts struct {
 	HWWidth int
 	Image   *swsyn.Compiled          // nil when no process maps to software
 	HW      map[string]*hwsyn.Module // by machine name
+
+	// boot is Image made ready for the ISS: its text predecoded under the
+	// compiling run's timing model, and the initialized SPARC memory
+	// (program words, variables, event buffers) every run starts from.
+	// A run under another timing model builds its own.
+	boot *iss.Image
 }
 
 // Artifacts extracts the synthesis products of a built co-simulation for
 // reuse by later runs via NewShared. The returned artifacts reference the
 // CoSim's machines until rebound; treat them as read-only.
 func (cs *CoSim) Artifacts() *Artifacts {
-	a := &Artifacts{HWWidth: cs.cfg.HWWidth, Image: cs.image}
+	a := &Artifacts{HWWidth: cs.cfg.HWWidth, Image: cs.image, boot: cs.boot}
 	if len(cs.hw) > 0 {
 		a.HW = make(map[string]*hwsyn.Module, len(cs.hw))
 		for mi, ex := range cs.hw {
@@ -73,4 +82,43 @@ func rebindHW(art *Artifacts, m *cfsm.CFSM, cfg *Config) (*hwsyn.Module, error) 
 	}
 	mHWSyntheses.Inc()
 	return hwsyn.Synthesize(m, hwsyn.Config{Width: cfg.HWWidth})
+}
+
+// A finished run's ISS memory, with its pages, and its I-cache simulator
+// go back to these pools, and the next run, of any session or design,
+// takes them and resets them: iss.CPU.LoadImage copies the boot memory
+// over the recycled pages and cachesim.Cache.Reset empties the sets. A
+// sync.Pool lets the garbage collector free what no run takes back.
+var (
+	memPool   sync.Pool // *iss.Mem
+	cachePool sync.Pool // *cachesim.Cache
+)
+
+func takeMem() *iss.Mem {
+	if m, ok := memPool.Get().(*iss.Mem); ok {
+		return m
+	}
+	return iss.NewMem()
+}
+
+// takeCache returns an empty I-cache simulator of configuration cfg.
+func takeCache(cfg cachesim.Config) (*cachesim.Cache, error) {
+	if c, ok := cachePool.Get().(*cachesim.Cache); ok && c.Config() == cfg {
+		c.Reset()
+		return c, nil
+	}
+	return cachesim.New(cfg)
+}
+
+// recycle hands the finished run's ISS memory and I-cache simulator back to
+// the pools. The run keeps no reference to either: its report has already
+// copied out what it needs of them.
+func (cs *CoSim) recycle() {
+	if cs.cpu != nil {
+		memPool.Put(cs.cpu.Mem)
+	}
+	if cs.icache != nil {
+		cachePool.Put(cs.icache)
+	}
+	cs.cpu, cs.icache = nil, nil
 }

@@ -70,6 +70,26 @@ type recorded struct {
 	preVars []cfsm.Value
 }
 
+// record captures reaction r of machine mi, and the variables before it,
+// for the separate-estimation baseline. It keeps owned copies: r and
+// preVars live in the machine's buffers, which its next reaction reuses.
+func (cs *CoSim) record(mi int, r *cfsm.Reaction, preVars []cfsm.Value) {
+	cs.trace = append(cs.trace, recorded{
+		machine: mi,
+		r:       r.Copy(),
+		preVars: append([]cfsm.Value(nil), preVars...),
+	})
+}
+
+// machineBufs are one machine's buffers, reused by each of its reactions.
+// Like the reaction itself (cfsm.Reaction), what they hold is valid until
+// the machine's next reaction.
+type machineBufs struct {
+	preVars []cfsm.Value // the variables before the reaction
+	groups  []busGroup   // the reaction's MemOps coalesced into transfers
+	words   []uint32     // the data words the groups slice into
+}
+
 // CoSim is one configured co-estimation run.
 type CoSim struct {
 	cfg Config
@@ -82,6 +102,7 @@ type CoSim struct {
 	sched  *rtos.Scheduler
 	cpu    *iss.CPU
 	image  *swsyn.Compiled
+	boot   *iss.Image // image made ready for cpu (see Artifacts.boot)
 
 	procs  []ProcessConfig // by machine index
 	swIdx  map[int]int     // machine index -> image machine index
@@ -132,6 +153,15 @@ type CoSim struct {
 
 	envOut []ObservedEvent
 	trace  []recorded // Separate mode only
+
+	// Run-owned buffers and free lists the master reuses reaction after
+	// reaction, so a warm run allocates only while they grow.
+	bufs           []machineBufs // by machine index
+	fetch          []swsyn.Range // the I-fetch trace of the current reaction
+	outbox         []cfsm.Emission
+	freeJobs       []*swJob
+	freeReqs       []*swBusReq
+	freeDeliveries []*delivery
 
 	sepBusEnergy units.Energy
 	sepBusStats  bus.Stats
@@ -189,6 +219,7 @@ func NewShared(sys *System, cfg Config, art *Artifacts) (*CoSim, error) {
 	cs.trc = telemetry.NewTracer(sink)
 	cs.audit = audit.New(cfg.ShadowAudit)
 	n := len(sys.Net.Machines)
+	cs.bufs = make([]machineBufs, n)
 	cs.procs = make([]ProcessConfig, n)
 	cs.machineEnergy = make([]units.Energy, n)
 	cs.machineWait = make([]units.Energy, n)
@@ -220,18 +251,22 @@ func NewShared(sys *System, cfg Config, art *Artifacts) (*CoSim, error) {
 		}
 	}
 
-	// Software synthesis + ISS (or a rebind of the session's shared image).
+	// Software synthesis + ISS (or a rebind of the session's shared image,
+	// started from the session's boot image), in a recycled memory.
 	if len(swMachines) > 0 {
 		img, err := rebindSW(art, swMachines)
 		if err != nil {
 			return nil, err
 		}
 		cs.image = img
-		mem := iss.NewMem()
-		cs.cpu = iss.New(cfg.Timing, cfg.Power, mem)
+		if art != nil && art.boot != nil && art.boot.Timing == cfg.Timing {
+			cs.boot = art.boot
+		} else {
+			cs.boot = iss.NewImage(img.Prog, cfg.Timing, img.InitMemory)
+		}
+		cs.cpu = iss.New(cfg.Timing, cfg.Power, takeMem())
 		cs.cpu.Reset(swsyn.StackTop)
-		cs.cpu.LoadProgram(img.Prog)
-		img.InitMemory(mem)
+		cs.cpu.LoadImage(cs.boot)
 	}
 
 	// Hardware synthesis + gate simulators (modules may come rebound from
@@ -272,7 +307,7 @@ func NewShared(sys *System, cfg Config, art *Artifacts) (*CoSim, error) {
 	}
 
 	if cfg.ICache {
-		c, err := cachesim.New(cfg.ICacheCfg)
+		c, err := takeCache(cfg.ICacheCfg)
 		if err != nil {
 			return nil, err
 		}
@@ -472,13 +507,32 @@ func (cs *CoSim) deliver(srcMachine int, r *cfsm.Reaction) {
 			cs.envOut = append(cs.envOut, ObservedEvent{Name: name, Time: now, Value: em.Value})
 		}
 		for _, d := range cs.sys.Net.Fanout(srcMachine, em.Port) {
-			d, v := d, em.Value
-			cs.kernel.After(cs.cfg.EventDelay, func() {
-				cs.sys.Net.Machines[d.Machine].Post(d.Port, v)
-				cs.activate(d.Machine)
-			})
+			dv := reuse(&cs.freeDeliveries)
+			if dv == nil {
+				dv = &delivery{cs: cs}
+				dv.fire = dv.arrive
+			}
+			dv.dest, dv.v = d, em.Value
+			cs.kernel.After(cs.cfg.EventDelay, dv.fire)
 		}
 	}
+}
+
+// delivery is one emitted event on its way to a destination port. It is
+// recycled through CoSim.freeDeliveries; fire is arrive bound once, when
+// the record is made.
+type delivery struct {
+	cs   *CoSim
+	dest cfsm.Dest
+	v    cfsm.Value
+	fire func()
+}
+
+func (dv *delivery) arrive() {
+	cs, d, v := dv.cs, dv.dest, dv.v
+	cs.freeDeliveries = append(cs.freeDeliveries, dv)
+	cs.sys.Net.Machines[d.Machine].Post(d.Port, v)
+	cs.activate(d.Machine)
 }
 
 // busGroup is one coalesced run of a reaction's memory accesses.
@@ -488,18 +542,28 @@ type busGroup struct {
 	write bool
 }
 
-func groupMemOps(ops []cfsm.MemAccess) []busGroup {
-	var out []busGroup
+// groupMemOps coalesces a reaction's memory accesses into bus transfers:
+// each run of same-direction accesses to consecutive words is one group.
+// The groups and their data are built in b's buffers.
+func (b *machineBufs) groupMemOps(ops []cfsm.MemAccess) []busGroup {
+	b.words = b.words[:0]
 	for _, op := range ops {
-		n := len(out)
-		if n > 0 && out[n-1].write == op.Write &&
-			op.Addr == out[n-1].addr+uint32(len(out[n-1].data)) {
-			out[n-1].data = append(out[n-1].data, uint32(op.Data))
-			continue
-		}
-		out = append(out, busGroup{addr: op.Addr, data: []uint32{uint32(op.Data)}, write: op.Write})
+		b.words = append(b.words, uint32(op.Data))
 	}
-	return out
+	b.groups = b.groups[:0]
+	start := 0
+	for i, op := range ops {
+		if n := len(b.groups); n > 0 {
+			g := &b.groups[n-1]
+			if g.write == op.Write && op.Addr == g.addr+uint32(len(g.data)) {
+				g.data = b.words[start : i+1 : i+1]
+				continue
+			}
+		}
+		start = i
+		b.groups = append(b.groups, busGroup{addr: op.Addr, data: b.words[i : i+1 : i+1], write: op.Write})
+	}
+	return b.groups
 }
 
 // Run executes the co-estimation and returns the report.
@@ -522,6 +586,7 @@ func (cs *CoSim) RunContext(ctx context.Context) (*Report, error) {
 		return nil, fmt.Errorf("core: run not started: %w", context.Cause(ctx))
 	}
 	mRuns.Inc()
+	defer cs.recycle()
 	cs.spans = telemetry.SpanScopeFrom(ctx)
 	cs.scheduleStimuli()
 	interrupted := cs.kernel.RunUntilInterrupted(cs.cfg.MaxSimTime, ctx.Done())

@@ -26,7 +26,9 @@ func (cs *CoSim) startHW(mi int, ex *hwExec) {
 	if m.Enabled() < 0 {
 		return
 	}
-	preVars := m.VarSnapshot()
+	b := &cs.bufs[mi]
+	b.preVars = m.AppendVars(b.preVars[:0])
+	preVars := b.preVars
 	r, ok := m.React(cs.shared)
 	if !ok {
 		return
@@ -36,7 +38,7 @@ func (cs *CoSim) startHW(mi int, ex *hwExec) {
 	cs.emitReaction(mi, r, 0, 0, 0)
 
 	if cs.cfg.Mode == Separate {
-		cs.trace = append(cs.trace, recorded{machine: mi, r: r, preVars: preVars})
+		cs.record(mi, r, preVars)
 		cs.deliver(mi, r)
 		if m.Enabled() >= 0 {
 			cs.kernel.After(0, func() { cs.startHW(mi, ex) })
@@ -292,7 +294,7 @@ func (cs *CoSim) finishHW(mi int, ex *hwExec, r *cfsm.Reaction, lumpCycles uint6
 			onZero()
 		}
 	}
-	for _, g := range groupMemOps(r.MemOps) {
+	for _, g := range cs.bufs[mi].groupMemOps(r.MemOps) {
 		outstanding++
 		cs.bus.Submit(&bus.Request{
 			Master: mi, Addr: g.addr * 4, Data: g.data, Write: g.write,

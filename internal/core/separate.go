@@ -19,18 +19,12 @@ func (cs *CoSim) separateEstimate() error {
 		if cs.procs[mi].Mapping == SW {
 			cycles, energy := cs.runISS(mi, rec.r, rec.preVars)
 			if cs.icache != nil {
-				before := cs.icache.Stats()
-				mc := cs.image.Machines[cs.swIdx[mi]]
-				ranges, err := mc.FetchTrace(rec.r)
+				missCycles, ce, err := cs.feedICache(mi, rec.r)
 				if err != nil {
 					return err
 				}
-				for _, rg := range ranges {
-					cs.icache.AccessRange(rg.Start, rg.End)
-				}
-				d := cs.icache.Stats()
-				cycles += d.Cycles - before.Cycles
-				cs.cacheEnergy += d.Energy - before.Energy
+				cycles += missCycles
+				cs.cacheEnergy += ce
 			}
 			cs.machineCycles[mi] += cycles
 			cs.machineEnergy[mi] += energy
@@ -59,7 +53,8 @@ func (cs *CoSim) separateEstimate() error {
 	perMaster := map[int][]busGroup{}
 	var order []int
 	for _, rec := range cs.trace {
-		gs := groupMemOps(rec.r.MemOps)
+		var b machineBufs // the groups outlive this iteration
+		gs := b.groupMemOps(rec.r.MemOps)
 		if len(gs) == 0 {
 			continue
 		}

@@ -14,34 +14,75 @@ import (
 // word-addressed store all machines see through cfsm.Env. Timing and energy
 // of the accesses are accounted separately by the bus model from each
 // reaction's MemOps trace.
+//
+// Words below denseWords live in a slice that grows to the highest one
+// written; the case-study systems address a few hundred words. A model
+// that computes a wilder address costs a map entry, not a huge slice.
 type SharedMemory struct {
-	words  map[uint32]cfsm.Value
+	words  []cfsm.Value
+	high   map[uint32]cfsm.Value // words at denseWords and above
 	reads  uint64
 	writes uint64
 }
 
+// denseWords bounds the slice-backed part of SharedMemory: 64 Ki words
+// (256 KiB) from address 0.
+const denseWords = 1 << 16
+
 // NewSharedMemory returns an empty memory (all words zero).
 func NewSharedMemory() *SharedMemory {
-	return &SharedMemory{words: make(map[uint32]cfsm.Value)}
+	return &SharedMemory{}
 }
 
 // MemRead implements cfsm.Env.
 func (m *SharedMemory) MemRead(addr uint32) cfsm.Value {
 	m.reads++
-	return m.words[addr]
+	return m.Peek(addr)
 }
 
 // MemWrite implements cfsm.Env.
 func (m *SharedMemory) MemWrite(addr uint32, v cfsm.Value) {
 	m.writes++
-	m.words[addr] = v
+	m.Poke(addr, v)
 }
 
 // Peek reads without counting (test/setup access).
-func (m *SharedMemory) Peek(addr uint32) cfsm.Value { return m.words[addr] }
+func (m *SharedMemory) Peek(addr uint32) cfsm.Value {
+	if addr < uint32(len(m.words)) {
+		return m.words[addr]
+	}
+	if addr < denseWords {
+		return 0
+	}
+	return m.high[addr]
+}
 
 // Poke writes without counting (environment/setup access).
-func (m *SharedMemory) Poke(addr uint32, v cfsm.Value) { m.words[addr] = v }
+func (m *SharedMemory) Poke(addr uint32, v cfsm.Value) {
+	switch {
+	case addr < uint32(len(m.words)):
+		m.words[addr] = v
+	case addr < denseWords:
+		m.grow(int(addr) + 1)
+		m.words[addr] = v
+	default:
+		if m.high == nil {
+			m.high = make(map[uint32]cfsm.Value)
+		}
+		m.high[addr] = v
+	}
+}
+
+// grow extends the dense words to n. Storage at least doubles, from 1 Ki
+// words, so a run's writes reallocate it a few times at most.
+func (m *SharedMemory) grow(n int) {
+	if n > cap(m.words) {
+		w := make([]cfsm.Value, n, max(n, 2*cap(m.words), 1024))
+		copy(w, m.words)
+		m.words = w
+	}
+	m.words = m.words[:n]
+}
 
 // Accesses returns the behavioral read/write counts.
 func (m *SharedMemory) Accesses() (reads, writes uint64) { return m.reads, m.writes }

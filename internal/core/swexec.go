@@ -29,119 +29,180 @@ const (
 // is held through the reaction's bus transfers (programmed I/O), and the
 // emissions are delivered when the transfers complete.
 func (cs *CoSim) activateSW(mi int) {
-	m := cs.sys.Net.Machines[mi]
-	var r *cfsm.Reaction
-	var busLeft int // outstanding bus groups of this reaction
-	var cpuDone bool
-	var cpuEnd units.Time
-	var finish func()
-	job := &rtos.Job{
-		ID:       mi,
-		Priority: cs.procs[mi].Priority,
-		Hold:     true,
-		Service: func() units.Time {
-			r = nil
-			if m.Enabled() < 0 {
-				return 0 // events were consumed by an earlier dispatch
-			}
-			preVars := m.VarSnapshot()
-			rr, ok := m.React(cs.shared)
-			if !ok {
-				return 0
-			}
-			r = rr
-			cs.machineReact[mi]++
-			mReactions.Inc()
-			if m.Enabled() >= 0 {
-				// Other pending events can fire further transitions.
-				cs.activateSW(mi)
-			}
-
-			if cs.cfg.Mode == Separate {
-				cs.emitReaction(mi, rr, 0, 0, 0)
-				cs.trace = append(cs.trace, recorded{machine: mi, r: rr, preVars: preVars})
-				finish = func() {
-					cs.deliver(mi, rr)
-					cs.sched.Release()
-				}
-				return 0
-			}
-
-			cycles, energy, src := cs.estimateSW(mi, rr, preVars)
-			cs.emitAttrib(mi, src, uint64(rr.Path), energy)
-
-			// Fast instruction-cache simulation, fed by the master from the
-			// statically reconstructed path trace (never from the ISS).
-			if cs.icache != nil {
-				before := cs.icache.Stats()
-				mc := cs.image.Machines[cs.swIdx[mi]]
-				ranges, err := mc.FetchTrace(rr)
-				if err != nil {
-					cs.fail(err)
-					return 0
-				}
-				for _, rg := range ranges {
-					cs.icache.AccessRange(rg.Start, rg.End)
-				}
-				d := cs.icache.Stats()
-				cycles += d.Cycles - before.Cycles
-				ce := d.Energy - before.Energy
-				cs.cacheEnergy += ce
-				cs.wave.Add("icache", cs.kernel.Now(), ce)
-				cs.emitAttrib(mi, srcICache, uint64(rr.Path), ce)
-			}
-
-			cs.machineCycles[mi] += cycles
-			cs.machineEnergy[mi] += energy
-			cs.transEnergy[mi][rr.TransIdx] += energy
-			cs.transCount[mi][rr.TransIdx]++
-			cs.wave.Add(m.Name, cs.kernel.Now(), energy)
-
-			// Issue the reaction's bus transfers now: loads and stores
-			// interleave with the computation, so they contend with other
-			// masters in real time. The reaction completes when both the
-			// CPU phase and the last transfer finish.
-			cpuDur := units.Time(cycles) * cs.cfg.Timing.Clock.Period()
-			cs.emitReaction(mi, rr, cycles, energy, cpuDur)
-			finish = func() {
-				if wait := cs.kernel.Now() - cpuEnd; wait > 0 {
-					// The CPU stalls on its outstanding transfers.
-					we := units.Energy(float64(cs.cfg.CPUIdle) * wait.Seconds())
-					cs.machineWait[mi] += we
-					cs.wave.Add(m.Name, cs.kernel.Now(), we)
-					cs.emitAttrib(mi, srcWait, 0, we)
-				}
-				cs.deliver(mi, rr)
-				cs.sched.Release()
-			}
-			groups := groupMemOps(rr.MemOps)
-			busLeft = len(groups)
-			for _, g := range groups {
-				cs.bus.Submit(&bus.Request{
-					Master: mi, Addr: g.addr * 4, Data: g.data, Write: g.write,
-					Done: func() {
-						busLeft--
-						if busLeft == 0 && cpuDone {
-							finish()
-						}
-					},
-				})
-			}
-			return cpuDur
-		},
-		Done: func() {
-			if r == nil {
-				cs.sched.Release()
-				return
-			}
-			cpuDone = true
-			cpuEnd = cs.kernel.Now()
-			if busLeft == 0 {
-				finish()
-			}
-		},
+	j := reuse(&cs.freeJobs)
+	if j == nil {
+		j = new(swJob)
+		j.job = rtos.Job{Hold: true, Service: j.service, Done: j.done}
 	}
-	cs.sched.Post(job)
+	*j = swJob{cs: cs, mi: mi, job: j.job}
+	j.job.ID, j.job.Priority = mi, cs.procs[mi].Priority
+	cs.sched.Post(&j.job)
+}
+
+// swJob is one activation of a software machine on its way through the
+// RTOS: the job and the bookkeeping of the reaction it dispatches. Its
+// callbacks are bound once, when the record is made, and the record goes
+// back to CoSim.freeJobs when the reaction completes (or its dispatch finds
+// nothing to fire), so a warm run recycles jobs instead of allocating them.
+type swJob struct {
+	cs      *CoSim
+	mi      int
+	job     rtos.Job
+	r       *cfsm.Reaction // the dispatched reaction; nil if none fired
+	busLeft int            // outstanding bus transfers of the reaction
+	cpuDone bool
+	cpuEnd  units.Time
+}
+
+// service runs at dispatch: the behavioral reaction, its cost, the I-cache
+// feed and the issue of its bus transfers. It returns the CPU phase.
+func (j *swJob) service() units.Time {
+	cs, mi := j.cs, j.mi
+	m := cs.sys.Net.Machines[mi]
+	j.r = nil
+	if m.Enabled() < 0 {
+		return 0 // events were consumed by an earlier dispatch
+	}
+	b := &cs.bufs[mi]
+	b.preVars = m.AppendVars(b.preVars[:0])
+	r, ok := m.React(cs.shared)
+	if !ok {
+		return 0
+	}
+	j.r = r
+	cs.machineReact[mi]++
+	mReactions.Inc()
+	if m.Enabled() >= 0 {
+		// Other pending events can fire further transitions.
+		cs.activateSW(mi)
+	}
+
+	if cs.cfg.Mode == Separate {
+		cs.emitReaction(mi, r, 0, 0, 0)
+		cs.record(mi, r, b.preVars)
+		return 0
+	}
+
+	cycles, energy, src := cs.estimateSW(mi, r, b.preVars)
+	cs.emitAttrib(mi, src, uint64(r.Path), energy)
+
+	// Fast instruction-cache simulation, fed by the master from the
+	// statically reconstructed path trace (never from the ISS).
+	if cs.icache != nil {
+		missCycles, ce, err := cs.feedICache(mi, r)
+		if err != nil {
+			cs.fail(err)
+			return 0
+		}
+		cycles += missCycles
+		cs.cacheEnergy += ce
+		cs.wave.Add("icache", cs.kernel.Now(), ce)
+		cs.emitAttrib(mi, srcICache, uint64(r.Path), ce)
+	}
+
+	cs.machineCycles[mi] += cycles
+	cs.machineEnergy[mi] += energy
+	cs.transEnergy[mi][r.TransIdx] += energy
+	cs.transCount[mi][r.TransIdx]++
+	cs.wave.Add(m.Name, cs.kernel.Now(), energy)
+
+	// Issue the reaction's bus transfers now: loads and stores
+	// interleave with the computation, so they contend with other
+	// masters in real time. The reaction completes when both the
+	// CPU phase and the last transfer finish.
+	cpuDur := units.Time(cycles) * cs.cfg.Timing.Clock.Period()
+	cs.emitReaction(mi, r, cycles, energy, cpuDur)
+	groups := b.groupMemOps(r.MemOps)
+	j.busLeft = len(groups)
+	for _, g := range groups {
+		q := reuse(&cs.freeReqs)
+		if q == nil {
+			q = new(swBusReq)
+			q.Done = q.done
+		}
+		q.job = j
+		q.Master, q.Addr, q.Data, q.Write = mi, g.addr*4, g.data, g.write
+		cs.bus.Submit(&q.Request)
+	}
+	return cpuDur
+}
+
+// done ends the CPU phase; the reaction completes once its transfers have
+// too.
+func (j *swJob) done() {
+	cs := j.cs
+	if j.r == nil {
+		cs.freeJobs = append(cs.freeJobs, j)
+		cs.sched.Release()
+		return
+	}
+	j.cpuDone = true
+	j.cpuEnd = cs.kernel.Now()
+	if j.busLeft == 0 {
+		j.finish()
+	}
+}
+
+// finish completes the reaction: the CPU's stall on its outstanding
+// transfers, the delivery of its emissions and the processor's release.
+func (j *swJob) finish() {
+	cs, mi, r := j.cs, j.mi, j.r
+	if wait := cs.kernel.Now() - j.cpuEnd; wait > 0 {
+		// The CPU stalls on its outstanding transfers.
+		we := units.Energy(float64(cs.cfg.CPUIdle) * wait.Seconds())
+		cs.machineWait[mi] += we
+		cs.wave.Add(cs.sys.Net.Machines[mi].Name, cs.kernel.Now(), we)
+		cs.emitAttrib(mi, srcWait, 0, we)
+	}
+	cs.deliver(mi, r)
+	cs.freeJobs = append(cs.freeJobs, j)
+	cs.sched.Release()
+}
+
+// reuse pops a record off a free list, or returns nil when it is empty.
+func reuse[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return nil
+	}
+	t := (*free)[n-1]
+	*free = (*free)[:n-1]
+	return t
+}
+
+// swBusReq is one bus transfer of a software reaction, recycled through
+// CoSim.freeReqs; its Done is bound once, when the record is made.
+type swBusReq struct {
+	bus.Request
+	job *swJob
+}
+
+func (q *swBusReq) done() {
+	j := q.job
+	q.job, q.Data = nil, nil
+	j.cs.freeReqs = append(j.cs.freeReqs, q)
+	j.busLeft--
+	if j.busLeft == 0 && j.cpuDone {
+		j.finish()
+	}
+}
+
+// feedICache runs reaction r's instruction fetches through the I-cache
+// simulator and returns the miss cycles and the energy they cost. The
+// fetch trace is rebuilt in the run's buffer.
+func (cs *CoSim) feedICache(mi int, r *cfsm.Reaction) (uint64, units.Energy, error) {
+	before := cs.icache.Stats()
+	mc := cs.image.Machines[cs.swIdx[mi]]
+	var err error
+	cs.fetch, err = mc.FetchTrace(cs.fetch[:0], r)
+	if err != nil {
+		return 0, 0, err
+	}
+	for _, rg := range cs.fetch {
+		cs.icache.AccessRange(rg.Start, rg.End)
+	}
+	d := cs.icache.Stats()
+	return d.Cycles - before.Cycles, d.Energy - before.Energy, nil
 }
 
 // estimateSW is the software estimator stack of Fig 2(b): energy cache, then
@@ -226,7 +287,7 @@ func (cs *CoSim) runISS(mi int, r *cfsm.Reaction, preVars []cfsm.Value) (uint64,
 		cs.fail(err)
 		return 0, 0
 	}
-	mc.ReadOutbox(cs.cpu.Mem) // drain; behavioral emissions drive delivery
+	cs.outbox = mc.ReadOutbox(cs.outbox[:0], cs.cpu.Mem) // drain; behavioral emissions drive delivery
 	cs.issCalls++
 	cs.machineEstCalls[mi]++
 	cs.trc.Emit(telemetry.Event{
@@ -260,7 +321,7 @@ func (cs *CoSim) shadowSW(tech audit.Technique, cache *ecache.Cache, key ecache.
 		cs.fail(err)
 		return
 	}
-	mc.ReadOutbox(cs.cpu.Mem)
+	cs.outbox = mc.ReadOutbox(cs.outbox[:0], cs.cpu.Mem)
 	out := cs.audit.Observe(tech, served, st.Energy)
 	cs.emitShadow(mi, r, tech.String(), served, st.Energy, st.Cycles)
 	if cache != nil {

@@ -36,6 +36,7 @@ var (
 	mSyncErrs   = telemetry.Default.Counter("ecachesync_sync_errors_total", "cache sync rounds failed")
 	mPushed     = telemetry.Default.Counter("ecachesync_paths_pushed_total", "path deltas pushed to the store")
 	mPulled     = telemetry.Default.Counter("ecachesync_paths_pulled_total", "path entries pulled from the store")
+	mRefused    = telemetry.Default.Counter("ecachesync_paths_refused_total", "path deltas dropped because the store refused their push")
 	mSyncNanos  = telemetry.Default.Counter("ecachesync_sync_nanos_total", "wall time spent in sync rounds")
 	mStoreScope = telemetry.Default.Counter("ecachesync_store_scopes_total", "scopes created in the central store")
 )
@@ -94,7 +95,8 @@ func NewMemory() *Memory {
 
 // ErrInvalidPush marks a Sync refused because a push carries path
 // statistics that fail validation or would merge into invalid ones. Nothing
-// of the call is applied; HTTP stores answer it with 400.
+// of the call is applied; HTTP stores answer it with 400, and HTTPStore
+// turns a 400 back into it.
 var ErrInvalidPush = errors.New("ecachesync: invalid push")
 
 // Sync implements Store: exact Welford merge of the unapplied pushes, full
@@ -218,7 +220,9 @@ func (y *Syncer) Attach(ctx context.Context, scope Scope, c *ecache.Cache) error
 
 // SyncNow runs one full write-behind round over every attached cache. The
 // first error is returned; caches whose round fails keep their exported
-// pushes queued, so no observation is lost and none is counted twice.
+// pushes queued, so no observation is lost and none is counted twice —
+// unless the store refused them as invalid (ErrInvalidPush), in which case
+// they are dropped.
 func (y *Syncer) SyncNow(ctx context.Context) error {
 	y.mu.Lock()
 	caches := append([]*attached(nil), y.caches...)
@@ -244,16 +248,25 @@ func (y *Syncer) syncOne(ctx context.Context, a *attached) error {
 		a.unacked = append(a.unacked, Push{Seq: a.nextSeq, Paths: delta})
 	}
 	global, err := y.store.Sync(ctx, a.scope, y.node, a.unacked)
+	pushed := 0
+	for _, p := range a.unacked {
+		pushed += len(p.Paths)
+	}
+	if errors.Is(err, ErrInvalidPush) {
+		// The store refused the pushes and applied none of them. Sent
+		// again they would be refused again, and block every later push
+		// of this scope with them, so they are dropped.
+		a.unacked = nil
+		mRefused.Add(uint64(pushed))
+		mSyncErrs.Inc()
+		return fmt.Errorf("ecachesync: scope %v: %d paths dropped: %w", a.scope, pushed, err)
+	}
 	if err != nil {
 		// Outcome unknown (the store may or may not have applied the
 		// pushes): keep them queued. The next round retries them under
 		// their original seqs and the store deduplicates.
 		mSyncErrs.Inc()
 		return fmt.Errorf("ecachesync: scope %v: %w", a.scope, err)
-	}
-	pushed := 0
-	for _, p := range a.unacked {
-		pushed += len(p.Paths)
 	}
 	a.unacked = nil
 	if err := a.cache.MergeGlobal(global); err != nil {

@@ -364,6 +364,9 @@ func TestSyncRefusesPoison(t *testing.T) {
 		{"invalid after valid", []ecache.PathStat{ps(key(2, 3), valid), ps(key(0, 1), stats.RunningState{N: 1, M2: -1})}},
 		{"means of ±1e308", []ecache.PathStat{ps(key(2, 3), huge(1e308)), ps(key(2, 3), huge(-1e308))}},
 		{"count wraps", []ecache.PathStat{ps(key(0, 1), stats.RunningState{N: math.MaxUint64, Mean: 1e-9, Min: 1e-9, Max: 1e-9})}},
+		{"one sample with M2", []ecache.PathStat{ps(key(0, 1), stats.RunningState{N: 1, M2: 1})}},
+		{"mean outside its range", []ecache.PathStat{ps(key(0, 1), stats.RunningState{N: 3, Mean: 3e-9, M2: 1e-19, Min: 1e-9, Max: 2e-9})}},
+		{"M2 above Popoviciu's bound", []ecache.PathStat{ps(key(0, 1), stats.RunningState{N: 2, Mean: 1.5e-9, M2: 1e-18, Min: 1e-9, Max: 2e-9})}},
 	} {
 		if code := postSync(h, syncBody(t, "shard", 1, tc.paths...)); code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", tc.name, code)
@@ -382,6 +385,66 @@ func TestSyncRefusesPoison(t *testing.T) {
 	for _, g := range global {
 		if g.Key == key(0, 1) && g.Energy.N != 3 {
 			t.Fatalf("path %v holds n=%d after the valid push, want 3", g.Key, g.Energy.N)
+		}
+	}
+}
+
+// TestRefusedPushIsDropped: a push the store refuses as invalid is dropped
+// by the syncer, not retried, so the scope's next valid push lands. The
+// store is reached in memory and over HTTP; the poisons are a one-sample
+// state with spread (refused by the store) and a NaN energy (which JSON
+// cannot carry, so the HTTP client refuses it before sending).
+func TestRefusedPushIsDropped(t *testing.T) {
+	ctx := context.Background()
+	for _, transport := range []string{"memory", "http"} {
+		for _, poison := range []string{"one sample with M2", "NaN energy"} {
+			name := transport + "/" + poison
+			mem := NewMemory()
+			var store Store = mem
+			if transport == "http" {
+				srv := httptest.NewServer(Handler(mem))
+				defer srv.Close()
+				store = &HTTPStore{URL: srv.URL, Client: srv.Client()}
+			}
+			scope := testScope()
+			c := ecache.New(scope.Params)
+			y := New(store, time.Hour)
+			if err := y.Attach(ctx, scope, c); err != nil {
+				t.Fatalf("%s: attach: %v", name, err)
+			}
+			switch poison {
+			case "one sample with M2":
+				// No local observation can produce it: queue it as a
+				// buggy shard would have exported it.
+				a := y.caches[0]
+				a.nextSeq++
+				a.unacked = append(a.unacked, Push{Seq: a.nextSeq, Paths: []ecache.PathStat{{
+					Key:    key(0, 1),
+					Energy: stats.RunningState{N: 1, M2: 1},
+					Cycles: stats.RunningState{N: 1, Mean: 9, Min: 9, Max: 9},
+				}}})
+			case "NaN energy":
+				c.Update(key(0, 1), units.Energy(math.NaN()), 9)
+			}
+			refused := mRefused.Value()
+			if err := y.SyncNow(ctx); !errors.Is(err, ErrInvalidPush) {
+				t.Fatalf("%s: poisoned round returned %v, want ErrInvalidPush", name, err)
+			}
+			if got := mRefused.Value() - refused; got != 1 {
+				t.Errorf("%s: %d paths counted refused, want 1", name, got)
+			}
+			if n := mem.Paths(scope); n != 0 {
+				t.Fatalf("%s: the refused push left %d paths in the store", name, n)
+			}
+
+			c.Update(key(2, 3), 4e-9, 40)
+			if err := y.SyncNow(ctx); err != nil {
+				t.Fatalf("%s: the valid push after the refusal: %v", name, err)
+			}
+			global := dumpAll(mem)[scope]
+			if len(global) != 1 || global[0].Key != key(2, 3) || global[0].Energy.N != 1 {
+				t.Fatalf("%s: store holds %+v, want the valid path alone", name, global)
+			}
 		}
 	}
 }

@@ -77,11 +77,14 @@ func (h *HTTPStore) client() *http.Client {
 	return httpClient
 }
 
-// Sync implements Store over HTTP.
+// Sync implements Store over HTTP. A 400 from the store is ErrInvalidPush
+// (the handler applied none of the pushes), and so are pushes that cannot
+// be encoded.
 func (h *HTTPStore) Sync(ctx context.Context, scope Scope, node string, pushes []Push) ([]ecache.PathStat, error) {
 	body, err := json.Marshal(syncWire{Scope: scope, Node: node, Pushes: pushes})
 	if err != nil {
-		return nil, err
+		// Statistics JSON cannot carry (NaN, ±Inf) are invalid ones.
+		return nil, fmt.Errorf("%w: %v", ErrInvalidPush, err)
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, h.URL, bytes.NewReader(body))
 	if err != nil {
@@ -95,7 +98,12 @@ func (h *HTTPStore) Sync(ctx context.Context, scope Scope, node string, pushes [
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		return nil, fmt.Errorf("ecachesync: store returned %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
+		err := fmt.Errorf("ecachesync: store returned %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
+		if resp.StatusCode == http.StatusBadRequest {
+			// The store refused the body and applied none of it.
+			err = fmt.Errorf("%w: %v", ErrInvalidPush, err)
+		}
+		return nil, err
 	}
 	var out syncWire
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 256<<20)).Decode(&out); err != nil {

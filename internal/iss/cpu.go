@@ -127,11 +127,51 @@ func (c *CPU) Reset(stackTop uint32) {
 // instruction stream is predecoded once into the dense execution form, so
 // Call never touches the encoded words again.
 func (c *CPU) LoadProgram(p *sparc.Program) {
-	for i, w := range p.Words {
-		c.Mem.Write32(p.Base+uint32(i)*4, w)
-	}
+	writeProgram(c.Mem, p)
 	c.progBase = p.Base
 	c.dec = predecode(p, c.Timing)
+}
+
+func writeProgram(mem *Mem, p *sparc.Program) {
+	for i, w := range p.Words {
+		mem.Write32(p.Base+uint32(i)*4, w)
+	}
+}
+
+// Image is a program made ready to run, once: its instruction stream
+// predecoded against a timing model, and the memory it starts from (the
+// program words, then whatever the loader's init wrote). An Image is
+// read-only once built, so any number of CPUs may start from it, at once
+// or one after another.
+type Image struct {
+	Timing *TimingModel
+	base   uint32
+	dec    []decoded
+	mem    *Mem
+}
+
+// NewImage predecodes p against t and builds its initial memory: p's
+// words, then init's writes (init may be nil).
+func NewImage(p *sparc.Program, t *TimingModel, init func(*Mem)) *Image {
+	mem := NewMem()
+	writeProgram(mem, p)
+	if init != nil {
+		init(mem)
+	}
+	return &Image{Timing: t, base: p.Base, dec: predecode(p, t), mem: mem}
+}
+
+// LoadImage starts the CPU from img: its memory becomes a copy of img's
+// initial memory (reusing the pages it has) and it runs img's predecoded
+// stream. It is LoadProgram plus the loader's init, without redoing
+// either. It panics when img was predecoded for another timing model.
+func (c *CPU) LoadImage(img *Image) {
+	if img.Timing != c.Timing {
+		panic("iss: image predecoded for another timing model")
+	}
+	c.Mem.CopyFrom(img.mem)
+	c.progBase = img.base
+	c.dec = img.dec
 }
 
 // Stats returns the cumulative statistics since construction.

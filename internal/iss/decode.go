@@ -9,9 +9,9 @@ import (
 )
 
 // decoded is one predecoded instruction: everything the per-instruction
-// execution loop needs, resolved once at LoadProgram so the hot path never
-// re-derives opcode classes, cycle counts, sign extensions or branch
-// targets. Entries are indexed by (pc - progBase) / 4.
+// execution loop needs, resolved once at load (LoadProgram or NewImage) so
+// the hot path never re-derives opcode classes, cycle counts, sign
+// extensions or branch targets. Entries are indexed by (pc - progBase) / 4.
 type decoded struct {
 	imm    uint32 // operand-2 immediate (sign-extended); SETHI: pre-shifted result
 	target uint32 // absolute CALL/branch target (pc + disp*4)

@@ -15,24 +15,87 @@ import "fmt"
 const pageBits = 12
 const pageSize = 1 << pageBits
 
-// Mem is a sparse byte-addressable big-endian memory (SPARC is big-endian).
+// densePages is how many pages, from address 0, Mem indexes through a
+// slice. It covers 0x0-0x400000: the whole layout of a synthesized image
+// (text from 0x1000, data from 0x100000, the shared window from 0x200000,
+// the stack below 0x300000) with room above the stack top. Pages beyond
+// it live in a map.
+const densePages = 0x400000 >> pageBits
+
+// Mem is a sparse byte-addressable big-endian memory (SPARC is big-endian),
+// allocated a 4 KiB page at a time as it is written.
 type Mem struct {
-	pages map[uint32]*[pageSize]byte
+	dense []*[pageSize]byte          // page i covers [i<<pageBits, (i+1)<<pageBits)
+	high  map[uint32]*[pageSize]byte // pages at densePages and above
 }
 
 // NewMem returns an empty memory; all bytes read as zero.
 func NewMem() *Mem {
-	return &Mem{pages: make(map[uint32]*[pageSize]byte)}
+	return &Mem{}
 }
 
 func (m *Mem) page(addr uint32, create bool) *[pageSize]byte {
 	key := addr >> pageBits
-	p := m.pages[key]
+	var p *[pageSize]byte
+	if key < uint32(len(m.dense)) {
+		p = m.dense[key]
+	} else if key >= densePages {
+		p = m.high[key]
+	}
 	if p == nil && create {
 		p = new([pageSize]byte)
-		m.pages[key] = p
+		m.setPage(key, p)
 	}
 	return p
+}
+
+func (m *Mem) setPage(key uint32, p *[pageSize]byte) {
+	if key >= densePages {
+		if m.high == nil {
+			m.high = make(map[uint32]*[pageSize]byte)
+		}
+		m.high[key] = p
+		return
+	}
+	for uint32(len(m.dense)) <= key {
+		m.dense = append(m.dense, nil)
+	}
+	m.dense[key] = p
+}
+
+// CopyFrom makes m's contents equal to src's. It reuses m's pages: a page
+// src also has is overwritten with src's bytes, any other is zeroed and
+// kept, so a memory recycled from run to run stops allocating once it has
+// every page its runs touch.
+func (m *Mem) CopyFrom(src *Mem) {
+	for key, p := range m.dense {
+		if p != nil {
+			copyPage(p, src.page(uint32(key)<<pageBits, false))
+		}
+	}
+	for key, p := range m.high {
+		copyPage(p, src.high[key])
+	}
+	for key, sp := range src.dense {
+		if sp != nil && m.page(uint32(key)<<pageBits, false) == nil {
+			np := *sp
+			m.setPage(uint32(key), &np)
+		}
+	}
+	for key, sp := range src.high {
+		if m.high[key] == nil {
+			np := *sp
+			m.setPage(key, &np)
+		}
+	}
+}
+
+func copyPage(dst, src *[pageSize]byte) {
+	if src == nil {
+		*dst = [pageSize]byte{}
+		return
+	}
+	*dst = *src
 }
 
 // Read8 returns the byte at addr.
@@ -106,5 +169,11 @@ func (m *Mem) ReadBytes(addr uint32, n int) []byte {
 
 // String summarizes the populated footprint.
 func (m *Mem) String() string {
-	return fmt.Sprintf("mem{%d pages, %d bytes touched}", len(m.pages), len(m.pages)*pageSize)
+	n := len(m.high)
+	for _, p := range m.dense {
+		if p != nil {
+			n++
+		}
+	}
+	return fmt.Sprintf("mem{%d pages, %d bytes touched}", n, n*pageSize)
 }

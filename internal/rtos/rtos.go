@@ -8,8 +8,6 @@
 package rtos
 
 import (
-	"sort"
-
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/units"
@@ -54,6 +52,9 @@ func DefaultConfig() Config {
 // A job with Hold set keeps the processor allocated after its CPU phase
 // (e.g. a reaction performing programmed-I/O transfers over the shared bus);
 // the owner must call Scheduler.Release when the post-CPU phase finishes.
+//
+// The scheduler keeps no reference to a job once its Done has been called,
+// so the owner may post the same Job again from then on.
 type Job struct {
 	ID       int
 	Priority int // lower wins under PriorityPolicy
@@ -82,6 +83,12 @@ type Scheduler struct {
 	holding bool
 	seq     uint64
 	stats   Stats
+
+	// running is the dispatched job whose CPU phase ends at the one
+	// pending completion event; complete is s.finish bound once, so a
+	// dispatch allocates nothing.
+	running  *Job
+	complete func()
 }
 
 // New returns a scheduler attached to the kernel.
@@ -89,7 +96,9 @@ func New(k *sim.Kernel, cfg Config) *Scheduler {
 	if cfg.Clock <= 0 {
 		cfg.Clock = 50e6
 	}
-	return &Scheduler{cfg: cfg, kernel: k}
+	s := &Scheduler{cfg: cfg, kernel: k}
+	s.complete = s.finish
+	return s
 }
 
 // Stats returns the accumulated statistics.
@@ -121,15 +130,17 @@ func (s *Scheduler) Post(j *Job) {
 	}
 }
 
+// pick removes and returns the next job: the oldest under FIFO, the one
+// with the lowest (Priority, arrival) under PriorityPolicy.
 func (s *Scheduler) pick() *Job {
 	best := 0
 	if s.cfg.Policy == PriorityPolicy {
-		sort.SliceStable(s.queue, func(a, b int) bool {
-			if s.queue[a].Priority != s.queue[b].Priority {
-				return s.queue[a].Priority < s.queue[b].Priority
+		for i, j := range s.queue {
+			b := s.queue[best]
+			if j.Priority < b.Priority || (j.Priority == b.Priority && j.seq < b.seq) {
+				best = i
 			}
-			return s.queue[a].seq < s.queue[b].seq
-		})
+		}
 	}
 	j := s.queue[best]
 	s.queue = append(s.queue[:best], s.queue[best+1:]...)
@@ -155,20 +166,25 @@ func (s *Scheduler) dispatch() {
 	s.stats.OverheadTime += overhead
 	s.stats.BusyTime += service
 
-	end := s.kernel.Now() + overhead + service
-	s.kernel.At(end, func() {
-		if j.Hold {
-			s.holding = true
-			if j.Done != nil {
-				j.Done()
-			}
-			return
-		}
+	s.running = j
+	s.kernel.At(s.kernel.Now()+overhead+service, s.complete)
+}
+
+// finish ends the running job's CPU phase.
+func (s *Scheduler) finish() {
+	j := s.running
+	s.running = nil
+	if j.Hold {
+		s.holding = true
 		if j.Done != nil {
 			j.Done()
 		}
-		s.dispatch()
-	})
+		return
+	}
+	if j.Done != nil {
+		j.Done()
+	}
+	s.dispatch()
 }
 
 // Release ends the held post-CPU phase of the current job and dispatches the

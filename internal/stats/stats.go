@@ -116,16 +116,26 @@ func (r *Running) State() RunningState {
 	return RunningState{N: r.n, Mean: r.mean, M2: r.m2, Min: r.min, Max: r.max}
 }
 
+// validSlack is the relative rounding slack of Validate's two
+// inequalities: a mean within [Min, Max], and M2 under Popoviciu's bound.
+const validSlack = 1e-9
+
 // Validate reports whether the state could have come from an accumulator:
 // Mean, M2, Min and Max are finite, M2 is not negative, Min does not exceed
-// Max, and an empty state is all zero. It is the check for state taken from
-// outside the process.
+// Max, an empty state is all zero, and a one-sample state has M2 = 0 and
+// Min = Mean = Max. With more samples, the mean lies within [Min, Max] and
+// M2 under Popoviciu's bound N·(Max−Min)²/4 (the variance of values within
+// [Min, Max] is at most a quarter of the range squared), both up to a
+// relative slack of 1e-9 for rounding. It is the check for state taken
+// from outside the process. How many samples a state may claim is policy
+// for its consumer, not validity.
 func (s RunningState) Validate() error {
 	for _, v := range [...]float64{s.Mean, s.M2, s.Min, s.Max} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("stats: non-finite running state %+v", s)
 		}
 	}
+	slack := validSlack * math.Max(math.Abs(s.Min), math.Abs(s.Max))
 	switch {
 	case s.M2 < 0:
 		return fmt.Errorf("stats: running state has negative M2 %g", s.M2)
@@ -133,8 +143,20 @@ func (s RunningState) Validate() error {
 		return fmt.Errorf("stats: running state has min %g above max %g", s.Min, s.Max)
 	case s.N == 0 && s != RunningState{}:
 		return fmt.Errorf("stats: empty running state carries values %+v", s)
+	case s.N == 1 && (s.M2 != 0 || s.Min != s.Mean || s.Mean != s.Max):
+		return fmt.Errorf("stats: one-sample running state is not a single value %+v", s)
+	case s.Mean < s.Min-slack || s.Mean > s.Max+slack:
+		return fmt.Errorf("stats: running state has mean %g outside [%g, %g]", s.Mean, s.Min, s.Max)
+	case s.M2 > popoviciu(s)*(1+validSlack):
+		return fmt.Errorf("stats: running state has M2 %g above N·(max−min)²/4 = %g", s.M2, popoviciu(s))
 	}
 	return nil
+}
+
+// popoviciu is the largest M2 that N values within [Min, Max] can have.
+func popoviciu(s RunningState) float64 {
+	r := s.Max - s.Min
+	return float64(s.N) * r * r / 4
 }
 
 // RunningFromState rebuilds an accumulator from its exported state.

@@ -270,3 +270,88 @@ func TestPropertyRankingMonotoneInvariant(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestRunningStateValidate checks Validate against states accumulators
+// produce (all valid, the extremes included) and states none can produce.
+func TestRunningStateValidate(t *testing.T) {
+	acc := func(xs ...float64) RunningState {
+		var r Running
+		for _, x := range xs {
+			r.Add(x)
+		}
+		return r.State()
+	}
+	merged := func(a, b []float64) RunningState {
+		var ra, rb Running
+		for _, x := range a {
+			ra.Add(x)
+		}
+		for _, x := range b {
+			rb.Add(x)
+		}
+		ra.Merge(&rb)
+		return ra.State()
+	}
+	rng := rand.New(rand.NewSource(7))
+	var many []float64
+	for i := 0; i < 1000; i++ {
+		many = append(many, 1e-9*(1+rng.Float64()))
+	}
+	// Half the samples at each end: M2 meets Popoviciu's bound.
+	var twoPoint []float64
+	for i := 0; i < 500; i++ {
+		twoPoint = append(twoPoint, 3e-9, 7e-9)
+	}
+	for _, tc := range []struct {
+		name string
+		s    RunningState
+	}{
+		{"empty", acc()},
+		{"one sample", acc(5e-9)},
+		{"one negative sample", acc(-3)},
+		{"two samples", acc(1, 2)},
+		{"equal samples", acc(4, 4, 4, 4)},
+		{"random samples", acc(many...)},
+		{"two-point extremes", acc(twoPoint...)},
+		{"merge", merged(many[:300], many[300:])},
+		{"merge of two-point halves", merged(twoPoint[:500], twoPoint[500:])},
+		{"huge count", RunningState{N: math.MaxUint64, Mean: 1e-9, Min: 1e-9, Max: 1e-9}},
+	} {
+		if err := tc.s.Validate(); err != nil {
+			t.Errorf("%s: %+v refused: %v", tc.name, tc.s, err)
+		}
+	}
+
+	for _, tc := range []struct {
+		name string
+		s    RunningState
+	}{
+		{"NaN mean", RunningState{N: 2, Mean: math.NaN(), Min: 0, Max: 1}},
+		{"infinite max", RunningState{N: 2, Mean: 0, Min: 0, Max: math.Inf(1)}},
+		{"negative M2", RunningState{N: 2, Mean: 1, M2: -1e-30, Min: 1, Max: 1}},
+		{"min above max", RunningState{N: 2, Mean: 1, Min: 2, Max: 1}},
+		{"empty with values", RunningState{Mean: 1, Min: 1, Max: 1}},
+		{"one sample with M2", RunningState{N: 1, M2: 1}},
+		{"one sample, mean off its value", RunningState{N: 1, Mean: 2, Min: 1, Max: 1}},
+		{"one sample, min below max", RunningState{N: 1, Mean: 1, Min: 1, Max: 2}},
+		{"mean below min", RunningState{N: 3, Mean: 0.5, M2: 0.1, Min: 1, Max: 2}},
+		{"mean above max", RunningState{N: 3, Mean: 2.5, M2: 0.1, Min: 1, Max: 2}},
+		{"mean past the rounding slack", RunningState{N: 3, Mean: 2 * (1 + 1e-8), M2: 0.1, Min: 1, Max: 2}},
+		{"M2 above Popoviciu's bound", RunningState{N: 4, Mean: 1.5, M2: 1.01, Min: 1, Max: 2}},
+		{"spread without a range", RunningState{N: 4, Mean: 1, M2: 1e-30, Min: 1, Max: 1}},
+	} {
+		if err := tc.s.Validate(); err == nil {
+			t.Errorf("%s: %+v accepted", tc.name, tc.s)
+		}
+	}
+
+	// Rounding inside the slack passes.
+	for _, s := range []RunningState{
+		{N: 3, Mean: 2 * (1 + 1e-12), M2: 0.1, Min: 1, Max: 2},
+		{N: 4, Mean: 1.5, M2: 1 + 1e-12, Min: 1, Max: 2},
+	} {
+		if err := s.Validate(); err != nil {
+			t.Errorf("%+v within the rounding slack refused: %v", s, err)
+		}
+	}
+}

@@ -15,6 +15,7 @@ package swsyn
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cfsm"
 	"repro/internal/iss"
@@ -38,15 +39,6 @@ type Range struct{ Start, End uint32 }
 
 // Len returns the number of instruction words in the range.
 func (r Range) Len() int { return int(r.End-r.Start) / 4 }
-
-// Addrs expands the range into per-word fetch addresses.
-func (r Range) Addrs() []uint32 {
-	out := make([]uint32, 0, r.Len())
-	for a := r.Start; a < r.End; a += 4 {
-		out = append(out, a)
-	}
-	return out
-}
 
 // Compiled is the synthesized software image for a set of machines.
 type Compiled struct {
@@ -204,13 +196,9 @@ func (c *Compiled) InitMemory(mem *iss.Mem) {
 // generated loads observe the same data.
 func (mc *MachineCode) BindReaction(mem *iss.Mem, r *cfsm.Reaction) {
 	tr := mc.M.Transitions[r.TransIdx]
-	trig := make(map[int]bool, len(tr.Trigger))
-	for _, p := range tr.Trigger {
-		trig[p] = true
-	}
 	for p := range mc.M.InputNames {
 		flag := uint32(0)
-		if trig[p] || mc.M.Pending(p) {
+		if mc.M.Pending(p) || slices.Contains(tr.Trigger, p) {
 			flag = 1
 		}
 		mem.Write32(mc.InBase+uint32(p)*8, flag)
@@ -223,11 +211,12 @@ func (mc *MachineCode) BindReaction(mem *iss.Mem, r *cfsm.Reaction) {
 	}
 }
 
-// ReadOutbox drains the machine's outbox: it returns the emissions flagged
-// by the last generated-code run (one slot per port — POLIS's single-place
-// event buffers) and clears the flags.
-func (mc *MachineCode) ReadOutbox(mem *iss.Mem) []cfsm.Emission {
-	var out []cfsm.Emission
+// ReadOutbox drains the machine's outbox: it appends to dst the emissions
+// flagged by the last generated-code run (one slot per port — POLIS's
+// single-place event buffers), clears the flags and returns the extended
+// slice.
+func (mc *MachineCode) ReadOutbox(dst []cfsm.Emission, mem *iss.Mem) []cfsm.Emission {
+	out := dst
 	for p := range mc.M.OutputNames {
 		flagAddr := mc.OutBase + uint32(p)*8
 		if mem.Read32(flagAddr) != 0 {

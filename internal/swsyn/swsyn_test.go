@@ -2,6 +2,7 @@ package swsyn
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cfsm"
@@ -77,7 +78,7 @@ func (h *harness) replay(mi int, post map[int]cfsm.Value) *cfsm.Reaction {
 	for _, e := range r.Emits {
 		want[e.Port] = e.Value
 	}
-	outs := mc.ReadOutbox(h.mem)
+	outs := mc.ReadOutbox(nil, h.mem)
 	if len(outs) != len(want) {
 		h.t.Fatalf("%s: outbox %v, want %v", m.Name, outs, want)
 	}
@@ -97,9 +98,16 @@ func (h *harness) replay(mi int, post map[int]cfsm.Value) *cfsm.Reaction {
 	}
 
 	// The statically reconstructed fetch trace must match the ISS exactly.
-	ranges, err := mc.FetchTrace(r)
+	ranges, err := mc.FetchTrace(nil, r)
 	if err != nil {
 		h.t.Fatalf("FetchTrace: %v", err)
+	}
+	// Appending after a range that ends where the trace starts leaves that
+	// range alone: the trace lands intact behind it.
+	prefix := Range{Start: ranges[0].Start - 4, End: ranges[0].Start}
+	appended, err := mc.FetchTrace([]Range{prefix}, r)
+	if err != nil || appended[0] != prefix || !slices.Equal(appended[1:], ranges) {
+		h.t.Fatalf("FetchTrace after %v = %v, %v; want the prefix then %v", prefix, appended, err, ranges)
 	}
 	wantTrace := TraceAddrs(ranges)
 	if len(wantTrace) != len(h.seen) {
@@ -408,14 +416,14 @@ func TestFetchTraceErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	mc := c.Machines[0]
-	if _, err := mc.FetchTrace(&cfsm.Reaction{TransIdx: 99}); err == nil {
+	if _, err := mc.FetchTrace(nil, &cfsm.Reaction{TransIdx: 99}); err == nil {
 		t.Error("out-of-range transition must error")
 	}
 	// Stale decisions (too many) must be rejected.
 	m.Post(0, 1)
 	r, _ := m.React(cfsm.NullEnv{})
 	r.Decisions = append(r.Decisions, 1)
-	if _, err := mc.FetchTrace(r); err == nil {
+	if _, err := mc.FetchTrace(nil, r); err == nil {
 		t.Error("unconsumed decisions must error")
 	}
 }

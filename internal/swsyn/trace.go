@@ -13,24 +13,29 @@ import (
 // simulation ... is performed by a fast cache simulator attached directly to
 // the PTOLEMY simulator"), which is why skipping ISS calls (caching,
 // macro-modeling) does not perturb the cache reference stream.
-func (mc *MachineCode) FetchTrace(r *cfsm.Reaction) ([]Range, error) {
+//
+// The ranges are appended to dst, and the extended slice is returned, so a
+// caller that passes its buffer back in allocates nothing once the buffer
+// has grown to the longest path. Contiguous ranges of this trace are
+// coalesced; dst's own ranges are left as they are.
+func (mc *MachineCode) FetchTrace(dst []Range, r *cfsm.Reaction) ([]Range, error) {
 	if r.TransIdx < 0 || r.TransIdx >= len(mc.layouts) {
-		return nil, fmt.Errorf("swsyn: reaction transition %d out of range", r.TransIdx)
+		return dst, fmt.Errorf("swsyn: reaction transition %d out of range", r.TransIdx)
 	}
 	lay := mc.layouts[r.TransIdx]
-	w := &traceWalker{dec: r.Decisions, emit: *mc.emitRange}
+	w := traceWalker{dec: r.Decisions, emit: *mc.emitRange, out: dst, base: len(dst)}
 	w.add(lay.pre)
 	if lay.hasGuard {
 		if _, err := w.next(); err != nil {
-			return nil, err
+			return dst, err
 		}
 	}
 	if err := w.block(lay.body); err != nil {
-		return nil, err
+		return dst, err
 	}
 	w.add(lay.post)
 	if w.i != len(w.dec) {
-		return nil, fmt.Errorf("swsyn: %d unconsumed control-flow decisions", len(w.dec)-w.i)
+		return dst, fmt.Errorf("swsyn: %d unconsumed control-flow decisions", len(w.dec)-w.i)
 	}
 	return w.out, nil
 }
@@ -40,6 +45,7 @@ type traceWalker struct {
 	i    int
 	emit Range
 	out  []Range
+	base int // len(out) before this trace: the first range add may coalesce with
 }
 
 func (w *traceWalker) next() (int32, error) {
@@ -56,7 +62,7 @@ func (w *traceWalker) add(r Range) {
 	if r.Start == r.End {
 		return
 	}
-	if n := len(w.out); n > 0 && w.out[n-1].End == r.Start {
+	if n := len(w.out); n > w.base && w.out[n-1].End == r.Start {
 		w.out[n-1].End = r.End
 		return
 	}

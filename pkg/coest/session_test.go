@@ -127,25 +127,38 @@ func TestSystemConcurrentEstimate(t *testing.T) {
 }
 
 // TestSessionConcurrentEstimate: the same contract on the warm path, where
-// goroutines share compiled artifacts and the persistent energy cache.
+// goroutines share compiled artifacts, the ISS boot image, the pool of
+// recycled ISS memories and I-caches and, with WithEnergyCache, the
+// persistent energy cache. Without the energy cache every concurrent run
+// must still equal a cold Estimate bit for bit.
 func TestSessionConcurrentEstimate(t *testing.T) {
-	sess, err := coest.NewSession(coest.TCPIP(quickTCPIP()), coest.WithEnergyCache())
+	cold, err := coest.Estimate(context.Background(), coest.TCPIP(quickTCPIP()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, 6)
-	for i := range errs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = sess.Estimate(context.Background())
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	for _, opts := range [][]coest.Option{{coest.WithEnergyCache()}, nil} {
+		sess, err := coest.NewSession(coest.TCPIP(quickTCPIP()), opts...)
 		if err != nil {
 			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		errs := make([]error, 6)
+		reps := make([]*coest.Report, len(errs))
+		for i := range errs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				reps[i], errs[i] = sess.Estimate(context.Background())
+			}(i)
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+			if opts == nil && reps[i].Total != cold.Total {
+				t.Fatalf("concurrent warm run %d: total %v, cold run %v", i, reps[i].Total, cold.Total)
+			}
 		}
 	}
 }
