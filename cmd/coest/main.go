@@ -59,7 +59,7 @@ func main() {
 		asmDump   = flag.Bool("asm", false, "print the synthesized SPARC program listing")
 		exportSys = flag.Bool("export", false, "print the system in the textual CFSM language and exit")
 		paramFile = flag.String("params", "", "macro-model parameter file (skips characterization; implies -macromodel)")
-		attribRep = flag.Bool("attrib", false, "print the hierarchical energy attribution ledger")
+		attribRep = flag.Bool("attrib", false, "print where the energy went: attribution by component, process, bus master, technique and path")
 		shadow    = flag.Float64("shadow-rate", 0, "shadow-audit this fraction of accelerated serves on the reference estimator (0..1)")
 		serveURL  = flag.String("serve", "", "delegate the estimation to a coestd daemon at this base URL (e.g. http://localhost:8350)")
 		deadline  = flag.Duration("deadline", 0, "with -serve: per-request wall-clock deadline (0 = server default)")

@@ -102,16 +102,12 @@ type Request struct {
 	offset    int
 }
 
-// Grant records one arbitration outcome (a block transfer), for the
-// transaction trace the power model, the sequence-compaction acceleration
-// and tests consume.
+// Grant is one arbitration outcome (a block transfer), as the per-grant
+// hook sees it (OnGrant).
 type Grant struct {
 	Master int
-	Addr   uint32
 	Words  int
 	Write  bool
-	Start  units.Time
-	End    units.Time
 	Energy units.Energy // switching energy of this block
 }
 
@@ -138,8 +134,7 @@ type Bus struct {
 	lastData  uint32
 	stats     Stats
 	perMaster map[int]*Stats
-	trace     []Grant
-	keepTrace bool
+	onGrant   func(Grant)
 	trc       *telemetry.Tracer
 
 	// next is arbitrate bound once, so scheduling the next arbitration
@@ -180,15 +175,14 @@ func (b *Bus) MasterStats(master int) Stats {
 	return Stats{}
 }
 
-// KeepTrace enables grant-trace capture.
-func (b *Bus) KeepTrace(on bool) { b.keepTrace = on }
+// OnGrant sets a hook called with every grant as it is made (nil, the
+// default, sets none). Sequence compaction (§4.3) consumes the grant stream
+// through it.
+func (b *Bus) OnGrant(fn func(Grant)) { b.onGrant = fn }
 
 // SetTracer attaches the typed event stream: every grant is emitted as a
 // KindBusTransaction event. A nil tracer (the default) costs nothing.
 func (b *Bus) SetTracer(trc *telemetry.Tracer) { b.trc = trc }
-
-// Trace returns the captured grant trace.
-func (b *Bus) Trace() []Grant { return b.trace }
 
 // Submit queues a transfer request. A zero-length request completes
 // immediately (Done fires this instant via the kernel).
@@ -278,18 +272,15 @@ func (b *Bus) arbitrate() {
 
 	mGrants.Inc()
 	mWords.Add(uint64(words))
-	if b.keepTrace {
-		b.trace = append(b.trace, Grant{
-			Master: r.Master, Addr: blockAddr, Words: words, Write: r.Write,
-			Start: start, End: end, Energy: energy,
-		})
-	}
 	b.trc.Emit(telemetry.Event{
 		Time: start, Kind: telemetry.KindBusTransaction,
 		Component: "bus", Machine: r.Master,
 		Addr: blockAddr, Words: words, Write: r.Write,
 		Dur: end - start, Energy: energy,
 	})
+	if b.onGrant != nil {
+		b.onGrant(Grant{Master: r.Master, Words: words, Write: r.Write, Energy: energy})
+	}
 
 	r.remaining -= words
 	r.offset += words

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/units"
 )
 
@@ -19,6 +20,24 @@ func setup(t *testing.T, mutate func(*Config)) (*sim.Kernel, *Bus) {
 		t.Fatal(err)
 	}
 	return k, b
+}
+
+// grantLog keeps the KindBusTransaction events of a bus's event stream.
+type grantLog struct{ grants []telemetry.Event }
+
+func (g *grantLog) Emit(ev telemetry.Event) {
+	if ev.Kind == telemetry.KindBusTransaction {
+		g.grants = append(g.grants, ev)
+	}
+}
+
+func (g *grantLog) Close() error { return nil }
+
+// recordGrants attaches a grantLog to b's event stream.
+func recordGrants(b *Bus) *grantLog {
+	g := &grantLog{}
+	b.SetTracer(telemetry.NewTracer(g))
+	return g
 }
 
 func TestSingleTransferTiming(t *testing.T) {
@@ -91,7 +110,9 @@ func TestPriorityPreemptsBetweenBlocks(t *testing.T) {
 		c.DMASize = 2
 		c.Priority = map[int]int{1: 0, 2: 1}
 	})
-	b.KeepTrace(true)
+	log := recordGrants(b)
+	var hooked []Grant
+	b.OnGrant(func(g Grant) { hooked = append(hooked, g) })
 	// Low-priority master grabs the bus with a long transfer, then the
 	// high-priority master arrives: it must win the next block boundary.
 	b.Submit(&Request{Master: 2, Addr: 0, Data: make([]uint32, 8)})
@@ -99,15 +120,24 @@ func TestPriorityPreemptsBetweenBlocks(t *testing.T) {
 		b.Submit(&Request{Master: 1, Addr: 0x100, Data: make([]uint32, 2)})
 	})
 	k.Run()
-	tr := b.Trace()
+	tr := log.grants
 	if len(tr) < 3 {
 		t.Fatalf("trace too short: %v", tr)
 	}
-	if tr[0].Master != 2 {
-		t.Fatalf("first grant to master %d, want 2", tr[0].Master)
+	if tr[0].Machine != 2 {
+		t.Fatalf("first grant to master %d, want 2", tr[0].Machine)
 	}
-	if tr[1].Master != 1 {
+	if tr[1].Machine != 1 {
 		t.Fatalf("high-priority master did not preempt at block boundary: %+v", tr)
+	}
+	// The grant hook sees the same grants, in the same order.
+	if len(hooked) != len(tr) {
+		t.Fatalf("hook saw %d grants, event stream %d", len(hooked), len(tr))
+	}
+	for i, g := range hooked {
+		if g.Master != tr[i].Machine || g.Words != tr[i].Words || g.Energy != tr[i].Energy {
+			t.Fatalf("grant %d: hook %+v, event %+v", i, g, tr[i])
+		}
 	}
 }
 
@@ -117,13 +147,13 @@ func TestPriorityChangesInterleaving(t *testing.T) {
 			c.DMASize = 2
 			c.Priority = prio
 		})
-		b.KeepTrace(true)
+		log := recordGrants(b)
 		b.Submit(&Request{Master: 1, Addr: 0, Data: make([]uint32, 4)})
 		b.Submit(&Request{Master: 2, Addr: 0x80, Data: make([]uint32, 4)})
 		k.Run()
 		var seq []int
-		for _, g := range b.Trace() {
-			seq = append(seq, g.Master)
+		for _, g := range log.grants {
+			seq = append(seq, g.Machine)
 		}
 		return seq
 	}

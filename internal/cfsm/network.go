@@ -1,6 +1,9 @@
 package cfsm
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // Net is a network of CFSMs plus the event wiring between them: each
 // (machine, output port) fans out to any number of (machine, input port)
@@ -127,6 +130,16 @@ func (n *Net) Fanout(src, out int) []Dest {
 // EnvDest returns the destinations of the named environment input.
 func (n *Net) EnvDest(name string) []Dest {
 	return n.envIn[name]
+}
+
+// EnvInputs returns the names of the environment inputs, sorted.
+func (n *Net) EnvInputs() []string {
+	names := make([]string, 0, len(n.envIn))
+	for name := range n.envIn {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // EnvNames returns the environment-output names bound to (src, out).

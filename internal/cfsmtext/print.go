@@ -160,25 +160,11 @@ func printNetwork(b *strings.Builder, sys *core.System) {
 			}
 		}
 	}
-	// Environment inputs: we only know the bound names via EnvDest, which
-	// requires the name — System carries them through stimuli; emit wiring
-	// for names that appear in stimuli plus any the caller declared.
-	seen := map[string]bool{}
-	emitEnvIn := func(name string) {
-		if seen[name] {
-			return
-		}
-		seen[name] = true
+	for _, name := range sys.Net.EnvInputs() {
 		for _, d := range sys.Net.EnvDest(name) {
 			dst := sys.Net.Machines[d.Machine]
 			fmt.Fprintf(b, "    env input  %s -> %s.%s;\n", name, dst.Name, dst.InputNames[d.Port])
 		}
-	}
-	for _, st := range sys.Stimuli {
-		emitEnvIn(st.Input)
-	}
-	for _, pp := range sys.Periodic {
-		emitEnvIn(pp.Input)
 	}
 
 	for _, st := range sys.Stimuli {

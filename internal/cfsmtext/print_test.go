@@ -1,6 +1,7 @@
 package cfsmtext
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -51,6 +52,24 @@ func TestPrintParseRoundTrip(t *testing.T) {
 	// Partition and wiring survive.
 	if spec2.System.Procs["alarm"].Mapping != core.HW {
 		t.Fatal("partition lost in round trip")
+	}
+}
+
+// An environment input that no stimulus drives is still part of the
+// network: counterSrc wires PULSE to the counter and has no stimulus.
+func TestPrintKeepsEnvInputsWithoutStimulus(t *testing.T) {
+	spec, err := Parse("counter-demo", counterSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := Print(spec.System)
+	again, err := Parse("counter-demo", text)
+	if err != nil {
+		t.Fatalf("printed text does not reparse: %v\n%s", err, text)
+	}
+	want := []string{"PULSE -> counter.PULSE"}
+	if got := envBindings(again.System); !slices.Equal(got, want) {
+		t.Fatalf("reparsed environment inputs %q, want %q:\n%s", got, want, text)
 	}
 }
 

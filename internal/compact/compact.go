@@ -13,6 +13,7 @@ import (
 	"sort"
 
 	"repro/internal/telemetry"
+	"repro/internal/units"
 )
 
 // Process-wide compaction metrics (aggregated across every compactor).
@@ -161,11 +162,11 @@ func abs(x float64) float64 {
 	return x
 }
 
-// Item is one buffered element: the statistical symbol plus an opaque
-// payload the caller needs back when the item is dispatched.
+// Item is one buffered element: the statistical symbol plus the energy the
+// item cost, which a dispatched window scales back up.
 type Item struct {
-	Sym     uint64
-	Payload any
+	Sym    uint64
+	Energy units.Energy
 }
 
 // Window is one flushed window: the selected items to dispatch and the

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/units"
 )
 
 func TestParamsValidate(t *testing.T) {
@@ -129,7 +131,7 @@ func TestCompactorWindows(t *testing.T) {
 	c := MustNew(Params{K: 8, Ratio: 4})
 	var flushed []Window
 	for i := 0; i < 20; i++ {
-		if w, ok := c.Push(Item{Sym: uint64(i % 3), Payload: i}); ok {
+		if w, ok := c.Push(Item{Sym: uint64(i % 3), Energy: units.Energy(i)}); ok {
 			flushed = append(flushed, w)
 		}
 	}
@@ -160,20 +162,18 @@ func TestCompactorWindows(t *testing.T) {
 
 func TestPayloadPreserved(t *testing.T) {
 	c := MustNew(Params{K: 4, Ratio: 2})
-	var got []int
+	var got []Item
 	for i := 0; i < 4; i++ {
-		if w, ok := c.Push(Item{Sym: uint64(i), Payload: i * 100}); ok {
-			for _, it := range w.Selected {
-				got = append(got, it.Payload.(int))
-			}
+		if w, ok := c.Push(Item{Sym: uint64(i), Energy: units.Energy(i * 100)}); ok {
+			got = append(got, w.Selected...)
 		}
 	}
 	if len(got) != 2 {
-		t.Fatalf("selected payloads = %v", got)
+		t.Fatalf("selected items = %v", got)
 	}
-	for _, p := range got {
-		if p%100 != 0 {
-			t.Fatalf("corrupt payload %d", p)
+	for _, it := range got {
+		if it.Energy != units.Energy(it.Sym*100) {
+			t.Fatalf("item %d carries energy %v, want %d", it.Sym, it.Energy, it.Sym*100)
 		}
 	}
 }

@@ -155,15 +155,14 @@ func (m Mode) String() string {
 //
 // Copy semantics: a Config is a value, but not every field is. Plain
 // assignment shares the Bus.Priority map, the model pointers (Timing,
-// Power, Accel.MacromodelTable) and the callbacks (Sink, PathEnergy), so
-// two runs started from the same copied Config can race on the map and
-// interleave on the callbacks. Sweep workers must therefore start from
+// Power, Accel.MacromodelTable) and the Sink, so two runs started from the
+// same copied Config can race on the map and interleave on the sink. Sweep workers must therefore start from
 // Clone(), which deep-copies the mutable state; the model pointers are
 // treated as immutable after construction and stay shared (that sharing is
 // what lets one macro-model characterization serve a whole sweep).
-// Callbacks also stay shared — a callback installed on a sweep's base
-// Config is invoked concurrently from every worker and must be
-// goroutine-safe (or nil).
+// The Sink also stays shared — a sink installed on a sweep's base Config
+// is invoked concurrently from every worker and must be goroutine-safe
+// (or nil).
 type Config struct {
 	Mode Mode
 
@@ -213,21 +212,12 @@ type Config struct {
 	// close the sink; its owner does.
 	Sink telemetry.Sink
 
-	// KeepBusTrace retains the per-grant bus trace for inspection
-	// (implicitly on when Accel.BusCompaction is set).
-	KeepBusTrace bool
-
-	// PathEnergy, if set, observes every real estimator invocation with its
-	// machine, execution path and measured energy — the raw samples behind
-	// the per-path energy histograms of Fig 4(b).
-	PathEnergy func(machine int, path cfsm.PathKey, energy units.Energy)
-
-	// Attribution enables the hierarchical energy attribution ledger: every
-	// energy accrual is emitted as a KindEnergyAttributed event and rolled
-	// up per process / execution path / bus master / component, attached to
-	// the report as Report.Attribution. Requires CoEstimation mode (the
-	// separate baseline estimates components offline, outside the event
-	// stream).
+	// Attribution attaches Report.Attribution: the report's energy broken
+	// down per component, process, bus master, costing technique and
+	// execution path. The master books every accrual once; with
+	// attribution on it also rolls each into the technique and path
+	// totals. Requires CoEstimation mode (the separate baseline estimates
+	// components offline, outside the master).
 	Attribution bool
 
 	// SWECache / HWECache, when non-nil and Accel.ECache is set, are used
@@ -271,7 +261,7 @@ func DefaultConfig() Config {
 
 // Clone returns a copy of the configuration that is safe to mutate and run
 // concurrently with the original: the Bus.Priority map is deep-copied, while
-// model pointers (immutable after construction) and callbacks (which must be
+// model pointers (immutable after construction) and the Sink (which must be
 // goroutine-safe, see the type comment) remain shared. The sweep engine
 // clones the base Config once per design point.
 func (c *Config) Clone() Config {

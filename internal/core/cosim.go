@@ -6,11 +6,11 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/attrib"
 	"repro/internal/audit"
 	"repro/internal/bus"
 	"repro/internal/cachesim"
 	"repro/internal/cfsm"
+	"repro/internal/compact"
 	"repro/internal/ecache"
 	"repro/internal/gate"
 	"repro/internal/hwsyn"
@@ -128,13 +128,12 @@ type CoSim struct {
 	transEnergy     [][]units.Energy // [machine][transition]
 	transCount      [][]uint64
 	cacheEnergy     units.Energy
-	rtosEnergy      units.Energy
 
 	issCalls  uint64
 	gateExecs uint64
 
 	// trc is the typed event stream; nil (the no-op tracer) when
-	// Config.Sink is unset and no attribution ledger is attached.
+	// Config.Sink is unset.
 	trc *telemetry.Tracer
 
 	// spans is the request-trace scope extracted once from RunContext's
@@ -142,10 +141,15 @@ type CoSim struct {
 	// the ISS/gate/ecache hot paths stay allocation-free.
 	spans *telemetry.SpanScope
 
-	// ledger consumes the run's event stream into energy attribution
-	// rollups (Config.Attribution); nil when attribution is off.
-	// KindEnergyAttributed events are only emitted while it is attached.
-	ledger *attrib.Ledger
+	// books are the attribution rollups (Config.Attribution); nil when
+	// attribution is off.
+	books *books
+
+	// busComp compacts the bus grants as they are made
+	// (Accel.BusCompaction); busCompacted sums its dispatched windows'
+	// scaled energy.
+	busComp      *compact.Compactor
+	busCompacted float64
 
 	// audit is the shadow-sampling auditor (Config.ShadowAudit); the nil
 	// auditor is disabled and costs nothing on the hot path.
@@ -205,20 +209,12 @@ func NewShared(sys *System, cfg Config, art *Artifacts) (*CoSim, error) {
 		swSync:  make(map[int]bool),
 		samples: make(map[ecache.Key]*sampleState),
 	}
-	// The attribution ledger, when enabled, is one more fan-out target of
-	// the run's event stream.
-	sink := cfg.Sink
-	if cfg.Attribution {
-		infos := make([]attrib.MachineInfo, len(sys.Net.Machines))
-		for mi, m := range sys.Net.Machines {
-			infos[mi] = attrib.MachineInfo{Name: m.Name, HW: sys.Procs[m.Name].Mapping == HW}
-		}
-		cs.ledger = attrib.NewLedger(infos)
-		sink = telemetry.Multi(sink, cs.ledger)
-	}
-	cs.trc = telemetry.NewTracer(sink)
+	cs.trc = telemetry.NewTracer(cfg.Sink)
 	cs.audit = audit.New(cfg.ShadowAudit)
 	n := len(sys.Net.Machines)
+	if cfg.Attribution {
+		cs.books = newBooks(n)
+	}
 	cs.bufs = make([]machineBufs, n)
 	cs.procs = make([]ProcessConfig, n)
 	cs.machineEnergy = make([]units.Energy, n)
@@ -302,8 +298,9 @@ func NewShared(sys *System, cfg Config, art *Artifacts) (*CoSim, error) {
 	}
 	cs.bus = b
 	b.SetTracer(cs.trc)
-	if cfg.Accel.BusCompaction || cfg.KeepBusTrace {
-		b.KeepTrace(true)
+	if cfg.Accel.BusCompaction && cfg.Mode == CoEstimation {
+		cs.busComp = compact.MustNew(cfg.Accel.BusCompactionParams)
+		b.OnGrant(cs.compactGrant)
 	}
 
 	if cfg.ICache {
@@ -355,9 +352,6 @@ func (cs *CoSim) Kernel() *sim.Kernel { return cs.kernel }
 
 // Shared exposes the behavioral shared memory.
 func (cs *CoSim) Shared() *SharedMemory { return cs.shared }
-
-// BusTrace returns the recorded grant trace (enable with KeepBusTrace).
-func (cs *CoSim) BusTrace() []bus.Grant { return cs.bus.Trace() }
 
 // SWProgram returns the synthesized SPARC program image of the software
 // partition (nil when there are no software processes), for disassembly and
@@ -447,30 +441,15 @@ func (cs *CoSim) emitECache(mi int, r *cfsm.Reaction, hit bool) {
 	if hit {
 		kind = telemetry.KindECacheHit
 		name = "ecache-hit"
+		if cs.books != nil {
+			cs.books.hits[mi]++
+		}
 	}
 	cs.trc.Emit(telemetry.Event{
 		Time: cs.kernel.Now(), Kind: kind,
 		Component: cs.sys.Net.Machines[mi].Name, Machine: mi, Path: uint64(r.Path),
 	})
 	cs.spans.Instant(name, cs.sys.Net.Machines[mi].Name, int64(r.Path))
-}
-
-// emitAttrib books one energy accrual on the event stream for the
-// attribution ledger. Gated on the ledger so runs without attribution
-// keep their traces (and hot path) unchanged; mi is -1 for shared
-// components, whose source label routes them in the ledger.
-func (cs *CoSim) emitAttrib(mi int, source string, path uint64, e units.Energy) {
-	if cs.ledger == nil {
-		return
-	}
-	comp := source
-	if mi >= 0 {
-		comp = cs.sys.Net.Machines[mi].Name
-	}
-	cs.trc.Emit(telemetry.Event{
-		Time: cs.kernel.Now(), Kind: telemetry.KindEnergyAttributed,
-		Component: comp, Machine: mi, Name: source, Path: path, Energy: e,
-	})
 }
 
 // emitShadow announces one shadow-audited serve on the event stream.
@@ -602,6 +581,9 @@ func (cs *CoSim) RunContext(ctx context.Context) (*Report, error) {
 				live, cs.kernel.Now(), ErrSimTimeExceeded)
 		}
 		mTruncations.Inc()
+		if cs.books != nil {
+			cs.books.truncated = true
+		}
 		cs.trc.Emit(telemetry.Event{
 			Time: cs.kernel.Now(), Kind: telemetry.KindDeadlineWarning,
 			Component: "master", Machine: -1, Value: int64(live),

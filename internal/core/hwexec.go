@@ -142,9 +142,6 @@ func (cs *CoSim) pumpHW(mi int, ex *hwExec, r *cfsm.Reaction, run *hwRun, key ec
 				// not be double-counted.
 				cs.hwCache.Update(key, st.Energy, st.ComputeCycles())
 			}
-			if cs.cfg.PathEnergy != nil {
-				cs.cfg.PathEnergy(mi, r.Path, st.Energy)
-			}
 			cs.machineCycles[mi] += st.Cycles
 			cs.finishHW(mi, ex, r, 0, st.Energy, srcGate)
 		})
@@ -227,7 +224,7 @@ func (cs *CoSim) blockFor(r *cfsm.Reaction, run *hwRun, req hwsyn.Req) (uint32, 
 // the shadow run is stall-free. Cycles compare cleanly — the cache stores
 // stall-free counts. The reference execution leaves the driver registers
 // current, so the stale flag clears. Like shadowSW, it bypasses the
-// gateExecs/machineEstCalls accounting and the PathEnergy callback.
+// gateExecs/machineEstCalls accounting and emits no KindGateEval event.
 func (cs *CoSim) shadowHW(ex *hwExec, key ecache.Key, r *cfsm.Reaction, preVars []cfsm.Value, served units.Energy) {
 	mi := key.Machine
 	if ex.stale {
@@ -256,15 +253,13 @@ func (cs *CoSim) shadowHW(ex *hwExec, key ecache.Key, r *cfsm.Reaction, preVars 
 
 // finishHW completes a hardware reaction: for cached reactions, lumpCycles
 // spreads the cached duration (and the bus groups replay concurrently); for
-// measured ones the engine time already elapsed during pumping. src labels
-// the costing technique for attribution.
-func (cs *CoSim) finishHW(mi int, ex *hwExec, r *cfsm.Reaction, lumpCycles uint64, energy units.Energy, src string) {
+// measured ones the engine time already elapsed during pumping. src names
+// the costing technique.
+func (cs *CoSim) finishHW(mi int, ex *hwExec, r *cfsm.Reaction, lumpCycles uint64, energy units.Energy, src source) {
 	m := cs.sys.Net.Machines[mi]
-	cs.machineEnergy[mi] += energy
+	cs.book(mi, src, r.Path, energy)
 	cs.transEnergy[mi][r.TransIdx] += energy
 	cs.transCount[mi][r.TransIdx]++
-	cs.wave.Add(m.Name, cs.kernel.Now(), energy)
-	cs.emitAttrib(mi, src, uint64(r.Path), energy)
 
 	complete := func() {
 		cs.machineCycles[mi] += lumpCycles // measured cycles were added by the pump

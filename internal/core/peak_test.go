@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/systems"
+	"repro/internal/telemetry"
 	"repro/internal/units"
 )
 
@@ -16,7 +17,8 @@ func TestPowerPeaksCorrelateWithArbiterHandshakes(t *testing.T) {
 	p.Packets = 4
 	sys, cfg := systems.TCPIP(p)
 	cfg.WaveformBucket = 5 * units.Microsecond
-	cfg.KeepBusTrace = true
+	grants := &busGrants{}
+	cfg.Sink = grants
 	cs, err := core.New(sys, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -35,8 +37,8 @@ func TestPowerPeaksCorrelateWithArbiterHandshakes(t *testing.T) {
 	lo := peakAt - cfg.WaveformBucket
 	hi := peakAt + 2*cfg.WaveformBucket
 	overlap := false
-	for _, g := range cs.BusTrace() {
-		if g.Start < hi && g.End > lo {
+	for _, g := range grants.events {
+		if g.Time < hi && g.Time+g.Dur > lo {
 			overlap = true
 			break
 		}
@@ -45,3 +47,14 @@ func TestPowerPeaksCorrelateWithArbiterHandshakes(t *testing.T) {
 		t.Fatalf("power peak at %v does not overlap any arbiter grant", peakAt)
 	}
 }
+
+// busGrants keeps a run's KindBusTransaction events.
+type busGrants struct{ events []telemetry.Event }
+
+func (b *busGrants) Emit(ev telemetry.Event) {
+	if ev.Kind == telemetry.KindBusTransaction {
+		b.events = append(b.events, ev)
+	}
+}
+
+func (b *busGrants) Close() error { return nil }

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/attrib"
 	"repro/internal/audit"
 	"repro/internal/bus"
 	"repro/internal/cachesim"
@@ -92,10 +91,10 @@ type Report struct {
 
 	BusCompaction *BusCompactionReport
 
-	// Attribution is the energy attribution ledger's rollup; nil unless
-	// Config.Attribution was set. Its component totals reconcile with
-	// Total (same accrual events, same summation).
-	Attribution *attrib.Summary
+	// Attribution breaks Total down by component, process, bus master,
+	// costing technique and execution path; nil unless
+	// Config.Attribution was set. Its Total is Total.
+	Attribution *Attribution
 
 	// Audit is the shadow-sampling auditor's divergence record; nil
 	// unless Config.ShadowAudit.Rate was set.
@@ -211,8 +210,8 @@ func (cs *CoSim) report(wall time.Duration) *Report {
 		r.BusEnergy = r.BusStats.Energy
 	}
 
-	if cs.cfg.Accel.BusCompaction && cs.cfg.Mode == CoEstimation {
-		r.BusCompaction = cs.compactBusTrace()
+	if cs.busComp != nil {
+		r.BusCompaction = cs.finishBusCompaction()
 		r.BusEnergy = r.BusCompaction.CompactedEnergy
 	}
 
@@ -223,7 +222,7 @@ func (cs *CoSim) report(wall time.Duration) *Report {
 
 	r.RTOSStats = cs.sched.Stats()
 	r.RTOSEnergy = units.Energy(r.RTOSStats.OverheadCycles) * cs.cfg.Power.Stall
-	cs.emitAttrib(-1, srcRTOS, 0, r.RTOSEnergy)
+	cs.book(-1, srcRTOS, 0, r.RTOSEnergy)
 	if cs.swCache != nil {
 		r.SWECache = cs.swCache.Stats().Since(cs.swCacheBase)
 	}
@@ -234,8 +233,12 @@ func (cs *CoSim) report(wall time.Duration) *Report {
 	r.Total = r.SWEnergy + r.HWEnergy + r.BusEnergy + r.CacheEnergy + r.RTOSEnergy
 	r.Audit = cs.audit.Report()
 	r.Budget = cs.errorBudget(r)
-	if cs.ledger != nil {
-		r.Attribution = cs.ledger.Summary(10)
+	if cs.books != nil {
+		masters := make([]bus.Stats, len(r.Machines))
+		for mi := range masters {
+			masters[mi] = cs.bus.MasterStats(mi)
+		}
+		r.Attribution = cs.books.summary(r, masters, 10)
 	}
 	return r
 }
@@ -300,40 +303,44 @@ func (cs *CoSim) errorBudget(r *Report) *audit.ErrorBudget {
 	return b
 }
 
-// compactBusTrace re-estimates bus energy from the K-memory-compacted grant
-// trace (§4.3 applied to the SoC integration architecture estimator).
-func (cs *CoSim) compactBusTrace() *BusCompactionReport {
-	comp := compact.MustNew(cs.cfg.Accel.BusCompactionParams)
-	var compacted float64
-	account := func(w compact.Window) {
-		var e float64
-		for _, it := range w.Selected {
-			e += float64(it.Payload.(units.Energy))
-		}
-		compacted += e * w.Scale
-		cs.trc.Emit(telemetry.Event{
-			Time: cs.kernel.Now(), Kind: telemetry.KindCompactionDispatch,
-			Component: "bus", Machine: -1,
-			Words: len(w.Selected), Value: int64(w.Total),
-			Energy: units.Energy(e * w.Scale),
-		})
+// compactGrant feeds one bus grant, as it is made, to the K-memory
+// compactor that re-estimates bus energy (§4.3 applied to the SoC
+// integration architecture estimator).
+func (cs *CoSim) compactGrant(g bus.Grant) {
+	sym := uint64(g.Master)<<17 | uint64(g.Words)<<1
+	if g.Write {
+		sym |= 1
 	}
-	for _, g := range cs.bus.Trace() {
-		sym := uint64(g.Master)<<17 | uint64(g.Words)<<1
-		if g.Write {
-			sym |= 1
-		}
-		if w, ok := comp.Push(compact.Item{Sym: sym, Payload: g.Energy}); ok {
-			account(w)
-		}
+	if w, ok := cs.busComp.Push(compact.Item{Sym: sym, Energy: g.Energy}); ok {
+		cs.dispatchWindow(w)
 	}
-	if w, ok := comp.Flush(); ok {
-		account(w)
+}
+
+// dispatchWindow books one compacted window's scaled energy.
+func (cs *CoSim) dispatchWindow(w compact.Window) {
+	var e float64
+	for _, it := range w.Selected {
+		e += float64(it.Energy)
+	}
+	cs.busCompacted += e * w.Scale
+	cs.trc.Emit(telemetry.Event{
+		Time: cs.kernel.Now(), Kind: telemetry.KindCompactionDispatch,
+		Component: "bus", Machine: -1,
+		Words: len(w.Selected), Value: int64(w.Total),
+		Energy: units.Energy(e * w.Scale),
+	})
+}
+
+// finishBusCompaction dispatches the compactor's last, partial window and
+// compares the compacted bus energy with the full grant stream's.
+func (cs *CoSim) finishBusCompaction() *BusCompactionReport {
+	if w, ok := cs.busComp.Flush(); ok {
+		cs.dispatchWindow(w)
 	}
 	return &BusCompactionReport{
 		FullEnergy:      cs.bus.Stats().Energy,
-		CompactedEnergy: units.Energy(compacted),
-		Stats:           comp.Stats(),
+		CompactedEnergy: units.Energy(cs.busCompacted),
+		Stats:           cs.busComp.Stats(),
 	}
 }
 

@@ -10,19 +10,6 @@ import (
 	"repro/internal/units"
 )
 
-// Attribution source labels: the costing technique (or accrual site) a
-// KindEnergyAttributed event books its energy under.
-const (
-	srcISS      = "iss"
-	srcGate     = "gate"
-	srcECache   = "ecache"
-	srcMacro    = "macro"
-	srcSampling = "sampling"
-	srcWait     = "wait"
-	srcICache   = "icache"
-	srcRTOS     = "rtos"
-)
-
 // activateSW routes a software machine's pending events through the RTOS:
 // the behavioral reaction executes at dispatch time (so shared-processor
 // serialization is honored), the estimator stack produces its cost, the CPU
@@ -84,7 +71,9 @@ func (j *swJob) service() units.Time {
 	}
 
 	cycles, energy, src := cs.estimateSW(mi, r, b.preVars)
-	cs.emitAttrib(mi, src, uint64(r.Path), energy)
+	cs.book(mi, src, r.Path, energy)
+	cs.transEnergy[mi][r.TransIdx] += energy
+	cs.transCount[mi][r.TransIdx]++
 
 	// Fast instruction-cache simulation, fed by the master from the
 	// statically reconstructed path trace (never from the ISS).
@@ -95,16 +84,9 @@ func (j *swJob) service() units.Time {
 			return 0
 		}
 		cycles += missCycles
-		cs.cacheEnergy += ce
-		cs.wave.Add("icache", cs.kernel.Now(), ce)
-		cs.emitAttrib(mi, srcICache, uint64(r.Path), ce)
+		cs.book(mi, srcICache, r.Path, ce)
 	}
-
 	cs.machineCycles[mi] += cycles
-	cs.machineEnergy[mi] += energy
-	cs.transEnergy[mi][r.TransIdx] += energy
-	cs.transCount[mi][r.TransIdx]++
-	cs.wave.Add(m.Name, cs.kernel.Now(), energy)
 
 	// Issue the reaction's bus transfers now: loads and stores
 	// interleave with the computation, so they contend with other
@@ -149,10 +131,7 @@ func (j *swJob) finish() {
 	cs, mi, r := j.cs, j.mi, j.r
 	if wait := cs.kernel.Now() - j.cpuEnd; wait > 0 {
 		// The CPU stalls on its outstanding transfers.
-		we := units.Energy(float64(cs.cfg.CPUIdle) * wait.Seconds())
-		cs.machineWait[mi] += we
-		cs.wave.Add(cs.sys.Net.Machines[mi].Name, cs.kernel.Now(), we)
-		cs.emitAttrib(mi, srcWait, 0, we)
+		cs.book(mi, srcWait, 0, units.Energy(float64(cs.cfg.CPUIdle)*wait.Seconds()))
 	}
 	cs.deliver(mi, r)
 	cs.freeJobs = append(cs.freeJobs, j)
@@ -206,9 +185,9 @@ func (cs *CoSim) feedICache(mi int, r *cfsm.Reaction) (uint64, units.Energy, err
 }
 
 // estimateSW is the software estimator stack of Fig 2(b): energy cache, then
-// macro-model or sampling, then the ISS itself. The returned source label
-// names the technique that produced the cost (for attribution).
-func (cs *CoSim) estimateSW(mi int, r *cfsm.Reaction, preVars []cfsm.Value) (uint64, units.Energy, string) {
+// macro-model or sampling, then the ISS itself. The returned source names
+// the technique that produced the cost.
+func (cs *CoSim) estimateSW(mi int, r *cfsm.Reaction, preVars []cfsm.Value) (uint64, units.Energy, source) {
 	key := ecache.Key{Machine: mi, Path: r.Path}
 
 	if cs.cfg.Accel.Macromodel {
@@ -295,15 +274,12 @@ func (cs *CoSim) runISS(mi int, r *cfsm.Reaction, preVars []cfsm.Value) (uint64,
 		Component: cs.sys.Net.Machines[mi].Name, Machine: mi,
 		Path: uint64(r.Path), Cycles: st.Cycles, Energy: st.Energy,
 	})
-	if cs.cfg.PathEnergy != nil {
-		cs.cfg.PathEnergy(mi, r.Path, st.Energy)
-	}
 	return st.Cycles, st.Energy
 }
 
 // shadowSW re-runs an accelerated SW serve on the reference ISS and books
 // the divergence. It deliberately bypasses the issCalls/machineEstCalls
-// accounting and the PathEnergy callback — shadow runs are audit
+// accounting and emits no KindISSCall event — shadow runs are audit
 // overhead, not part of the estimate (the auditor keeps its own
 // counters). cache, when non-nil, receives the fresh reference
 // observation, preceded by an invalidation when the auditor flags drift
@@ -338,13 +314,9 @@ func (cs *CoSim) finishSampling() {
 	if !cs.cfg.Accel.Sampling {
 		return
 	}
-	now := cs.kernel.Now()
 	for key, st := range cs.samples {
 		if st.sinceSample > 0 && st.energy.N() > 0 {
-			e := units.Energy(st.energy.Mean() * float64(st.sinceSample))
-			cs.machineEnergy[key.Machine] += e
-			cs.wave.Add(cs.sys.Net.Machines[key.Machine].Name, now, e)
-			cs.emitAttrib(key.Machine, srcSampling, uint64(key.Path), e)
+			cs.book(key.Machine, srcSampling, key.Path, units.Energy(st.energy.Mean()*float64(st.sinceSample)))
 			st.sinceSample = 0
 		}
 	}

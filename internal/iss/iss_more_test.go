@@ -6,35 +6,34 @@ import (
 	"repro/internal/sparc"
 )
 
-// Execute a program written in the textual assembly dialect — end-to-end
-// through the parser, encoder and simulator.
-func TestParsedProgramExecutes(t *testing.T) {
-	src := `
-entry:
-    save %sp, -96, %sp
-    mov  10, %o0
-    call fact
-    nop
-    mov  %o0, %i0
-    ret
-    restore
+// Execute a call into an iterative factorial — end-to-end through the
+// assembler, encoder and simulator.
+func TestAssembledProgramExecutes(t *testing.T) {
+	a := sparc.NewAsm(0x1000)
+	a.Label("entry")
+	a.Save(-96)
+	a.Movi(sparc.O0, 10)
+	a.Call("fact")
+	a.Nop()
+	a.Mov(sparc.I0, sparc.O0)
+	a.Ret()
+	a.Restore()
 
-! iterative factorial mod 2^32
-fact:
-    mov  1, %o1
-floop:
-    cmp  %o0, 1
-    ble  fdone
-    nop
-    smul %o1, %o0, %o1
-    ba   floop
-    sub  %o0, 1, %o0
-fdone:
-    mov  %o1, %o0
-    retl
-    nop
-`
-	p, err := sparc.ParseAsm(src, 0x1000)
+	// Iterative factorial mod 2^32.
+	a.Label("fact")
+	a.Movi(sparc.O1, 1)
+	a.Label("floop")
+	a.Op3i(sparc.SUBCC, sparc.G0, sparc.O0, 1) // cmp %o0, 1
+	a.Branch(sparc.BLE, "fdone", false)
+	a.Nop()
+	a.Op3(sparc.SMUL, sparc.O1, sparc.O1, sparc.O0)
+	a.Branch(sparc.BA, "floop", false)
+	a.Op3i(sparc.SUB, sparc.O0, sparc.O0, 1)
+	a.Label("fdone")
+	a.Mov(sparc.O0, sparc.O1)
+	a.Retl()
+	a.Nop()
+	p, err := a.Assemble()
 	if err != nil {
 		t.Fatal(err)
 	}

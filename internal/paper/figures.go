@@ -19,6 +19,7 @@ import (
 	"repro/internal/report"
 	"repro/internal/stats"
 	"repro/internal/systems"
+	"repro/internal/telemetry"
 	"repro/internal/units"
 	"repro/pkg/coest"
 )
@@ -159,16 +160,24 @@ func (r *Runner) runPathEnergy(ctx context.Context, e Experiment, log io.Writer)
 // collectPathEnergy estimates sys on the DSP power model and returns the
 // report with every real estimator invocation's energy in nJ, per path.
 func collectPathEnergy(ctx context.Context, sys *coest.System) (*coest.Report, map[ecache.Key][]float64, error) {
-	samples := map[ecache.Key][]float64{}
-	record := func(c *coest.RunConfig) {
-		c.PathEnergy = func(mi int, path cfsm.PathKey, en units.Energy) {
-			k := ecache.Key{Machine: mi, Path: path}
-			samples[k] = append(samples[k], en.Nanojoules())
-		}
-	}
-	rp, err := coest.Estimate(ctx, sys, coest.WithDSPModel(), coest.WithConfig(record))
+	samples := pathEnergySink{}
+	rp, err := coest.Estimate(ctx, sys, coest.WithDSPModel(), coest.WithTraceSink(samples))
 	return rp, samples, err
 }
+
+// pathEnergySink keeps the energy of every real estimator invocation — the
+// run's KindISSCall and KindGateEval events — in nJ, per path. Shadow
+// audits emit neither kind.
+type pathEnergySink map[ecache.Key][]float64
+
+func (s pathEnergySink) Emit(ev telemetry.Event) {
+	if ev.Kind == telemetry.KindISSCall || ev.Kind == telemetry.KindGateEval {
+		k := ecache.Key{Machine: ev.Machine, Path: cfsm.PathKey(ev.Path)}
+		s[k] = append(s[k], ev.Energy.Nanojoules())
+	}
+}
+
+func (pathEnergySink) Close() error { return nil }
 
 // pathSamples is one execution path's energy samples and their
 // coefficient of variation.

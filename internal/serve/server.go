@@ -680,8 +680,9 @@ func (s *Server) writeError(w http.ResponseWriter, st *traceState, e *reqError) 
 
 // maxPackets caps a request's packet count, checked before admission:
 // validation runs ahead of the drain check and the admission slot, so
-// neither limits what it costs. Validation builds the system, one stimulus
-// closure and payload per packet (~312 B each).
+// neither limits what it costs. Validating a request for a design with no
+// warm session builds the system, one stimulus closure and payload per
+// packet (~312 B each).
 const maxPackets = 4096
 
 // maxPoints caps a request's point count, checked with maxPackets before
@@ -711,8 +712,10 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) *reqError {
 
 // validateRequest admission-checks one wire request: version negotiation
 // (400 with unsupported_version on an unknown major), then the shape checks.
-// The packet and point bounds come before anything is built.
-func validateRequest(req *coestapi.Request) *reqError {
+// The packet and point bounds come before anything is built. A request for
+// a design with a warm session builds nothing: that session was built from
+// the same (system, packets). Any other request must build.
+func (s *Server) validateRequest(req *coestapi.Request) *reqError {
 	if err := coestapi.CheckVersion(req.Version); err != nil {
 		return &reqError{status: http.StatusBadRequest, code: coestapi.CodeUnsupportedVersion, msg: err.Error()}
 	}
@@ -726,6 +729,9 @@ func validateRequest(req *coestapi.Request) *reqError {
 	if len(req.Points) > maxPoints {
 		return &reqError{status: http.StatusBadRequest, code: coestapi.CodeBadRequest,
 			msg: fmt.Sprintf("bad request: %d points exceed %d", len(req.Points), maxPoints)}
+	}
+	if s.sessionFor(req.System, req.Packets) != nil {
+		return nil
 	}
 	if _, err := buildSystem(req); err != nil {
 		return &reqError{status: http.StatusBadRequest, code: coestapi.CodeBadRequest, msg: "bad request: " + err.Error()}
@@ -800,7 +806,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request, st *trac
 		s.writeError(w, st, e)
 		return
 	}
-	if e := validateRequest(&req); e != nil {
+	if e := s.validateRequest(&req); e != nil {
 		s.writeError(w, st, e)
 		return
 	}

@@ -12,7 +12,9 @@
 // (reaction dispatch, estimator invocation, cache hit, bus grant) is a
 // typed Event with its simulated timestamp, deliverable to any Sink —
 // line-oriented text, JSONL, or a Chrome/Perfetto trace_event file that
-// opens in a trace viewer with one lane per process.
+// opens in a trace viewer with one lane per process. The stream reports
+// what happened; the energy books are the co-simulation master's (core's
+// report and its attribution summary), not rebuilt from events.
 //
 // The event hot path is allocation-free when no sink is attached: a nil
 // *Tracer is a valid no-op tracer, Event is a flat value struct, and
@@ -52,11 +54,6 @@ const (
 	// KindDeadlineWarning: the run hit MaxSimTime with events still
 	// scheduled (a truncation, not a natural finish).
 	KindDeadlineWarning
-	// KindEnergyAttributed: energy was accrued to a component — the
-	// attribution record behind the energy ledger. One event per accrual
-	// site: reaction compute energy (with the costing technique in Name),
-	// CPU bus-stall wait energy, I-cache energy, RTOS overhead.
-	KindEnergyAttributed
 	// KindShadowAudit: a reaction served from the energy cache or the
 	// macro-model table was also run through the reference estimator (ISS
 	// or gate-level) and the divergence recorded.
@@ -80,7 +77,6 @@ var kindNames = [...]string{
 	KindBusTransaction:     "bus-txn",
 	KindCompactionDispatch: "compaction",
 	KindDeadlineWarning:    "deadline",
-	KindEnergyAttributed:   "energy",
 	KindShadowAudit:        "shadow",
 	KindSpanBegin:          "span-begin",
 	KindSpanEnd:            "span-end",
@@ -110,10 +106,6 @@ func (k Kind) String() string {
 //	CompactionDispatch  Component ("bus"), Words (selected), Value (window
 //	                    total), Energy (scaled window energy)
 //	DeadlineWarning     Component ("master"), Value (live pending events)
-//	EnergyAttributed    Component (machine name, "icache", "rtos"), Machine
-//	                    (-1 for shared components), Name (source: "iss",
-//	                    "gate", "ecache", "macro", "sampling", "wait",
-//	                    "icache", "rtos"), Path, Energy
 //	ShadowAudit         Component (machine), Machine, Name (technique),
 //	                    Path, Cycles (reference), Energy (reference),
 //	                    Served (estimate under audit)
@@ -132,7 +124,7 @@ type Event struct {
 	Value      int64  // emitted value / window size / pending count
 
 	Cycles uint64       // estimator-reported cycle count
-	Energy units.Energy // energy attributed by this event
+	Energy units.Energy // energy the occurrence cost
 	Dur    units.Time   // duration where known (CPU phase, bus grant)
 
 	Addr  uint32 // bus word-block start address (bytes)
@@ -173,8 +165,6 @@ func (ev Event) String() string {
 		return prefix + fmt.Sprintf("comp  window %d -> %d dispatched, %v", ev.Value, ev.Words, ev.Energy)
 	case KindDeadlineWarning:
 		return prefix + fmt.Sprintf("DEADLINE: truncated with %d events still scheduled", ev.Value)
-	case KindEnergyAttributed:
-		return prefix + fmt.Sprintf("attr  %s <- %v (%s)", ev.Component, ev.Energy, ev.Name)
 	case KindShadowAudit:
 		return prefix + fmt.Sprintf("shdw  %s path %x (%s): served %v, ref %v over %d cycles", ev.Component, ev.Path, ev.Name, ev.Served, ev.Energy, ev.Cycles)
 	case KindSpanBegin:

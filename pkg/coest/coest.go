@@ -33,7 +33,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/attrib"
 	"repro/internal/audit"
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -93,9 +92,11 @@ type (
 	// the WithConfig escape hatch when no dedicated option exists.
 	RunConfig = core.Config
 
-	// AttributionSummary is the energy attribution ledger's rollup
-	// (Report.Attribution, via WithAttribution).
-	AttributionSummary = attrib.Summary
+	// AttributionSummary breaks a run's Total down by component, process,
+	// bus master, costing technique and execution path
+	// (Report.Attribution, via WithAttribution). It is read from the run's
+	// own books, so its Total is the report's Total.
+	AttributionSummary = core.Attribution
 	// AuditReport is the shadow-sampling auditor's divergence record
 	// (Report.Audit, via WithShadowAudit).
 	AuditReport = audit.Report

@@ -299,11 +299,11 @@ func WithProgress(fn func(PointMetrics)) Option {
 	return runOption("WithProgress", func(st *settings) { st.onPoint = fn })
 }
 
-// WithAttribution enables the hierarchical energy attribution ledger: every
-// energy accrual of the run is booked per process, execution path, bus
-// master and component, and the rollup is attached to the report as
-// Report.Attribution. The ledger consumes the same accrual events that feed
-// Report.Total, so its component totals reconcile with the run total.
+// WithAttribution attaches Report.Attribution: the run's energy broken down
+// per component, process, bus master, costing technique and execution
+// path. The co-simulation master books every accrual once, into the report
+// and, with attribution on, into the technique and path rollups, so the
+// summary's Total is the report's Total exactly.
 func WithAttribution() Option {
 	return configOption("WithAttribution", func(st *settings) {
 		st.config(func(c *core.Config) { c.Attribution = true })

@@ -14,9 +14,9 @@ func qualityTCPIP() coest.TCPIPParams {
 	return p
 }
 
-// TestAttributionReconciles is the acceptance check for the attribution
-// ledger: on an accelerated TCP/IP run, the ledger's component totals must
-// sum to the run's reported total within 0.1%.
+// TestAttributionReconciles is the acceptance check for attribution: on an
+// accelerated TCP/IP run, the component totals must sum to the run's
+// reported total within 0.1%.
 func TestAttributionReconciles(t *testing.T) {
 	rep, err := coest.Estimate(context.Background(), coest.TCPIP(qualityTCPIP()),
 		coest.WithEnergyCache(),
@@ -50,6 +50,71 @@ func TestAttributionReconciles(t *testing.T) {
 	}
 	if len(rep.Attribution.Techniques) == 0 {
 		t.Fatal("no costing techniques attributed")
+	}
+}
+
+// TestAttributionReadsTheBooks: under each acceleration, attribution is the
+// report's own accounts. Its total is the report's bit for bit, each
+// process row is that process's report, the bus masters add up to the full
+// grant stream, and every accrual is one record.
+func TestAttributionReadsTheBooks(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts []coest.Option
+	}{
+		{"ecache", []coest.Option{coest.WithEnergyCache()}},
+		{"macro", []coest.Option{coest.WithMacroModel()}},
+		{"sampling+compaction", []coest.Option{coest.WithSampling(), coest.WithBusCompaction(32, 4)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep, err := coest.Estimate(context.Background(), coest.TCPIP(qualityTCPIP()),
+				append(tc.opts, coest.WithAttribution())...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := rep.Attribution
+			if a.Total != rep.Total {
+				t.Fatalf("attribution total %v, report total %v", a.Total, rep.Total)
+			}
+			if len(a.Machines) != len(rep.Machines) {
+				t.Fatalf("%d process rows for %d processes", len(a.Machines), len(rep.Machines))
+			}
+			var swReactions uint64
+			for _, m := range a.Machines {
+				mr := rep.Machines[m.Machine]
+				if m.Name != mr.Name || m.Energy != mr.Energy() || m.Wait != mr.WaitEnergy ||
+					m.Reactions != mr.Reactions || m.EstimatorCalls != mr.EstimatorCalls {
+					t.Fatalf("process row %+v, report %+v", m, mr)
+				}
+				if !m.HW {
+					swReactions += m.Reactions
+				}
+			}
+			var bus float64
+			for _, m := range a.BusMasters {
+				bus += float64(m.Energy)
+			}
+			if full := float64(rep.BusStats.Energy); math.Abs(bus-full) > 1e-12*full {
+				t.Fatalf("bus masters add up to %g J, the grant stream to %g J", bus, full)
+			}
+			for _, c := range a.Components {
+				if c.Name == "bus" && c.Energy != rep.BusEnergy {
+					t.Fatalf("bus component %v, report %v", c.Energy, rep.BusEnergy)
+				}
+			}
+			if (rep.BusCompaction != nil) != (tc.name == "sampling+compaction") {
+				t.Fatalf("bus compaction report %v", rep.BusCompaction)
+			}
+			// One record per technique accrual, per software reaction's
+			// I-cache feed and for the RTOS overhead.
+			records := swReactions + 1
+			for _, c := range a.Techniques {
+				records += c.Count
+			}
+			if a.Events != records {
+				t.Fatalf("%d records, want %d", a.Events, records)
+			}
+		})
 	}
 }
 
