@@ -52,3 +52,43 @@ func TestWarmSWReactionZeroAlloc(t *testing.T) {
 			runs+1, iss1-iss0, ic1-ic0, bus1-bus0)
 	}
 }
+
+// TestWarmHWReactionZeroAlloc is the alloc guard of the hardware side of
+// the master: once a run is warm, one more reaction of a hardware machine
+// allocates the same few records (its gate execution and the emission it
+// reports) whatever its DMA block count. The pump's bus request, block
+// buffer and callbacks, and the engine's credit tables, are reused.
+func TestWarmHWReactionZeroAlloc(t *testing.T) {
+	allocs := map[int]float64{}
+	for _, dma := range []int{2, 8, 64} {
+		p := systems.DefaultTCPIP()
+		p.Packets = 12
+		p.DMASize = dma
+		sys, cfg := systems.TCPIP(p)
+		cs, err := core.New(sys, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cs.Drive(); err != nil {
+			t.Fatal(err)
+		}
+		// A checksum request for slot 0: 48 shared-memory reads in
+		// ceil(48/dma) DMA blocks, then CHK_RES to ip_check, which is idle
+		// and so has no transition to fire.
+		ck := sys.Net.MachineIndex("checksum")
+		req := sys.Net.Machines[ck].InputIndex("CHK_REQ")
+		desc := cfsm.Value(p.PacketBytes)
+		react := func() {
+			if err := cs.PostAndDrive(ck, req, desc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		react()
+		allocs[dma] = testing.AllocsPerRun(100, react)
+	}
+	t.Logf("allocations per warm hardware reaction at DMA 2, 8, 64: %v, %v, %v", allocs[2], allocs[8], allocs[64])
+	if allocs[2] != allocs[64] || allocs[8] != allocs[64] || allocs[64] > 4 {
+		t.Fatalf("a warm hardware reaction allocates %v times at DMA 2, 8 and 64 (24, 6 and 1 blocks), want the same few",
+			[]float64{allocs[2], allocs[8], allocs[64]})
+	}
+}

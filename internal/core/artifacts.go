@@ -39,49 +39,72 @@ type Artifacts struct {
 	Image   *swsyn.Compiled          // nil when no process maps to software
 	HW      map[string]*hwsyn.Module // by machine name
 
+	// Replay, if set, is the table of recorded hardware-execution courses
+	// that every run rebinding these artifacts replays from and records
+	// into (hwsyn.Replay). A sweep sets one per design; sessions leave it
+	// nil, so their runs simulate every execution.
+	Replay *hwsyn.Replay
+
 	// boot is Image made ready for the ISS: its text predecoded under the
 	// compiling run's timing model, and the initialized SPARC memory
 	// (program words, variables, event buffers) every run starts from.
-	// A run under another timing model builds its own.
+	// A run under a timing model of other values builds its own.
 	boot *iss.Image
 }
 
-// Artifacts extracts the synthesis products of a built co-simulation for
-// reuse by later runs via NewShared. The returned artifacts reference the
-// CoSim's machines until rebound; treat them as read-only.
-func (cs *CoSim) Artifacts() *Artifacts {
-	a := &Artifacts{HWWidth: cs.cfg.HWWidth, Image: cs.image, boot: cs.boot}
-	if len(cs.hw) > 0 {
-		a.HW = make(map[string]*hwsyn.Module, len(cs.hw))
-		for mi, ex := range cs.hw {
-			a.HW[cs.sys.Net.Machines[mi].Name] = ex.driver.Mod
+// Compile synthesizes the system under cfg (Fig 2(a), the compilation
+// flow): the software partition into one SPARC image, made ready for the
+// ISS under cfg's timing model, and every hardware process into a gate
+// netlist compiled for simulation. It is the one compile path: New
+// compiles through it, and sessions and sweeps compile through it once and
+// rebind the artifacts per run (NewShared). The artifacts' modules refer to
+// sys's machines until rebound.
+func Compile(sys *System, cfg Config) (*Artifacts, error) {
+	if err := sys.Validate(); err != nil {
+		return nil, err
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	a := &Artifacts{HWWidth: cfg.HWWidth}
+	var swMachines, hwMachines []*cfsm.CFSM
+	for _, m := range sys.Net.Machines {
+		if sys.Procs[m.Name].Mapping == SW {
+			swMachines = append(swMachines, m)
+		} else {
+			hwMachines = append(hwMachines, m)
 		}
 	}
-	return a
-}
-
-// rebindSW returns the software image for this run: a rebind of the shared
-// artifact image when one is provided, a fresh compilation otherwise.
-func rebindSW(art *Artifacts, swMachines []*cfsm.CFSM) (*swsyn.Compiled, error) {
-	if art != nil && art.Image != nil {
-		return art.Image.Rebind(swMachines)
-	}
-	mSWCompiles.Inc()
-	return swsyn.Compile(swMachines)
-}
-
-// rebindHW returns the synthesized module for machine m: a rebind of the
-// shared artifact module when one is provided, a fresh synthesis otherwise.
-func rebindHW(art *Artifacts, m *cfsm.CFSM, cfg *Config) (*hwsyn.Module, error) {
-	if art != nil {
-		mod, ok := art.HW[m.Name]
-		if !ok {
-			return nil, fmt.Errorf("core: artifacts carry no HW module for %q", m.Name)
+	if len(swMachines) > 0 {
+		mSWCompiles.Inc()
+		img, err := swsyn.Compile(swMachines)
+		if err != nil {
+			return nil, err
 		}
-		return mod.Rebind(m)
+		a.Image = img
+		a.boot = iss.NewImage(img.Prog, cfg.Timing, img.InitMemory)
 	}
-	mHWSyntheses.Inc()
-	return hwsyn.Synthesize(m, hwsyn.Config{Width: cfg.HWWidth})
+	if len(hwMachines) > 0 {
+		a.HW = make(map[string]*hwsyn.Module, len(hwMachines))
+	}
+	for _, m := range hwMachines {
+		mHWSyntheses.Inc()
+		mod, err := hwsyn.Synthesize(m, hwsyn.Config{Width: cfg.HWWidth})
+		if err != nil {
+			return nil, err
+		}
+		a.HW[m.Name] = mod
+	}
+	return a, nil
+}
+
+// rebindHW returns the artifacts' module for machine m, bound to m.
+func (a *Artifacts) rebindHW(m *cfsm.CFSM) (*hwsyn.Module, error) {
+	mod, ok := a.HW[m.Name]
+	if !ok {
+		return nil, fmt.Errorf("core: artifacts carry no HW module for %q", m.Name)
+	}
+	return mod.Rebind(m)
 }
 
 // A finished run's ISS memory, with its pages, and its I-cache simulator

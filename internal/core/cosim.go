@@ -51,7 +51,8 @@ type hwExec struct {
 	driver  *hwsyn.Driver
 	busy    bool
 	pending int
-	stale   bool // registers out of sync (a cached skip happened)
+	stale   bool   // registers out of sync (a cached skip happened)
+	run     *hwRun // the machine's execution record, reused
 }
 
 // sampleState is the per-path reaction-sampling record (§4.3).
@@ -174,22 +175,23 @@ type CoSim struct {
 }
 
 // New builds a co-simulation for the system under the given configuration:
-// the software partition is synthesized and compiled into one SPARC image,
-// every hardware process is synthesized to a gate netlist, and the bus,
-// cache, RTOS and estimator stack are instantiated (Fig 2(a), the
-// compilation flow).
+// the system is compiled (Compile) and the bus, cache, RTOS and estimator
+// stack are instantiated around the artifacts.
 func New(sys *System, cfg Config) (*CoSim, error) {
-	return NewShared(sys, cfg, nil)
+	art, err := Compile(sys, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return NewShared(sys, cfg, art)
 }
 
-// NewShared is New with optional pre-built synthesis artifacts: when art is
-// non-nil the software image and hardware modules are rebound to this run's
-// machines instead of being recompiled — the warm path of an estimation
-// session (compile once, estimate many). sys must be a clone of the system
-// the artifacts were built from (same machines, same order), and
-// cfg.HWWidth must match the artifacts' width.
+// NewShared builds a co-simulation that rebinds pre-built synthesis
+// artifacts to this run's machines instead of compiling — the warm path of
+// an estimation session or a sweep (compile once, estimate many). sys must
+// be a clone of the system the artifacts were built from (same machines,
+// same order), and cfg.HWWidth must match the artifacts' width.
 func NewShared(sys *System, cfg Config, art *Artifacts) (*CoSim, error) {
-	if art != nil && art.HWWidth != cfg.HWWidth {
+	if art.HWWidth != cfg.HWWidth {
 		return nil, fmt.Errorf("core: artifacts built for HW width %d, config wants %d", art.HWWidth, cfg.HWWidth)
 	}
 	if err := sys.Validate(); err != nil {
@@ -247,15 +249,18 @@ func NewShared(sys *System, cfg Config, art *Artifacts) (*CoSim, error) {
 		}
 	}
 
-	// Software synthesis + ISS (or a rebind of the session's shared image,
-	// started from the session's boot image), in a recycled memory.
+	// The software image and the boot memory it starts from, rebound to
+	// this run's machines, in a recycled ISS memory.
 	if len(swMachines) > 0 {
-		img, err := rebindSW(art, swMachines)
+		if art.Image == nil {
+			return nil, fmt.Errorf("core: artifacts carry no software image")
+		}
+		img, err := art.Image.Rebind(swMachines)
 		if err != nil {
 			return nil, err
 		}
 		cs.image = img
-		if art != nil && art.boot != nil && art.boot.Timing == cfg.Timing {
+		if art.boot != nil && *art.boot.Timing == *cfg.Timing {
 			cs.boot = art.boot
 		} else {
 			cs.boot = iss.NewImage(img.Prog, cfg.Timing, img.InitMemory)
@@ -265,18 +270,19 @@ func NewShared(sys *System, cfg Config, art *Artifacts) (*CoSim, error) {
 		cs.cpu.LoadImage(cs.boot)
 	}
 
-	// Hardware synthesis + gate simulators (modules may come rebound from
-	// the session's artifacts, compiled gate program included; only the
-	// simulator's run state is per run).
+	// Hardware modules, compiled gate program included, rebound to this
+	// run's machines; only the simulator's run state is per run.
 	for mi, m := range sys.Net.Machines {
 		if cs.procs[mi].Mapping != HW {
 			continue
 		}
-		mod, err := rebindHW(art, m, &cfg)
+		mod, err := art.rebindHW(m)
 		if err != nil {
 			return nil, err
 		}
-		cs.hw[mi] = &hwExec{driver: hwsyn.NewDriver(mod, cfg.HWVdd)}
+		d := hwsyn.NewDriver(mod, cfg.HWVdd)
+		d.Replay = art.Replay
+		cs.hw[mi] = &hwExec{driver: d}
 	}
 
 	// Integration architecture. The priority map is copied before defaults

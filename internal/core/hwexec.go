@@ -84,14 +84,41 @@ func (cs *CoSim) startHW(mi int, ex *hwExec) {
 	}
 	cs.gateExecs++
 	cs.machineEstCalls[mi]++
-	run := &hwRun{exec: e}
-	cs.pumpHW(mi, ex, r, run, key)
+	run := ex.run
+	if run == nil {
+		run = &hwRun{cs: cs, mi: mi, ex: ex}
+		run.submitFn = run.submit
+		run.req.Done = run.granted
+		run.finishFn = run.finish
+		ex.run = run
+	}
+	run.exec, run.r, run.key, run.memIdx = e, r, key, 0
+	run.wallStart, run.wallBusy = 0, 0
+	run.pump()
 }
 
-// hwRun tracks one incremental engine execution.
+// hwRun tracks one incremental engine execution. Each hardware machine
+// runs one at a time, so its hwExec keeps one record and reuses it
+// execution after execution, with the bus request, the block buffer and
+// the callbacks bound once, when the record is made.
 type hwRun struct {
+	cs  *CoSim
+	mi  int
+	ex  *hwExec
+	r   *cfsm.Reaction
+	key ecache.Key
+
 	exec   *hwsyn.Exec
 	memIdx int // consumption pointer into the reaction's MemOps
+
+	// The memory request the engine waits on, and the block transfer
+	// that serves it: its request, its data and when it was submitted.
+	want     hwsyn.Req
+	req      bus.Request
+	data     []uint32
+	reqStart units.Time
+
+	submitFn, finishFn func() // submit and finish, bound once
 
 	// Wall-clock accounting for the request trace: the engine runs in
 	// chunks between bus stalls, so the gate span is recorded at
@@ -103,12 +130,12 @@ type hwRun struct {
 	wallBusy  int64
 }
 
-// pumpHW advances the engine until its next memory request, schedules the
+// pump advances the engine until its next memory request, schedules the
 // elapsed engine time in DE time, arbitrates the block transfer on the
 // shared bus, stalls the engine for the measured wait, and resumes — the
 // cycle-interleaved HW/bus coupling of the paper's framework.
-func (cs *CoSim) pumpHW(mi int, ex *hwExec, r *cfsm.Reaction, run *hwRun, key ecache.Key) {
-	period := cs.cfg.HWClock.Period()
+func (run *hwRun) pump() {
+	cs := run.cs
 	c0 := run.exec.Stats().Cycles
 	var chunkStart int64
 	if cs.spans != nil {
@@ -125,68 +152,79 @@ func (cs *CoSim) pumpHW(mi int, ex *hwExec, r *cfsm.Reaction, run *hwRun, key ec
 		cs.fail(err)
 		return
 	}
-	elapsed := units.Time(run.exec.Stats().Cycles-c0) * period
-
+	elapsed := units.Time(run.exec.Stats().Cycles-c0) * cs.cfg.HWClock.Period()
 	if !needMem {
-		cs.kernel.After(elapsed, func() {
-			st := run.exec.Stats()
-			cs.trc.Emit(telemetry.Event{
-				Time: cs.kernel.Now(), Kind: telemetry.KindGateEval,
-				Component: cs.sys.Net.Machines[mi].Name, Machine: mi,
-				Path: uint64(r.Path), Cycles: st.Cycles, Energy: st.Energy,
-			})
-			cs.spans.Complete("gate", cs.sys.Net.Machines[mi].Name, run.wallStart, run.wallBusy, st.Cycles, st.Energy)
-			if cs.hwCache != nil {
-				// Cache the stall-free cycle count: the cached replay
-				// re-runs the bus transfers in DE time, so wait time must
-				// not be double-counted.
-				cs.hwCache.Update(key, st.Energy, st.ComputeCycles())
-			}
-			cs.machineCycles[mi] += st.Cycles
-			cs.finishHW(mi, ex, r, 0, st.Energy, srcGate)
-		})
+		cs.kernel.After(elapsed, run.finishFn)
 		return
 	}
+	run.want = req
+	cs.kernel.After(elapsed, run.submitFn)
+}
 
-	cs.kernel.After(elapsed, func() {
-		addr, data, write := cs.blockFor(r, run, req)
-		reqStart := cs.kernel.Now()
-		cs.bus.Submit(&bus.Request{
-			Master: mi,
-			Addr:   addr * 4,
-			Data:   data,
-			Write:  write,
-			Done: func() {
-				wait := uint64((cs.kernel.Now() - reqStart) / period)
-				var stallStart int64
-				if cs.spans != nil {
-					stallStart = cs.spans.Now()
-				}
-				run.exec.Stall(wait)
-				if cs.spans != nil {
-					run.wallBusy += cs.spans.Now() - stallStart
-				}
-				if write {
-					for i := range data {
-						run.exec.CreditWrite(addr + uint32(i))
-					}
-				} else {
-					for i, d := range data {
-						run.exec.CreditRead(addr+uint32(i), d)
-					}
-				}
-				cs.pumpHW(mi, ex, r, run, key)
-			},
-		})
+// submit puts the block transfer that serves the engine's request on the
+// bus.
+func (run *hwRun) submit() {
+	cs := run.cs
+	addr, write := run.blockFor()
+	run.reqStart = cs.kernel.Now()
+	run.req.Master, run.req.Addr, run.req.Data, run.req.Write = run.mi, addr*4, run.data, write
+	cs.bus.Submit(&run.req)
+}
+
+// granted stalls the engine for the bus wait, credits it the block and
+// resumes it.
+func (run *hwRun) granted() {
+	cs := run.cs
+	wait := uint64((cs.kernel.Now() - run.reqStart) / cs.cfg.HWClock.Period())
+	var stallStart int64
+	if cs.spans != nil {
+		stallStart = cs.spans.Now()
+	}
+	run.exec.Stall(wait)
+	if cs.spans != nil {
+		run.wallBusy += cs.spans.Now() - stallStart
+	}
+	addr := run.req.Addr / 4
+	if run.req.Write {
+		for i := range run.data {
+			run.exec.CreditWrite(addr + uint32(i))
+		}
+	} else {
+		for i, d := range run.data {
+			run.exec.CreditRead(addr+uint32(i), d)
+		}
+	}
+	run.pump()
+}
+
+// finish books the completed execution. finishHW may start the machine's
+// next execution in this record, so nothing here reads the record after.
+func (run *hwRun) finish() {
+	cs, mi, r := run.cs, run.mi, run.r
+	st := run.exec.Stats()
+	cs.trc.Emit(telemetry.Event{
+		Time: cs.kernel.Now(), Kind: telemetry.KindGateEval,
+		Component: cs.sys.Net.Machines[mi].Name, Machine: mi,
+		Path: uint64(r.Path), Cycles: st.Cycles, Energy: st.Energy,
 	})
+	cs.spans.Complete("gate", cs.sys.Net.Machines[mi].Name, run.wallStart, run.wallBusy, st.Cycles, st.Energy)
+	if cs.hwCache != nil {
+		// Cache the stall-free cycle count: the cached replay
+		// re-runs the bus transfers in DE time, so wait time must
+		// not be double-counted.
+		cs.hwCache.Update(run.key, st.Energy, st.ComputeCycles())
+	}
+	cs.machineCycles[mi] += st.Cycles
+	cs.finishHW(mi, run.ex, r, 0, st.Energy, srcGate)
 }
 
 // blockFor resolves the engine's memory request against the behavioral
 // reaction's access trace: the block is the run of consecutive same-type
 // accesses starting at the requested address, up to the DMA block size —
-// the burst the DMA-capable master fetches per arbitration.
-func (cs *CoSim) blockFor(r *cfsm.Reaction, run *hwRun, req hwsyn.Req) (uint32, []uint32, bool) {
-	ops := r.MemOps
+// the burst the DMA-capable master fetches per arbitration. It fills the
+// run's block buffer and returns the block's word address and direction.
+func (run *hwRun) blockFor() (uint32, bool) {
+	cs, req, ops := run.cs, run.want, run.r.MemOps
 	// Find the matching access at or after the consumption pointer.
 	start := -1
 	for i := run.memIdx; i < len(ops); i++ {
@@ -199,21 +237,23 @@ func (cs *CoSim) blockFor(r *cfsm.Reaction, run *hwRun, req hwsyn.Req) (uint32, 
 		// Stale engine state diverged from the behavioral trace; fall back
 		// to a single-word transfer backed by behavioral shared memory.
 		if req.Write {
-			return req.Addr, []uint32{req.WData}, true
+			run.data = append(run.data[:0], req.WData)
+		} else {
+			run.data = append(run.data[:0], uint32(cs.shared.Peek(req.Addr)))
 		}
-		return req.Addr, []uint32{uint32(cs.shared.Peek(req.Addr))}, false
+		return req.Addr, req.Write
 	}
 	end := start + 1
 	for end < len(ops) && end-start < cs.cfg.Bus.DMASize &&
 		ops[end].Write == req.Write && ops[end].Addr == ops[end-1].Addr+1 {
 		end++
 	}
-	data := make([]uint32, end-start)
-	for i := start; i < end; i++ {
-		data[i-start] = uint32(ops[i].Data)
+	run.data = run.data[:0]
+	for _, op := range ops[start:end] {
+		run.data = append(run.data, uint32(op.Data))
 	}
 	run.memIdx = end
-	return ops[start].Addr, data, req.Write
+	return ops[start].Addr, req.Write
 }
 
 // shadowHW re-runs a cache-served HW reaction on the reference gate-level
@@ -256,28 +296,16 @@ func (cs *CoSim) shadowHW(ex *hwExec, key ecache.Key, r *cfsm.Reaction, preVars 
 // measured ones the engine time already elapsed during pumping. src names
 // the costing technique.
 func (cs *CoSim) finishHW(mi int, ex *hwExec, r *cfsm.Reaction, lumpCycles uint64, energy units.Energy, src source) {
-	m := cs.sys.Net.Machines[mi]
 	cs.book(mi, src, r.Path, energy)
 	cs.transEnergy[mi][r.TransIdx] += energy
 	cs.transCount[mi][r.TransIdx]++
 
-	complete := func() {
-		cs.machineCycles[mi] += lumpCycles // measured cycles were added by the pump
-		cs.deliver(mi, r)
-		ex.busy = false
-		if ex.pending > 0 {
-			ex.pending--
-			cs.startHW(mi, ex)
-		} else if m.Enabled() >= 0 {
-			cs.startHW(mi, ex)
-		}
-	}
-
 	if lumpCycles == 0 {
 		// Measured execution: time already advanced by the pump.
-		complete()
+		cs.completeHW(mi, ex, r, 0)
 		return
 	}
+	complete := func() { cs.completeHW(mi, ex, r, lumpCycles) }
 
 	// Cached execution: replay duration and bus traffic concurrently.
 	end := cs.kernel.Now() + units.Time(lumpCycles)*cs.cfg.HWClock.Period()
@@ -298,4 +326,18 @@ func (cs *CoSim) finishHW(mi int, ex *hwExec, r *cfsm.Reaction, lumpCycles uint6
 	}
 	onZero = complete
 	cs.kernel.At(end, release) // the barrier token: compute time elapsed
+}
+
+// completeHW delivers a finished hardware reaction and starts the
+// machine's next one, if any.
+func (cs *CoSim) completeHW(mi int, ex *hwExec, r *cfsm.Reaction, lumpCycles uint64) {
+	cs.machineCycles[mi] += lumpCycles // measured cycles were added by the pump
+	cs.deliver(mi, r)
+	ex.busy = false
+	if ex.pending > 0 {
+		ex.pending--
+		cs.startHW(mi, ex)
+	} else if cs.sys.Net.Machines[mi].Enabled() >= 0 {
+		cs.startHW(mi, ex)
+	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -279,16 +278,7 @@ func (cs *CoSim) errorBudget(r *Report) *audit.ErrorBudget {
 		b.Add(audit.MacroBudget(energy, served, cs.audit.Lens(audit.TechMacro)))
 	}
 	if a.Sampling && len(cs.samples) > 0 {
-		keys := make([]ecache.Key, 0, len(cs.samples))
-		for k := range cs.samples {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].Machine != keys[j].Machine {
-				return keys[i].Machine < keys[j].Machine
-			}
-			return keys[i].Path < keys[j].Path
-		})
+		keys := cs.sampleKeys()
 		paths := make([]audit.SamplingPath, 0, len(keys))
 		for _, k := range keys {
 			st := cs.samples[k]

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/audit"
 	"repro/internal/bus"
 	"repro/internal/cfsm"
@@ -309,15 +312,32 @@ func (cs *CoSim) shadowSW(tech audit.Technique, cache *ecache.Cache, key ecache.
 }
 
 // finishSampling settles the energy of reactions that were skipped after the
-// last dispatched sample of their path.
+// last dispatched sample of their path, in (machine, path) order, so that
+// the additions into each machine's energy are made in one fixed order.
 func (cs *CoSim) finishSampling() {
 	if !cs.cfg.Accel.Sampling {
 		return
 	}
-	for key, st := range cs.samples {
+	for _, key := range cs.sampleKeys() {
+		st := cs.samples[key]
 		if st.sinceSample > 0 && st.energy.N() > 0 {
 			cs.book(key.Machine, srcSampling, key.Path, units.Energy(st.energy.Mean()*float64(st.sinceSample)))
 			st.sinceSample = 0
 		}
 	}
+}
+
+// sampleKeys returns the sampled paths in (machine, path) order.
+func (cs *CoSim) sampleKeys() []ecache.Key {
+	keys := make([]ecache.Key, 0, len(cs.samples))
+	for k := range cs.samples {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b ecache.Key) int {
+		if c := cmp.Compare(a.Machine, b.Machine); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Path, b.Path)
+	})
+	return keys
 }

@@ -11,7 +11,9 @@ import (
 	"repro/internal/cfsm"
 	"repro/internal/cfsmtest"
 	"repro/internal/core"
+	"repro/internal/hwsyn"
 	"repro/internal/iss"
+	"repro/internal/telemetry"
 	"repro/internal/units"
 )
 
@@ -45,15 +47,19 @@ func socBuild(seed int64, gp cfsmtest.Params, mutate func(i int, cfg *core.Confi
 			SharedInit: map[uint32]cfsm.Value{},
 		}
 
-		srng := rand.New(rand.NewSource(seed*1000 + int64(i)))
+		// Points 2k and 2k+1 share a stimulus stream (point 2k+1 takes one
+		// event more) over memories of their own, so hardware reactions
+		// repeat across points with other data to read.
+		mem := rand.New(rand.NewSource(seed*1000 + int64(i)))
 		for a := uint32(0); a < 256; a++ {
-			sys.SharedInit[a] = cfsm.Value(srng.Intn(cfsmtest.Mask + 1))
+			sys.SharedInit[a] = cfsm.Value(mem.Intn(cfsmtest.Mask + 1))
 		}
+		stim := rand.New(rand.NewSource(seed*1000 + 500 + int64(i/2)))
 		for k := 0; k < 3+i; k++ {
 			sys.Stimuli = append(sys.Stimuli, core.Stimulus{
 				At:    units.Time(k+1) * 20 * units.Microsecond,
-				Input: fmt.Sprintf("IN%d", srng.Intn(nm)),
-				Value: cfsm.Value(srng.Intn(cfsmtest.Mask + 1)),
+				Input: fmt.Sprintf("IN%d", stim.Intn(nm)),
+				Value: cfsm.Value(stim.Intn(cfsmtest.Mask + 1)),
 			})
 		}
 
@@ -81,30 +87,63 @@ func scrub(rep *core.Report) core.Report {
 	return r
 }
 
-// diffPaths runs one grid three ways — cold compile per point on 1 worker,
-// cold compile per point on 4 workers, and warm rebind of one CoSim's
-// Artifacts on 4 workers — and requires the three report sets to be
-// bit-identical: energies, cycle counts, ISS-call and gate-execution
-// counts, attribution rollups and error budgets.
-func diffPaths(t *testing.T, n int, build BuildFunc) {
+// Replay counters (hwsyn): executions that started from a recorded course,
+// and those of them that left it.
+var (
+	replays   = telemetry.Default.Counter("coest_hw_replays_total", "")
+	fallbacks = telemetry.Default.Counter("coest_hw_replay_fallbacks_total", "")
+)
+
+// diffPaths runs one grid on every execution path and requires every
+// report set to be bit-identical to a reference of one core.New per point,
+// run serially: energies, cycle counts, ISS-call and gate-execution
+// counts, attribution rollups and error budgets. The paths are the
+// sweep's per-design compile on 1 and 4 workers, a session's warm rebind
+// of one compile on 4 workers, and a Sweep-shaped replay: one compile and
+// one replay table for the design, 4 workers, two passes. It returns the
+// replays and fallbacks the replay passes counted.
+func diffPaths(t *testing.T, n int, build BuildFunc) (nReplays, nFallbacks uint64) {
 	t.Helper()
-	sys, cfg, err := build(0)
-	if err != nil {
-		t.Fatal(err)
+	var want []*core.Report
+	for i := 0; i < n; i++ {
+		sys, cfg, err := build(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs, err := core.New(sys.Clone(), cfg.Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := cs.Run()
+		if err != nil {
+			t.Fatalf("reference point %d: %v", i, err)
+		}
+		want = append(want, rep)
 	}
-	cs, err := core.NewShared(sys, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
+	compile := func() *core.Artifacts {
+		sys, cfg, err := build(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		art, err := core.Compile(sys, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return art
 	}
+	replayed := compile()
+	replayed.Replay = hwsyn.NewReplay(replayBytes)
 	paths := []struct {
 		name string
 		opts Options
 	}{
-		{"cold/1", Options{Workers: 1}},
-		{"cold/4", Options{Workers: 4}},
-		{"warm/4", Options{Workers: 4, Artifacts: cs.Artifacts()}},
+		{"sweep/1", Options{Workers: 1}},
+		{"sweep/4", Options{Workers: 4}},
+		{"warm/4", Options{Workers: 4, Artifacts: compile()}},
+		{"replay/4 pass 1", Options{Workers: 4, Artifacts: replayed}},
+		{"replay/4 pass 2", Options{Workers: 4, Artifacts: replayed}},
 	}
-	var want []Result[*core.Report]
+	r0, f0 := replays.Value(), fallbacks.Value()
 	for _, p := range paths {
 		got, err := RunReports(context.Background(), n, p.opts, build)
 		if err != nil {
@@ -113,35 +152,47 @@ func diffPaths(t *testing.T, n int, build BuildFunc) {
 		if len(got) != n {
 			t.Fatalf("%s: %d reports, want %d", p.name, len(got), n)
 		}
-		if want == nil {
-			want = got
-			continue
-		}
 		for i := range want {
-			w, g := scrub(want[i].Value), scrub(got[i].Value)
-			if got[i].Index != want[i].Index {
-				t.Fatalf("%s result %d: index %d, want %d", p.name, i, got[i].Index, want[i].Index)
+			w, g := scrub(want[i]), scrub(got[i].Value)
+			if got[i].Index != i {
+				t.Fatalf("%s result %d: index %d, want %d", p.name, i, got[i].Index, i)
 			}
 			if !reflect.DeepEqual(w, g) {
-				t.Fatalf("%s point %d: report differs from %s:\n%v\nvs\n%v",
-					p.name, i, paths[0].name, w.String(), g.String())
+				t.Fatalf("%s point %d: report differs from the reference:\n%v\nvs\n%v",
+					p.name, i, w.String(), g.String())
 			}
 			if w.ISSCalls != g.ISSCalls || w.GateExecs != g.GateExecs {
 				t.Fatalf("%s point %d: estimator call counts differ", p.name, i)
 			}
 		}
 	}
+	return replays.Value() - r0, fallbacks.Value() - f0
 }
 
 // TestCorpusRandomSoCs is the differential corpus: random SoCs (SW + 2 HW
-// machines, shared memory, per-point stimuli, caching and shadow auditing
-// on a rotating subset of points) must report identically on every
-// execution path of the estimator.
+// machines, shared memory, per-point stimuli, caching, shadow auditing and
+// reaction sampling on a rotating subset of points) must report
+// identically on every execution path of the estimator.
 func TestCorpusRandomSoCs(t *testing.T) {
+	sample := func(i int, cfg *core.Config) {
+		if i%2 == 1 {
+			cfg.Accel.Sampling = true
+			cfg.Accel.SamplingParams = core.SamplingParams{Warmup: 1, Ratio: 2}
+		}
+	}
+	var nReplays, nFallbacks uint64
 	for seed := int64(200); seed < 203; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			diffPaths(t, 4, socBuild(seed, cfsmtest.DefaultParams(), nil))
+			r, f := diffPaths(t, 4, socBuild(seed, cfsmtest.DefaultParams(), sample))
+			nReplays += r
+			nFallbacks += f
 		})
+	}
+	// The corpus's per-point shared memory makes reads differ between
+	// points, so replays both stay on their course and leave it.
+	t.Logf("%d replays, %d fallbacks", nReplays, nFallbacks)
+	if nReplays == 0 || nFallbacks == 0 || nFallbacks == nReplays {
+		t.Fatalf("%d replays, %d fallbacks: want replays that stay and replays that fall back", nReplays, nFallbacks)
 	}
 }
 

@@ -13,8 +13,10 @@
 //     error is reported, matching the serial loop's first-error semantics;
 //   - context cancellation stops dispatching promptly and returns the
 //     completed points, still in index order;
-//   - expensive one-time setup (macro-model characterization) is shared
-//     across all points instead of being repeated per point;
+//   - expensive one-time setup is shared across all points instead of
+//     being repeated per point: the macro-model characterization, and the
+//     compilation of each distinct design, whose points also share one
+//     table of recorded hardware executions (hwsyn.Replay);
 //   - a per-point metrics record feeds a progress callback so long sweeps
 //     are observable while they run.
 //
@@ -29,7 +31,9 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cfsm"
 	"repro/internal/core"
+	"repro/internal/hwsyn"
 	"repro/internal/telemetry"
 )
 
@@ -49,9 +53,10 @@ type Options struct {
 	OnPoint func(PointMetrics)
 
 	// Artifacts, if set, are compile-once synthesis products every point
-	// rebinds instead of recompiling (the warm-session path). They must
-	// have been built from the same system with the same HWWidth as the
-	// points' configs.
+	// rebinds (the warm-session path). They must have been built from the
+	// same system with the same HWWidth as the points' configs. When nil,
+	// each distinct design of the points is compiled once, by its first
+	// point, with a replay table its points share (see RunReports).
 	Artifacts *core.Artifacts
 
 	// OnRun, if set, receives each point's completed co-simulation (after
@@ -164,9 +169,10 @@ dispatch:
 	return out, nil
 }
 
-// BuildFunc describes point i of a sweep: a fresh System (simulations
-// mutate network state, so points cannot share one) and the point's Config
-// (cloned by the engine before use).
+// BuildFunc describes point i of a sweep: its System and its Config. The
+// engine clones both before use, so points may share them; points whose
+// Systems share one network (the same *cfsm.Net) are one design when they
+// also agree on the partition mapping and the HW width.
 type BuildFunc func(i int) (*core.System, core.Config, error)
 
 // PointOutcome is one sweep point's result in a keep-going run: failures
@@ -184,10 +190,14 @@ type PointOutcome struct {
 // remaining points and the lowest-index error is returned, wrapped as
 // "point %d: ...", with the completed points.
 //
-// build(i) must return a fresh System on every call — simulations mutate the
-// CFSM network state, so points cannot share one System value. The returned
-// Config is cloned by the engine before use (see core.Config.Clone), so
-// builds may derive all points from one shared base Config.
+// The System and Config that build(i) returns are cloned before use (see
+// core.System.Clone and core.Config.Clone), so builds may derive all
+// points from shared ones. Without opts.Artifacts, each distinct design is
+// compiled once, and its points replay each other's hardware executions
+// from one table, which the call drops when it returns: points that share
+// a network cost one compile, and an execution that starts from a gate
+// state an earlier one started from costs no gate simulation. Reports are
+// bit-identical to one cold estimation per point.
 func RunReports(ctx context.Context, n int, opts Options, build BuildFunc) ([]Result[*core.Report], error) {
 	if n <= 0 {
 		return nil, ctx.Err()
@@ -212,13 +222,14 @@ func RunReports(ctx context.Context, n int, opts Options, build BuildFunc) ([]Re
 // the outcomes, every dispatched point yields an outcome, and only context
 // cancellation produces a call-level error (EstimateBatch semantics).
 func runPointwise(ctx context.Context, n int, opts Options, failFast bool, build BuildFunc) ([]PointOutcome, error) {
+	ds := new(designs) // what points without opts.Artifacts compile into
 	hook := opts.OnPoint
 	inner := opts
 	inner.OnPoint = nil // fired below with full estimator metrics instead
 	var mu sync.Mutex
 	results, err := Run(ctx, n, inner, func(ctx context.Context, i int) (PointOutcome, error) {
 		start := time.Now()
-		rep, perr := runPoint(ctx, i, opts, build)
+		rep, perr := runPoint(ctx, i, opts, ds, build)
 		if perr != nil && failFast {
 			perr = fmt.Errorf("point %d: %w", i, perr)
 		}
@@ -244,22 +255,35 @@ func runPointwise(ctx context.Context, n int, opts Options, failFast bool, build
 	return outs, err
 }
 
-func runPoint(ctx context.Context, i int, opts Options, build BuildFunc) (*core.Report, error) {
+func runPoint(ctx context.Context, i int, opts Options, ds *designs, build BuildFunc) (*core.Report, error) {
 	ctx, span := telemetry.StartSpanWith(ctx, "point", "", int64(i))
 	defer span.End()
-	sys, cfg, err := build(i)
+	base, cfg, err := build(i)
 	if err != nil {
 		return nil, err
 	}
-	cfg = cfg.Clone()
-	// Cold points compile (synthesize SW image + HW netlists); warm points
-	// rebind the session's shared artifacts. The span name says which.
-	buildName := "compile"
-	if opts.Artifacts != nil {
-		buildName = "rebind"
+	sys, cfg := base.Clone(), cfg.Clone()
+	// The first point of a design compiles it; the others rebind its
+	// artifacts (waiting for the compile if it is still running). The
+	// span name says which.
+	art := opts.Artifacts
+	buildName := "rebind"
+	var d *design
+	if art == nil {
+		var first bool
+		d, first = ds.of(base, cfg.HWWidth)
+		if first {
+			buildName = "compile"
+		}
 	}
 	_, bspan := telemetry.StartSpan(ctx, buildName)
-	cs, err := core.NewShared(sys, cfg, opts.Artifacts)
+	if d != nil {
+		art, err = d.compile(sys, cfg)
+	}
+	var cs *core.CoSim
+	if err == nil {
+		cs, err = core.NewShared(sys, cfg, art)
+	}
 	bspan.End()
 	if err != nil {
 		return nil, err
@@ -272,6 +296,68 @@ func runPoint(ctx context.Context, i int, opts Options, build BuildFunc) (*core.
 		opts.OnRun(i, cs)
 	}
 	return rep, err
+}
+
+// replayBytes caps the recorded hardware executions of one design in one
+// sweep.
+const replayBytes = 8 << 20
+
+// designs are the distinct designs of one sweep's points, each compiled
+// once. A design is what synthesis reads: the network, the partition
+// mapping and the HW width. Priorities, DMA size and every other setting
+// are run configuration.
+type designs struct {
+	mu sync.Mutex
+	m  map[designKey]*design
+}
+
+type designKey struct {
+	net     *cfsm.Net
+	mapping string // per machine, in network order
+	width   int
+}
+
+// design is one distinct design: its artifacts, or the error compiling it.
+type design struct {
+	once sync.Once
+	art  *core.Artifacts
+	err  error
+}
+
+// of returns the design of a point built as sys at HW width width, and
+// whether this call created it (the caller compiles it).
+func (ds *designs) of(sys *core.System, width int) (*design, bool) {
+	mapping := make([]byte, len(sys.Net.Machines))
+	for mi, m := range sys.Net.Machines {
+		mapping[mi] = 0xFF // unmapped: the compile fails
+		if pc, ok := sys.Procs[m.Name]; ok {
+			mapping[mi] = byte(pc.Mapping)
+		}
+	}
+	k := designKey{net: sys.Net, mapping: string(mapping), width: width}
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
+	d, ok := ds.m[k]
+	if !ok {
+		if ds.m == nil {
+			ds.m = make(map[designKey]*design)
+		}
+		d = &design{}
+		ds.m[k] = d
+	}
+	return d, !ok
+}
+
+// compile compiles the design from a point's own clone, once, and gives it
+// a replay table.
+func (d *design) compile(sys *core.System, cfg core.Config) (*core.Artifacts, error) {
+	d.once.Do(func() {
+		d.art, d.err = core.Compile(sys, cfg)
+		if d.err == nil {
+			d.art.Replay = hwsyn.NewReplay(replayBytes)
+		}
+	})
+	return d.art, d.err
 }
 
 // RunOutcomes runs every point with keep-going semantics: per-point

@@ -59,7 +59,7 @@ func TestResetZeroAlloc(t *testing.T) {
 	}); avg != 0 {
 		t.Fatalf("gate.Sim.Reset allocates %v allocs/op, want 0", avg)
 	}
-	if s.Cycles() != 0 || s.Energy() != 0 || s.TotalToggles() != 0 || len(s.History()) != 0 {
+	if s.Cycles() != 0 || s.Energy() != 0 || s.Evals() != 0 || len(s.History()) != 0 {
 		t.Fatal("Reset must clear the run's counts and history")
 	}
 }

@@ -2,6 +2,7 @@ package gate
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -337,8 +338,11 @@ func TestResetClearsState(t *testing.T) {
 	if s.Value(q) {
 		t.Fatal("Reset did not restore flop init")
 	}
-	if s.Energy() != 0 || s.Cycles() != 0 || s.TotalToggles() != 0 {
+	if s.Energy() != 0 || s.Cycles() != 0 || s.Evals() != 0 || len(s.History()) != 0 {
 		t.Fatal("Reset did not clear counters")
+	}
+	if !slices.Equal(s.AppendState(nil), sim(t, n).AppendState(nil)) {
+		t.Fatal("Reset did not restore the power-on net values and flop state")
 	}
 }
 

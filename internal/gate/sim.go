@@ -47,7 +47,7 @@ type Program struct {
 }
 
 // Sim is one run of a Program: a levelized cycle-based simulator with
-// toggle-count power estimation. One Cycle call = one clock period: apply
+// transition-count power estimation. One Cycle call = one clock period: apply
 // primary inputs, settle combinational logic, charge ½·C·Vdd² per net
 // transition, then capture flip-flop state for the next cycle.
 //
@@ -64,7 +64,6 @@ type Sim struct {
 	p       *Program
 	swE     []units.Energy // net -> SwitchEnergy(cap_[net], Vdd, 1)
 	val     []uint64       // current net values, 64 nets per word
-	toggles []uint64
 	cycles  uint64
 	energy  units.Energy
 	history []units.Energy // per-cycle energy, if recording
@@ -333,7 +332,6 @@ func (p *Program) NewSim(vdd units.Voltage) *Sim {
 		N: p.n, Vdd: vdd, p: p,
 		swE:       make([]units.Energy, len(p.cap_)),
 		val:       make([]uint64, len(p.val0)),
-		toggles:   make([]uint64, len(p.cap_)),
 		qVal:      make([]uint64, len(p.qVal0)),
 		nextQ:     make([]uint64, len(p.nextQ0)),
 		dirtyBits: make([]uint64, p.levelOff[len(p.levelOff)-1]),
@@ -496,7 +494,6 @@ func (s *Sim) Reset() {
 	s.evals = 0
 	s.forced = false
 	s.history = s.history[:0]
-	clear(s.toggles)
 	clear(s.dirtyBits)
 }
 
@@ -537,7 +534,6 @@ func (s *Sim) Cycle(in InputVector) units.Energy {
 			diff &= diff - 1
 			q := dffs[i].Q
 			s.flip(q)
-			s.toggles[q]++
 			e += s.swE[q]
 			s.markDirty(q)
 		}
@@ -549,7 +545,6 @@ func (s *Sim) Cycle(in InputVector) units.Energy {
 	for i, id := range s.N.Inputs {
 		if s.bit(id) != in[i] {
 			s.flip(id)
-			s.toggles[id]++
 			e += s.swE[id]
 			s.markDirty(id)
 		}
@@ -563,7 +558,7 @@ func (s *Sim) Cycle(in InputVector) units.Energy {
 	val := s.val
 	p := s.p
 	hot, insFlat, levelOff := p.hot, p.insFlat, p.levelOff
-	toggles, swE := s.toggles, s.swE
+	swE := s.swE
 	fanOff, fanIdx, dirtyBits := p.fanOff, p.fanIdx, s.dirtyBits
 	for lv, gates := range p.levelGates {
 		dirtyLv := dirtyBits[levelOff[lv]:levelOff[lv+1]]
@@ -633,7 +628,6 @@ func (s *Sim) Cycle(in InputVector) units.Energy {
 				out := uint32(h.out)
 				if v != val[out>>6]>>(out&63)&1 {
 					val[out>>6] ^= 1 << (out & 63)
-					toggles[out]++
 					e += swE[out]
 					for _, di := range fanIdx[fanOff[out]:fanOff[out+1]] {
 						dirtyBits[di>>6] |= 1 << (di & 63)
@@ -685,8 +679,8 @@ func (s *Sim) Steady(in InputVector) bool {
 // returns the energy of one of them, the clock energy. The caller must
 // have checked Steady for the held input vector. Totals, history and
 // metrics match n Cycle calls bit for bit: the per-cycle energy is added n
-// times in sequence (n·e would round differently), and nets, toggles and
-// evaluation counts stay as they are.
+// times in sequence (n·e would round differently), and nets and evaluation
+// counts stay as they are.
 func (s *Sim) Advance(n uint64) units.Energy {
 	e := units.SwitchEnergy(DefaultClockCap, s.Vdd, uint64(len(s.N.DFFs)))
 	for i := uint64(0); i < n; i++ {
@@ -699,6 +693,54 @@ func (s *Sim) Advance(n uint64) units.Energy {
 	mCycles.Add(n)
 	return e
 }
+
+// Book adds recorded cycle energies, in order, as if Cycle had dissipated
+// them: the total, the history, the cycle count and its metric move exactly
+// as that many Cycle calls would move them. Net values, flop state and
+// evaluation counts stay as they are; the caller restores the state the
+// cycles end in with SetState. A replayed hardware execution books its
+// recorded course this way.
+func (s *Sim) Book(es []units.Energy) {
+	for _, e := range es {
+		s.energy += e
+	}
+	if s.record {
+		s.history = append(s.history, es...)
+	}
+	s.cycles += uint64(len(es))
+	mCycles.Add(uint64(len(es)))
+}
+
+// StateWords returns the length of a packed state: the net values, the
+// flop Q values and the captured next state, 64 bits to a word.
+func (s *Sim) StateWords() int { return len(s.val) + len(s.qVal) + len(s.nextQ) }
+
+// AppendState appends the packed state to dst. With the input vectors that
+// follow, an unforced state determines every later cycle; the counts and
+// the history are not part of it.
+func (s *Sim) AppendState(dst []uint64) []uint64 {
+	dst = append(dst, s.val...)
+	dst = append(dst, s.qVal...)
+	return append(dst, s.nextQ...)
+}
+
+// SetState restores a packed state that AppendState took, while the Sim
+// was not Forced, from a Sim of the same Program. The counts and the
+// history stay as they are.
+func (s *Sim) SetState(st []uint64) {
+	if len(st) != s.StateWords() {
+		panic(fmt.Sprintf("gate: state of %d words, want %d", len(st), s.StateWords()))
+	}
+	n := copy(s.val, st)
+	n += copy(s.qVal, st[n:])
+	copy(s.nextQ, st[n:])
+	s.forced = false
+	clear(s.dirtyBits)
+}
+
+// Forced reports whether ForceFlop has changed the state since the last
+// Cycle; until the next Cycle the state is not a settled one.
+func (s *Sim) Forced() bool { return s.forced }
 
 // Value returns the current value of a net.
 func (s *Sim) Value(id NetID) bool { return s.bit(id) }
@@ -756,18 +798,6 @@ func (s *Sim) Energy() units.Energy { return s.energy }
 // History returns the recorded per-cycle energies (empty unless recording).
 func (s *Sim) History() []units.Energy { return s.history }
 
-// Toggles returns the transition count of a net since Reset.
-func (s *Sim) Toggles(id NetID) uint64 { return s.toggles[id] }
-
 // Evals returns the number of gate evaluations performed since Reset (the
 // activity-driven simulator's workload metric).
 func (s *Sim) Evals() uint64 { return s.evals }
-
-// TotalToggles returns the total transition count across all nets.
-func (s *Sim) TotalToggles() uint64 {
-	var t uint64
-	for _, n := range s.toggles {
-		t += n
-	}
-	return t
-}

@@ -2,6 +2,7 @@ package gate
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/units"
@@ -170,15 +171,67 @@ func sameSims(t *testing.T, got, want *Sim) {
 			t.Fatalf("history[%d] = %v, want %v", i, gh[i], wh[i])
 		}
 	}
-	if got.Cycles() != want.Cycles() || got.Evals() != want.Evals() ||
-		got.TotalToggles() != want.TotalToggles() {
-		t.Errorf("cycles/evals/toggles = %d/%d/%d, want %d/%d/%d",
-			got.Cycles(), got.Evals(), got.TotalToggles(),
-			want.Cycles(), want.Evals(), want.TotalToggles())
+	if got.Cycles() != want.Cycles() || got.Evals() != want.Evals() {
+		t.Errorf("cycles/evals = %d/%d, want %d/%d",
+			got.Cycles(), got.Evals(), want.Cycles(), want.Evals())
 	}
 	for id := NetID(0); int(id) < got.N.NumNets(); id++ {
 		if got.Value(id) != want.Value(id) {
 			t.Errorf("net %s = %v, want %v", got.N.NetName(id), got.Value(id), want.Value(id))
 		}
 	}
+}
+
+// TestBookAndSetStateMatchCycles pins the primitives of a replayed
+// execution: a Sim that books another Sim's recorded cycle energies and
+// takes its final state agrees with it bit for bit on energy, history,
+// cycle count, cycle metric and net values, without settling a gate, and
+// goes on agreeing under later cycles. SetState also settles a forced Sim.
+func TestBookAndSetStateMatchCycles(t *testing.T) {
+	netlist, p1 := steadyNetlist()
+	ref, rep := sim(t, netlist), sim(t, netlist)
+	ref.Record(true)
+	rep.Record(true)
+	if !slices.Equal(rep.AppendState(nil), ref.AppendState(nil)) {
+		t.Fatal("two power-on Sims differ in state")
+	}
+	var es []units.Energy
+	for _, in := range []InputVector{vec(true, true, 9), vec(true, false, 6), vec(false, true, 3), vec(false, true, 5)} {
+		es = append(es, ref.Cycle(in))
+	}
+	c0 := mCycles.Value()
+	rep.Book(es)
+	if d := mCycles.Value() - c0; d != uint64(len(es)) {
+		t.Fatalf("Book moved the cycle metric by %d, want %d", d, len(es))
+	}
+	if rep.Evals() != 0 {
+		t.Fatalf("Book settled %d gates, want 0", rep.Evals())
+	}
+	rep.ForceFlop(p1, !rep.Value(netlist.DFFs[p1].Q))
+	if !rep.Forced() {
+		t.Fatal("ForceFlop must leave the Sim forced")
+	}
+	rep.SetState(ref.AppendState(nil))
+	if rep.Forced() {
+		t.Fatal("SetState must leave a settled state")
+	}
+	same := func() {
+		t.Helper()
+		if math.Float64bits(float64(rep.Energy())) != math.Float64bits(float64(ref.Energy())) ||
+			rep.Cycles() != ref.Cycles() || !slices.Equal(rep.History(), ref.History()) {
+			t.Fatalf("energy %v over %d cycles, want %v over %d", rep.Energy(), rep.Cycles(), ref.Energy(), ref.Cycles())
+		}
+		for id := NetID(0); int(id) < netlist.NumNets(); id++ {
+			if rep.Value(id) != ref.Value(id) {
+				t.Fatalf("net %s = %v, want %v", netlist.NetName(id), rep.Value(id), ref.Value(id))
+			}
+		}
+	}
+	same()
+	for _, in := range []InputVector{vec(true, false, 12), vec(false, false, 1), vec(false, true, 3)} {
+		if a, b := rep.Cycle(in), ref.Cycle(in); math.Float64bits(float64(a)) != math.Float64bits(float64(b)) {
+			t.Fatalf("cycle after SetState: %v, want %v", a, b)
+		}
+	}
+	same()
 }

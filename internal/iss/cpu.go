@@ -164,9 +164,10 @@ func NewImage(p *sparc.Program, t *TimingModel, init func(*Mem)) *Image {
 // LoadImage starts the CPU from img: its memory becomes a copy of img's
 // initial memory (reusing the pages it has) and it runs img's predecoded
 // stream. It is LoadProgram plus the loader's init, without redoing
-// either. It panics when img was predecoded for another timing model.
+// either. It panics when img was predecoded for another timing model (one
+// that differs in value).
 func (c *CPU) LoadImage(img *Image) {
-	if img.Timing != c.Timing {
+	if *img.Timing != *c.Timing {
 		panic("iss: image predecoded for another timing model")
 	}
 	c.Mem.CopyFrom(img.mem)

@@ -85,12 +85,17 @@ func TestImageRunsLikeLoadProgram(t *testing.T) {
 	}
 }
 
+// TestLoadImageRefusesOtherTiming: an image loads under any timing model
+// of the values it was predecoded for, and under no other.
 func TestLoadImageRefusesOtherTiming(t *testing.T) {
 	img := NewImage(sparc.NewAsm(0x1000).MustAssemble(), SPARCliteTiming(), nil)
+	New(SPARCliteTiming(), SPARCliteModel(), NewMem()).LoadImage(img)
+	other := SPARCliteTiming()
+	other.Windows = 2
 	defer func() {
 		if recover() == nil {
 			t.Fatal("LoadImage under another timing model did not panic")
 		}
 	}()
-	New(SPARCliteTiming(), SPARCliteModel(), NewMem()).LoadImage(img)
+	New(other, SPARCliteModel(), NewMem()).LoadImage(img)
 }

@@ -66,6 +66,15 @@ func PriorityPermName(perm int) string {
 
 // TCPIP builds the network-interface checksum subsystem of Fig 5.
 func TCPIP(p TCPIPParams) (*core.System, core.Config) {
+	sys := TCPIPNet(p)
+	sys.Procs = TCPIPProcs(p.PriorityPerm)
+	return sys, TCPIPConfig(p)
+}
+
+// TCPIPNet builds the subsystem's network and packet arrivals, without its
+// partition: the part of the system that does not change along the
+// priority and DMA axes of Fig 7.
+func TCPIPNet(p TCPIPParams) *core.System {
 	if p.PacketBytes <= 0 || p.PacketBytes > 62 {
 		panic(fmt.Sprintf("systems: packet bytes %d out of range (1..62)", p.PacketBytes))
 	}
@@ -220,24 +229,7 @@ func TCPIP(p TCPIPParams) (*core.System, core.Config) {
 	net.EnvOutput("PKT_OK", net.MachineIndex("ip_check"), ipCheck.OutputIndex("PKT_OK"))
 	net.EnvOutput("PKT_ERR", net.MachineIndex("ip_check"), ipCheck.OutputIndex("PKT_ERR"))
 
-	perm := masterPerms[p.PriorityPerm%6]
-	prio := map[string]int{}
-	for rank, name := range perm {
-		prio[name] = rank + 1
-	}
-	sys := &core.System{
-		Name: "tcpip",
-		Net:  net,
-		Procs: map[string]core.ProcessConfig{
-			"create_pack": {Mapping: core.SW, Priority: prio["create_pack"]},
-			// The queue's reactions are cheap bookkeeping; it runs at top
-			// RTOS priority so descriptors are consumed before the next
-			// copy job can overwrite its single-place event buffer.
-			"packet_queue": {Mapping: core.SW, Priority: 0},
-			"ip_check":     {Mapping: core.SW, Priority: prio["ip_check"]},
-			"checksum":     {Mapping: core.HW, Priority: prio["checksum"]},
-		},
-	}
+	sys := &core.System{Name: "tcpip", Net: net}
 
 	// Packet arrivals: the network interface fills the staging buffer, then
 	// signals PKT_IN with the payload length.
@@ -265,7 +257,30 @@ func TCPIP(p TCPIPParams) (*core.System, core.Config) {
 			},
 		})
 	}
+	return sys
+}
 
+// TCPIPProcs is the subsystem's partition, with the bus-master and RTOS
+// priorities of priority permutation perm.
+func TCPIPProcs(perm int) map[string]core.ProcessConfig {
+	prio := map[string]int{}
+	for rank, name := range masterPerms[perm%6] {
+		prio[name] = rank + 1
+	}
+	return map[string]core.ProcessConfig{
+		"create_pack": {Mapping: core.SW, Priority: prio["create_pack"]},
+		// The queue's reactions are cheap bookkeeping; it runs at top
+		// RTOS priority so descriptors are consumed before the next
+		// copy job can overwrite its single-place event buffer.
+		"packet_queue": {Mapping: core.SW, Priority: 0},
+		"ip_check":     {Mapping: core.SW, Priority: prio["ip_check"]},
+		"checksum":     {Mapping: core.HW, Priority: prio["checksum"]},
+	}
+}
+
+// TCPIPConfig is the subsystem's run configuration under p: its datapath
+// width, its bus, the DMA block size and the observation window.
+func TCPIPConfig(p TCPIPParams) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.HWWidth = 18 // checksum accumulator needs 17 bits
 	// Fig 7 parameters: the data bus is 8 bits wide, so each 32-bit word is
@@ -279,7 +294,7 @@ func TCPIP(p TCPIPParams) (*core.System, core.Config) {
 		cfg.Bus.DMASize = 4
 	}
 	cfg.MaxSimTime = units.Time(p.Packets+8)*p.Arrival + 4*units.Millisecond
-	return sys, cfg
+	return cfg
 }
 
 // makePacket generates a deterministic pseudo-random payload and its

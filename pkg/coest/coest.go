@@ -158,10 +158,18 @@ func Estimate(ctx context.Context, sys *System, opts ...Option) (*Report, error)
 // evaluations, energy-cache hit rate and bus-trace compaction ratio.
 type PointMetrics = engine.PointMetrics
 
-// Grid is a finite design space for Sweep. Build is called once per point;
-// the engine clones the returned System's network before simulating, so
-// Build may derive every point from shared state (it is still called from
-// one goroutine at a time).
+// Grid is a finite design space for Sweep. Build is called once per point,
+// from the sweep's workers, so it may run on several goroutines at once.
+// The sweep clones the returned System before simulating, so Build may
+// return the same System, or Systems derived from shared state, for many
+// points.
+//
+// Points whose Systems share one network (the same Spec().Net) and agree
+// on the partition mapping and the HW width are one design: the sweep
+// compiles it once, and its points replay each other's identical hardware
+// executions instead of simulating them again (see Sweep). Build a grid's
+// network once when its points differ only in configuration, as TCPIPGrid
+// does.
 type Grid struct {
 	N     int
 	Build func(i int) (*System, error)
@@ -191,7 +199,21 @@ type PointResult struct {
 // Options apply to every point, on top of the point's own configuration;
 // Sweep accepts both config-scope and run-scope options. One-time setup is
 // shared: with WithMacroModel, the macro-operation characterization runs
-// once and every point reuses the table.
+// once and every point reuses the table; and each distinct design of the
+// grid (see Grid) is compiled once, by its first point.
+//
+// The points of one design also share a table of recorded hardware
+// executions, which Sweep drops when it returns. An execution of a
+// hardware process that starts from a gate state and input vector that an
+// earlier execution of the sweep started from replays the recorded course
+// — its per-cycle energies, emissions and memory requests, through the
+// same bus — instead of simulating the netlist again. A replay is exact:
+// where the bus serves it other data, it follows another recorded course
+// that read the same data; failing that, or where the bus stalls it at a
+// point the recording could not be stretched, it goes on as a real
+// simulation from the state recorded there. Reports are bit-identical to
+// one Estimate per point. Session.Estimate, Session.EstimateBatch and
+// Estimate do not replay.
 func Sweep(ctx context.Context, grid Grid, opts ...Option) ([]PointResult, error) {
 	st := newSettings(nil)
 	if err := st.applyAll("Sweep", scopeConfig|scopeRun, opts); err != nil {
@@ -208,7 +230,7 @@ func Sweep(ctx context.Context, grid Grid, opts ...Option) ([]PointResult, error
 			if err != nil {
 				return nil, core.Config{}, err
 			}
-			return sys.spec.Clone(), cfg, nil
+			return sys.spec, cfg, nil
 		})
 	out := make([]PointResult, 0, len(results))
 	for _, r := range results {

@@ -60,14 +60,14 @@ func NewSession(sys *System, opts ...Option) (*Session, error) {
 		return nil, err
 	}
 	spec := sys.spec.Clone()
-	cs, err := core.NewShared(spec, cfg, nil)
+	art, err := core.Compile(spec, cfg)
 	if err != nil {
 		return nil, err
 	}
 	return &Session{
 		spec:   spec,
 		base:   cfg,
-		art:    cs.Artifacts(),
+		art:    art,
 		caches: make(map[ECacheParams]*cachePair),
 	}, nil
 }
@@ -270,7 +270,7 @@ func (s *Session) EstimateBatch(ctx context.Context, points [][]Option, opts ...
 		if err != nil {
 			return nil, core.Config{}, err
 		}
-		return s.spec.Clone(), cfg, nil
+		return s.spec, cfg, nil
 	})
 	// Point failures ride the result, not the batch error: one bad grid
 	// point must not abort a serving batch.

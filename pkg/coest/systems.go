@@ -65,14 +65,22 @@ func PrintCFSM(sys *System) string { return cfsmtext.Print(sys.spec) }
 // TCPIPGrid is the Fig 7 style design-space grid: every bus-master priority
 // permutation crossed with every DMA block size, perm-major. Use with
 // Sweep.
+//
+// The grid builds the network and its packet arrivals once; each point
+// gets its own priorities and DMA size, which are configuration, not
+// synthesis input. So a sweep of the grid compiles the design once, and
+// replays the checksum block's executions that repeat from point to point.
 func TCPIPGrid(p TCPIPParams, perms, dmaSizes []int) Grid {
+	base := systems.TCPIPNet(p)
 	return Grid{
 		N: len(perms) * len(dmaSizes),
 		Build: func(i int) (*System, error) {
 			pt := p
 			pt.PriorityPerm = perms[i/len(dmaSizes)]
 			pt.DMASize = dmaSizes[i%len(dmaSizes)]
-			return TCPIP(pt), nil
+			spec := *base
+			spec.Procs = systems.TCPIPProcs(pt.PriorityPerm)
+			return newSystem(&spec, systems.TCPIPConfig(pt)), nil
 		},
 	}
 }
