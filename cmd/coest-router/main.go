@@ -1,8 +1,7 @@
 // Command coest-router fronts a fleet of coestd shards: it consistent-hashes
 // each design onto its owning shard (so the fleet compiles every design
 // exactly once and repeat requests always hit a warm session), skips shards
-// whose /readyz fails, retries with backoff, optionally hedges slow
-// requests onto the ring successor, and hosts the fleet's central
+// whose /readyz fails, retries with backoff, and hosts the fleet's central
 // energy-cache store at /ecache/sync.
 //
 //	coest-router -addr localhost:8400 \
@@ -63,7 +62,6 @@ func main() {
 		replicas  = flag.Int("replicas", 64, "virtual nodes per shard on the hash ring")
 		retries   = flag.Int("retries", 2, "additional attempts after the first per request")
 		backoff   = flag.Duration("retry-backoff", 50*time.Millisecond, "base backoff between attempts (doubled each retry)")
-		hedge     = flag.Duration("hedge-after", 0, "hedge a slow /estimate onto the ring successor after this delay (0 = off)")
 		probe     = flag.Duration("probe-interval", time.Second, "shard /readyz probe period")
 	)
 	flag.Var(&shards, "shard", "fleet member as name=url (repeatable)")
@@ -74,7 +72,6 @@ func main() {
 		Replicas:      *replicas,
 		Retries:       *retries,
 		RetryBackoff:  *backoff,
-		HedgeAfter:    *hedge,
 		ProbeInterval: *probe,
 	})
 	if err != nil {

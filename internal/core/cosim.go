@@ -581,7 +581,7 @@ func (cs *CoSim) RunContext(ctx context.Context) (*Report, error) {
 	if interrupted {
 		return nil, fmt.Errorf("core: run aborted at %v: %w", cs.kernel.Now(), context.Cause(ctx))
 	}
-	if live := cs.kernel.LivePending(); live > 0 {
+	if live := cs.kernel.Pending(); live > 0 {
 		if cs.cfg.StrictDeadline {
 			return nil, fmt.Errorf("core: %d events still scheduled at %v: %w",
 				live, cs.kernel.Now(), ErrSimTimeExceeded)

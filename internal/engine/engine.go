@@ -44,12 +44,11 @@ type Options struct {
 	// workers than there are points.
 	Workers int
 
-	// OnPoint, if set, receives one metrics record per finished point, in
-	// completion order (not index order). Calls are serialized by the
-	// engine, so the callback does not need its own locking; it must not
-	// block for long, since it is on the workers' critical path.
-	// Only RunReports populates estimator metrics; the generic Run fills
-	// index, wall time and error.
+	// OnPoint, if set, receives one metrics record per finished point of
+	// RunReports or RunOutcomes, in completion order (not index order).
+	// Calls are serialized by the engine, so the callback does not need its
+	// own locking; it must not block for long, since it is on the workers'
+	// critical path. The generic Run ignores it.
 	OnPoint func(PointMetrics)
 
 	// Artifacts, if set, are compile-once synthesis products every point
@@ -107,7 +106,7 @@ func Run[T any](ctx context.Context, n int, opts Options, point func(ctx context
 	done := make([]bool, n)
 	errIdx := -1 // lowest failed index
 	var firstErr error
-	var mu sync.Mutex // guards errIdx/firstErr and OnPoint serialization
+	var mu sync.Mutex // guards errIdx/firstErr
 
 	var wg sync.WaitGroup
 	jobs := make(chan int)
@@ -117,7 +116,6 @@ func Run[T any](ctx context.Context, n int, opts Options, point func(ctx context
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				start := time.Now()
 				v, err := point(runCtx, i)
 				mu.Lock()
 				if err != nil {
@@ -127,13 +125,6 @@ func Run[T any](ctx context.Context, n int, opts Options, point func(ctx context
 					cancel() // stop dispatching the rest of the grid
 				} else {
 					values[i], done[i] = v, true
-				}
-				if opts.OnPoint != nil {
-					opts.OnPoint(PointMetrics{
-						Index: i, Total: n,
-						Wall: time.Since(start),
-						Err:  err,
-					})
 				}
 				mu.Unlock()
 			}
@@ -223,23 +214,20 @@ func RunReports(ctx context.Context, n int, opts Options, build BuildFunc) ([]Re
 // cancellation produces a call-level error (EstimateBatch semantics).
 func runPointwise(ctx context.Context, n int, opts Options, failFast bool, build BuildFunc) ([]PointOutcome, error) {
 	ds := new(designs) // what points without opts.Artifacts compile into
-	hook := opts.OnPoint
-	inner := opts
-	inner.OnPoint = nil // fired below with full estimator metrics instead
-	var mu sync.Mutex
-	results, err := Run(ctx, n, inner, func(ctx context.Context, i int) (PointOutcome, error) {
+	var mu sync.Mutex  // serializes OnPoint
+	results, err := Run(ctx, n, opts, func(ctx context.Context, i int) (PointOutcome, error) {
 		start := time.Now()
 		rep, perr := runPoint(ctx, i, opts, ds, build)
 		if perr != nil && failFast {
 			perr = fmt.Errorf("point %d: %w", i, perr)
 		}
-		if hook != nil {
+		if opts.OnPoint != nil {
 			m := PointMetrics{Index: i, Total: n, Wall: time.Since(start), Err: perr}
 			if rep != nil {
 				m.Fill(rep)
 			}
 			mu.Lock()
-			hook(m)
+			opts.OnPoint(m)
 			mu.Unlock()
 		}
 		if failFast {

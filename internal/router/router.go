@@ -4,17 +4,14 @@
 // shard, so the fleet compiles each design exactly once and every repeat
 // request rides that shard's warm session and energy caches.
 //
-// Availability comes from three mechanisms layered over the ring:
+// Availability comes from two mechanisms layered over the ring:
 //
 //   - health-aware membership: a prober polls each shard's /readyz, and
 //     requests skip shards that are dead or draining;
 //   - bounded retry with backoff: shard-down failures fail over along the
 //     ring (the successor may restore the design from a snapshot), while
 //     429s retry the owner — failing over an overloaded design would
-//     trigger a cold compile on the neighbor, the worst response to load;
-//   - request hedging: when an owner is healthy but slow (beyond the
-//     configured hedge delay), a second copy races on the ring successor
-//     and the first answer wins.
+//     trigger a cold compile on the neighbor, the worst response to load.
 //
 // Under overload a shard sheds with 429 and Retry-After; the router backs
 // off and retries the owner, and relays the shard's own 429 envelope when
@@ -48,7 +45,6 @@ var (
 	mRequests  = telemetry.Default.Counter("router_requests_total", "requests routed to shards")
 	mRetries   = telemetry.Default.Counter("router_retries_total", "same-shard retries (overload backoff)")
 	mFailovers = telemetry.Default.Counter("router_failovers_total", "ring failovers after a shard failure")
-	mHedges    = telemetry.Default.Counter("router_hedges_total", "hedged requests launched on the ring successor")
 	mErrors    = telemetry.Default.Counter("router_errors_total", "requests answered with an error after all attempts")
 )
 
@@ -72,9 +68,6 @@ type Config struct {
 	// RetryBackoff is the base backoff between attempts, doubled each time
 	// (default 50ms).
 	RetryBackoff time.Duration
-	// HedgeAfter launches a racing copy of a still-unanswered /estimate on
-	// the ring successor after this delay (0 = hedging off).
-	HedgeAfter time.Duration
 	// ProbeInterval is the /readyz health-probe period (default 1s).
 	ProbeInterval time.Duration
 	// Store is the fleet's central energy-cache store served at
@@ -224,10 +217,9 @@ func retryable(resp *http.Response, err error) bool {
 // route forwards body to the design's shard sequence with bounded
 // retry-with-backoff: shard-down failures fail over along the ring, 429s
 // back off and retry the owner (failing over an overloaded design would
-// cold-compile it on the neighbor). hedge enables racing the ring successor
-// when the current target exceeds Config.HedgeAfter without answering.
-// The winning response is relayed verbatim — status, wire headers and body.
-func (rt *Router) route(w http.ResponseWriter, r *http.Request, fp uint64, path, contentType string, body []byte, hedge bool) {
+// cold-compile it on the neighbor). The final response is relayed verbatim
+// — status, wire headers and body.
+func (rt *Router) route(w http.ResponseWriter, r *http.Request, fp uint64, path, contentType string, body []byte) {
 	cands := rt.candidates(fp)
 	if len(cands) == 0 {
 		mErrors.Inc()
@@ -253,7 +245,7 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request, fp uint64, path,
 				return
 			}
 		}
-		resp, err := rt.trySend(r.Context(), cands, pos, path, contentType, body, r.Header, hedge && attempt == 0)
+		resp, err := rt.send(r.Context(), cands[pos], path, contentType, body, r.Header)
 		if retryable(resp, err) {
 			if resp != nil && resp.StatusCode == http.StatusServiceUnavailable {
 				// Draining or lame-duck: this shard is leaving; move on.
@@ -297,98 +289,6 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request, fp uint64, path,
 	writeError(w, http.StatusBadGateway, coestapi.CodeUnavailable, "all shards unreachable", rt.cfg.RetryBackoff)
 }
 
-// cancelBody releases a hedged attempt's request context when its body is
-// closed, so the response the caller keeps stays readable until it has been
-// fully relayed or drained.
-type cancelBody struct {
-	io.ReadCloser
-	cancel context.CancelFunc
-}
-
-func (b *cancelBody) Close() error {
-	err := b.ReadCloser.Close()
-	b.cancel()
-	return err
-}
-
-// trySend performs one attempt against cands[pos], optionally hedged: when
-// the target has not answered within HedgeAfter, a racing copy launches on
-// the next candidate and the first answer wins. Only losing attempts are
-// cancelled eagerly; the returned response keeps its context alive until
-// its body is closed, so a kept non-200 envelope relays intact.
-func (rt *Router) trySend(ctx context.Context, cands []int, pos int, path, contentType string, body []byte, inbound http.Header, hedge bool) (*http.Response, error) {
-	if !hedge || rt.cfg.HedgeAfter <= 0 || pos+1 >= len(cands) {
-		return rt.send(ctx, cands[pos], path, contentType, body, inbound)
-	}
-	type outcome struct {
-		resp   *http.Response
-		err    error
-		cancel context.CancelFunc
-	}
-	results := make(chan outcome, 2)
-	launch := func(shard int) {
-		cctx, cancel := context.WithCancel(ctx)
-		go func() {
-			resp, err := rt.send(cctx, shard, path, contentType, body, inbound)
-			results <- outcome{resp: resp, err: err, cancel: cancel}
-		}()
-	}
-	// discard drains and closes a losing attempt, then releases its context.
-	discard := func(o outcome) {
-		if o.resp != nil {
-			io.Copy(io.Discard, o.resp.Body)
-			o.resp.Body.Close()
-		}
-		o.cancel()
-	}
-	// keep hands an outcome to the caller; its cancel moves onto Body.Close
-	// so the body can still be read (relayed or drained) after we return.
-	keep := func(o outcome) (*http.Response, error) {
-		if o.resp == nil {
-			o.cancel()
-			return nil, o.err
-		}
-		o.resp.Body = &cancelBody{ReadCloser: o.resp.Body, cancel: o.cancel}
-		return o.resp, o.err
-	}
-	launch(cands[pos])
-	hedged := false
-	timer := time.NewTimer(rt.cfg.HedgeAfter)
-	defer timer.Stop()
-	pending := 1
-	var fallback *outcome
-	for pending > 0 {
-		select {
-		case <-timer.C:
-			if !hedged {
-				hedged = true
-				mHedges.Inc()
-				launch(cands[pos+1])
-				pending++
-			}
-		case out := <-results:
-			pending--
-			if out.err == nil && out.resp.StatusCode == http.StatusOK {
-				// Winner: discard the straggler once it reports in.
-				if fallback != nil {
-					discard(*fallback)
-				} else if pending > 0 {
-					go func() { discard(<-results) }()
-				}
-				return keep(out)
-			}
-			// Non-200: keep it as the answer of last resort, alive —
-			// cancelling now would sever its still-unread body.
-			if fallback != nil {
-				discard(*fallback)
-			}
-			fb := out
-			fallback = &fb
-		}
-	}
-	return keep(*fallback)
-}
-
 // relay copies one shard answer to the client: status, the wire headers
 // that matter (content type, retry hint, trace id), and the body.
 func (rt *Router) relay(w http.ResponseWriter, resp *http.Response) {
@@ -408,7 +308,7 @@ func (rt *Router) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fp := coestapi.Fingerprint(coestapi.CanonicalSystem(req.System), req.Packets)
-	rt.route(w, r, fp, "/estimate", "application/json", body, true)
+	rt.route(w, r, fp, "/estimate", "application/json", body)
 }
 
 func (rt *Router) handleSnapshot(w http.ResponseWriter, r *http.Request) {
@@ -417,7 +317,7 @@ func (rt *Router) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fp := coestapi.Fingerprint(coestapi.CanonicalSystem(req.System), req.Packets)
-	rt.route(w, r, fp, "/snapshot", "application/json", body, false)
+	rt.route(w, r, fp, "/snapshot", "application/json", body)
 }
 
 // handleRestore routes a snapshot envelope to the design's owning shard —
@@ -438,7 +338,7 @@ func (rt *Router) handleRestore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fp := coestapi.Fingerprint(coestapi.CanonicalSystem(env.System), env.Packets)
-	rt.route(w, r, fp, "/restore", "application/octet-stream", body, false)
+	rt.route(w, r, fp, "/restore", "application/octet-stream", body)
 }
 
 // readBody reads a request body of at most coestapi.MaxBodyBytes, emitting

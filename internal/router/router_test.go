@@ -242,52 +242,6 @@ func TestExhaustedOverloadRelays429(t *testing.T) {
 	}
 }
 
-// TestHedgingRacesSuccessor: a slow-but-alive owner is hedged onto the ring
-// successor after HedgeAfter, and the fast answer wins.
-func TestHedgingRacesSuccessor(t *testing.T) {
-	shards := make([]*stubShard, 3)
-	cfgShards := make([]Shard, 3)
-	for i, n := range []string{"a", "b", "c"} {
-		shards[i] = newStubShard(n)
-		defer shards[i].srv.Close()
-		cfgShards[i] = Shard{Name: n, URL: shards[i].srv.URL}
-	}
-	rt, err := New(Config{
-		Shards: cfgShards, Retries: 1, RetryBackoff: 5 * time.Millisecond,
-		HedgeAfter: 30 * time.Millisecond, ProbeInterval: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Stop()
-	owner := rt.Owner("tcpip", 6)
-	for _, s := range shards {
-		if s.name == owner {
-			stall := s
-			s.mode.Store(func(w http.ResponseWriter, r *http.Request) bool {
-				select {
-				case <-time.After(3 * time.Second):
-				case <-r.Context().Done():
-				}
-				_ = stall
-				w.WriteHeader(http.StatusGatewayTimeout)
-				return true
-			})
-		}
-	}
-	start := time.Now()
-	rec, resp := postEstimate(t, rt, coestapi.Request{System: "tcpip", Packets: 6})
-	if resp == nil {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
-	}
-	if resp.Shard == owner {
-		t.Fatal("stalled owner answered")
-	}
-	if took := time.Since(start); took > 2*time.Second {
-		t.Fatalf("hedged answer took %v — hedge did not fire", took)
-	}
-}
-
 // TestVersionNegotiationAtRouter: an unknown major, like an unknown
 // endpoint, is rejected at the edge without spending a shard round trip.
 func TestVersionNegotiationAtRouter(t *testing.T) {

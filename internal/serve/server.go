@@ -678,11 +678,11 @@ func (s *Server) writeError(w http.ResponseWriter, st *traceState, e *reqError) 
 	_ = json.NewEncoder(w).Encode(resp)
 }
 
-// maxPackets caps a request's packet count, checked before admission:
-// validation runs ahead of the drain check and the admission slot, so
-// neither limits what it costs. Validating a request for a design with no
-// warm session builds the system, one stimulus closure and payload per
-// packet (~312 B each).
+// maxPackets caps a design's packet count, checked by checkDesign before
+// admission: validation runs ahead of the drain check and the admission
+// slot, so neither limits what it costs. Validating a request for a design
+// with no warm session builds the system, one stimulus closure and payload
+// per packet (~312 B each).
 const maxPackets = 4096
 
 // maxPoints caps a request's point count, checked with maxPackets before
@@ -710,6 +710,17 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) *reqError {
 	return nil
 }
 
+// checkDesign bounds a design identity's packet count to 0..maxPackets (0
+// is the default design) before anything is built or looked up. /estimate,
+// /snapshot and /restore all call it: each distinct count is its own
+// session, so an unbounded count grows the registry without bound.
+func checkDesign(packets int) error {
+	if packets < 0 || packets > maxPackets {
+		return fmt.Errorf("packets %d outside 0..%d", packets, maxPackets)
+	}
+	return nil
+}
+
 // validateRequest admission-checks one wire request: version negotiation
 // (400 with unsupported_version on an unknown major), then the shape checks.
 // The packet and point bounds come before anything is built. A request for
@@ -722,9 +733,8 @@ func (s *Server) validateRequest(req *coestapi.Request) *reqError {
 	if req.DeadlineMS < 0 {
 		return &reqError{status: http.StatusBadRequest, code: coestapi.CodeBadRequest, msg: "bad request: negative deadline"}
 	}
-	if req.Packets > maxPackets {
-		return &reqError{status: http.StatusBadRequest, code: coestapi.CodeBadRequest,
-			msg: fmt.Sprintf("bad request: packets %d exceeds %d", req.Packets, maxPackets)}
+	if err := checkDesign(req.Packets); err != nil {
+		return &reqError{status: http.StatusBadRequest, code: coestapi.CodeBadRequest, msg: "bad request: " + err.Error()}
 	}
 	if len(req.Points) > maxPoints {
 		return &reqError{status: http.StatusBadRequest, code: coestapi.CodeBadRequest,
@@ -854,6 +864,10 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, st *trac
 		s.writeError(w, st, &reqError{status: http.StatusBadRequest, code: coestapi.CodeUnsupportedVersion, msg: err.Error()})
 		return
 	}
+	if err := checkDesign(req.Packets); err != nil {
+		s.writeError(w, st, &reqError{status: http.StatusBadRequest, code: coestapi.CodeBadRequest, msg: "bad request: " + err.Error()})
+		return
+	}
 	sess := s.sessionFor(req.System, req.Packets)
 	if sess == nil {
 		s.writeError(w, st, &reqError{status: http.StatusNotFound, code: coestapi.CodeNotFound,
@@ -874,16 +888,20 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, st *trac
 }
 
 // RestoreSnapshot installs a warm session from a snapshot envelope (the
-// bytes served by POST /snapshot): the design is rebuilt from its name and
-// compiled once (coest.RestoreSession), the snapshot's learned energy caches
-// are checked and loaded into it, and the session is registered under its
-// key — unless the key is already warm, in which case the existing session
-// (and its locally learned state) wins. Used by both POST /restore and the
-// daemon's restore-on-boot.
+// bytes served by POST /snapshot): the design's identity is bounded
+// (checkDesign) before anything is built, the design is rebuilt from its
+// name and compiled once (coest.RestoreSession), the snapshot's learned
+// energy caches are checked and loaded into it, and the session is
+// registered under its key — unless the key is already warm, in which case
+// the existing session (and its locally learned state) wins. Used by both
+// POST /restore and the daemon's restore-on-boot.
 func (s *Server) RestoreSnapshot(data []byte) (coestapi.RestoreResponse, error) {
 	var env coestapi.SnapshotEnvelope
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&env); err != nil {
 		return coestapi.RestoreResponse{}, fmt.Errorf("decoding snapshot envelope: %w", err)
+	}
+	if err := checkDesign(env.Packets); err != nil {
+		return coestapi.RestoreResponse{}, err
 	}
 	req := coestapi.Request{System: env.System, Packets: env.Packets}
 	sys, err := buildSystem(&req)

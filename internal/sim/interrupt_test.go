@@ -42,7 +42,7 @@ func TestRunUntilInterruptedStopsWithinOneEvent(t *testing.T) {
 	if fired != 3 {
 		t.Fatalf("fired %d events after interrupt, want 3", fired)
 	}
-	if k.LivePending() == 0 {
+	if k.Pending() == 0 {
 		t.Fatalf("interrupted kernel should still hold the pending event")
 	}
 

@@ -8,13 +8,13 @@ import (
 	"repro/internal/units"
 )
 
-// refEvent / refQueue is the original container/heap-based scheduler core,
-// kept as the ordering oracle for the slab-backed 4-ary heap.
+// refEvent / refQueue is a container/heap scheduler core ordered by (time,
+// insertion sequence), kept as the ordering oracle for the kernel's 4-ary
+// value heap.
 type refEvent struct {
-	at   units.Time
-	prio int
-	seq  uint64
-	id   int
+	at  units.Time
+	seq uint64
+	id  int
 }
 
 type refQueue []*refEvent
@@ -23,9 +23,6 @@ func (q refQueue) Len() int { return len(q) }
 func (q refQueue) Less(i, j int) bool {
 	if q[i].at != q[j].at {
 		return q[i].at < q[j].at
-	}
-	if q[i].prio != q[j].prio {
-		return q[i].prio < q[j].prio
 	}
 	return q[i].seq < q[j].seq
 }
@@ -40,10 +37,10 @@ func (q *refQueue) Pop() any {
 	return ev
 }
 
-// TestFiringOrderMatchesReferenceHeap schedules random (time, priority)
-// batches — including heavy same-instant collisions — into both the kernel
-// and the reference heap and requires identical firing order, interleaving
-// scheduling with firing to exercise heap state mid-run.
+// TestFiringOrderMatchesReferenceHeap schedules random batches — including
+// heavy same-instant collisions — into both the kernel and the reference
+// heap and requires identical firing order, interleaving scheduling with
+// firing to exercise heap state mid-run.
 func TestFiringOrderMatchesReferenceHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {
@@ -53,33 +50,29 @@ func TestFiringOrderMatchesReferenceHeap(t *testing.T) {
 		var got, want []int
 		id := 0
 
-		// Nested events are scheduled strictly in the future (delta >= 1):
-		// a same-instant event created from inside a firing event fires
-		// after its creator regardless of priority, which a global
-		// (time, prio, seq) sort cannot express. Same-instant tiebreaks are
-		// exercised by the initial batch, which collides heavily.
-		var schedule func(n int, minDelta int)
-		schedule = func(n, minDelta int) {
+		// An event scheduled from inside a firing event takes a later
+		// sequence number than its creator, even at the same instant, so a
+		// global (time, seq) sort still describes the firing order.
+		var schedule func(n int)
+		schedule = func(n int) {
 			for i := 0; i < n; i++ {
-				at := k.Now() + units.Time(minDelta+rng.Intn(8)) // few distinct times: force tiebreaks
-				prio := rng.Intn(3) - 1
+				at := k.Now() + units.Time(rng.Intn(8)) // few distinct times: force tiebreaks
 				myID := id
 				id++
-				heap.Push(&ref, &refEvent{at: at, prio: prio, seq: seq, id: myID})
+				heap.Push(&ref, &refEvent{at: at, seq: seq, id: myID})
 				seq++
-				k.AtPrio(at, prio, func() {
+				k.At(at, func() {
 					got = append(got, myID)
 					// Occasionally schedule more work from inside an event,
 					// as bus/RTOS handlers do.
 					if rng.Intn(4) == 0 {
-						extra := rng.Intn(3)
-						schedule(extra, 1)
+						schedule(rng.Intn(3))
 					}
 				})
 			}
 		}
 
-		schedule(20+rng.Intn(30), 0)
+		schedule(20 + rng.Intn(30))
 		for k.Step() {
 		}
 		for ref.Len() > 0 {
@@ -96,120 +89,20 @@ func TestFiringOrderMatchesReferenceHeap(t *testing.T) {
 	}
 }
 
-// TestCancelGenerations exercises Handle safety across slot recycling: a
-// handle to a fired or cancelled event must stay dead even after its slab
-// slot has been reused by a later event.
-func TestCancelGenerations(t *testing.T) {
-	k := NewKernel()
-	fired := 0
-	h1 := k.At(1, func() { fired++ })
-	k.Run()
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1", fired)
-	}
-	if h1.Pending() {
-		t.Error("handle of fired event still pending")
-	}
-
-	// The freed slot is recycled by the next schedule; the stale handle must
-	// not be able to cancel the new occupant.
-	h2 := k.At(2, func() { fired++ })
-	if !h2.Pending() {
-		t.Fatal("fresh event not pending")
-	}
-	h1.Cancel() // stale: must be a no-op
-	if !h2.Pending() {
-		t.Fatal("stale handle cancelled a recycled slot")
-	}
-	k.Run()
-	if fired != 2 {
-		t.Fatalf("fired = %d, want 2", fired)
-	}
-
-	// Cancel, then reschedule: the cancelled handle must stay cancelled and
-	// the new event must fire exactly once.
-	h3 := k.At(3, func() { t.Error("cancelled event fired") })
-	h3.Cancel()
-	if h3.Pending() {
-		t.Error("cancelled event still pending")
-	}
-	h3.Cancel() // double-cancel is a no-op
-	h4 := k.At(3, func() { fired++ })
-	k.Run()
-	if fired != 3 {
-		t.Fatalf("fired = %d, want 3", fired)
-	}
-	if h4.Pending() {
-		t.Error("fired event still pending")
-	}
-	if k.LivePending() != 0 {
-		t.Errorf("LivePending = %d, want 0", k.LivePending())
-	}
-}
-
-// TestCancelInterleavedWithReference mixes random cancellation into the
-// order property: cancelled IDs are removed from the oracle's expectation.
-func TestCancelInterleavedWithReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 20; trial++ {
-		k := NewKernel()
-		ref := refQueue{}
-		var seq uint64
-		var handles []Handle
-		cancelled := map[int]bool{}
-		var got []int
-
-		for i := 0; i < 60; i++ {
-			at := units.Time(rng.Intn(10))
-			prio := rng.Intn(2)
-			myID := i
-			heap.Push(&ref, &refEvent{at: at, prio: prio, seq: seq, id: myID})
-			seq++
-			handles = append(handles, k.AtPrio(at, prio, func() { got = append(got, myID) }))
-		}
-		for i, h := range handles {
-			if rng.Intn(3) == 0 {
-				h.Cancel()
-				cancelled[i] = true
-			}
-		}
-		if k.LivePending() != 60-len(cancelled) {
-			t.Fatalf("trial %d: LivePending = %d, want %d", trial, k.LivePending(), 60-len(cancelled))
-		}
-		k.Run()
-		var want []int
-		for ref.Len() > 0 {
-			ev := heap.Pop(&ref).(*refEvent)
-			if !cancelled[ev.id] {
-				want = append(want, ev.id)
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: fired %d, want %d", trial, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: order diverges at %d: got %d want %d", trial, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestKernelScheduleFireZeroAlloc is the PR 3 alloc-guard: once the slab has
+// TestKernelScheduleFireZeroAlloc is the alloc guard: once the heap has
 // warmed up, the schedule→fire steady state of the kernel must not allocate.
 func TestKernelScheduleFireZeroAlloc(t *testing.T) {
 	k := NewKernel()
 	fn := func() {}
-	// Warm the slab and heap to their steady-state footprint.
+	// Warm the heap to its steady-state footprint.
 	for i := 0; i < 64; i++ {
 		k.After(units.Time(i), fn)
 	}
 	for k.Step() {
 	}
 	avg := testing.AllocsPerRun(1000, func() {
-		h := k.After(3, fn)
+		k.After(3, fn)
 		k.After(1, fn)
-		h.Cancel()
 		for k.Step() {
 		}
 	})

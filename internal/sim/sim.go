@@ -5,14 +5,12 @@
 // simulator, bus model, cache simulator) are invoked and synchronized.
 //
 // Determinism contract: events scheduled for the same instant fire in
-// (priority, insertion-order) sequence, so repeated runs of the same system
-// produce bit-identical traces and energy reports.
+// insertion order, so repeated runs of the same system produce bit-identical
+// traces and energy reports.
 //
-// The scheduler is built for the co-estimation hot path: events live in a
-// flat slab recycled through a free list, ordered by an index-based 4-ary
-// heap, so steady-state Schedule/Run performs no heap allocations and stays
-// cache-resident. Handles carry generation counters, which keeps Cancel and
-// Pending safe after the underlying slot has been recycled.
+// The scheduler is built for the co-estimation hot path: pending events are
+// values in a 4-ary min-heap ordered by (time, insertion sequence), so
+// steady-state scheduling and firing perform no heap allocations.
 package sim
 
 import (
@@ -21,208 +19,101 @@ import (
 	"repro/internal/units"
 )
 
-// noSlot marks a free-list end / absent slab slot.
-const noSlot = -1
-
-// Handle identifies a scheduled event and allows cancellation. The zero
-// Handle is valid and refers to no event.
-type Handle struct {
-	k   *Kernel
-	idx int32
-	gen uint32
-}
-
-// Cancel withdraws the event if it has not fired yet.
-// Cancelling an already-fired or already-cancelled event is a no-op.
-func (h Handle) Cancel() {
-	if h.k == nil {
-		return
-	}
-	ev := &h.k.slab[h.idx]
-	if ev.gen == h.gen && ev.fn != nil {
-		ev.fn = nil
-		h.k.live--
-	}
-}
-
-// Pending reports whether the event is still waiting to fire.
-func (h Handle) Pending() bool {
-	if h.k == nil {
-		return false
-	}
-	ev := &h.k.slab[h.idx]
-	return ev.gen == h.gen && ev.fn != nil
-}
-
-// event is one slab slot. A slot cycles between scheduled (fn != nil, owned
-// by the heap), cancelled-unreaped (fn == nil, still owned by the heap) and
-// free (linked through next). gen increments every time the slot is
-// released, invalidating outstanding Handles.
+// event is one scheduled callback.
 type event struct {
-	at   units.Time
-	seq  uint64
-	fn   func()
-	prio int
-	gen  uint32
-	next int32 // free-list link while the slot is free
+	at  units.Time
+	seq uint64
+	fn  func()
+}
+
+// before orders events by (time, insertion sequence).
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
+	}
+	return e.seq < o.seq
 }
 
 // Kernel is a discrete-event scheduler. The zero value is not ready for use;
 // call NewKernel.
 type Kernel struct {
 	now     units.Time
-	slab    []event
-	heap    []int32 // slab indices ordered as a 4-ary min-heap
-	free    int32   // free-list head into slab, noSlot when empty
+	heap    []event // 4-ary min-heap ordered by event.before
 	seq     uint64
-	live    int // scheduled and not cancelled
 	stopped bool
-	fired   uint64
 }
 
 // NewKernel returns an empty kernel at time zero.
-func NewKernel() *Kernel {
-	return &Kernel{free: noSlot}
-}
+func NewKernel() *Kernel { return &Kernel{} }
 
 // Now returns the current simulated time.
 func (k *Kernel) Now() units.Time { return k.now }
 
-// Fired returns the number of events executed so far (a cheap progress and
-// workload metric used by the experiment harness).
-func (k *Kernel) Fired() uint64 { return k.fired }
-
-// Pending returns the number of events currently scheduled (including
-// cancelled-but-unreaped entries).
+// Pending returns the number of scheduled events — the work the simulation
+// would still perform if resumed. A nonzero value after RunUntil(deadline)
+// means the run was truncated by the deadline rather than finishing
+// naturally.
 func (k *Kernel) Pending() int { return len(k.heap) }
 
-// LivePending returns the number of scheduled events that have not been
-// cancelled — the work the simulation would still perform if resumed. A
-// nonzero value after RunUntil(deadline) means the run was truncated by the
-// deadline rather than finishing naturally.
-func (k *Kernel) LivePending() int { return k.live }
-
-// alloc takes a slot off the free list (or grows the slab) and initializes
-// it. Steady state this performs no allocation: fired events return their
-// slots before new ones are scheduled.
-func (k *Kernel) alloc(t units.Time, prio int, fn func()) int32 {
-	var idx int32
-	if k.free != noSlot {
-		idx = k.free
-		k.free = k.slab[idx].next
-	} else {
-		k.slab = append(k.slab, event{})
-		idx = int32(len(k.slab) - 1)
-	}
-	ev := &k.slab[idx]
-	ev.at = t
-	ev.prio = prio
-	ev.seq = k.seq
-	ev.fn = fn
-	ev.next = noSlot
-	k.seq++
-	return idx
-}
-
-// release returns a popped slot to the free list and invalidates handles.
-func (k *Kernel) release(idx int32) {
-	ev := &k.slab[idx]
-	ev.fn = nil
-	ev.gen++
-	ev.next = k.free
-	k.free = idx
-}
-
-// less orders slab slots by (time, priority, insertion sequence).
-func (k *Kernel) less(a, b int32) bool {
-	ea, eb := &k.slab[a], &k.slab[b]
-	if ea.at != eb.at {
-		return ea.at < eb.at
-	}
-	if ea.prio != eb.prio {
-		return ea.prio < eb.prio
-	}
-	return ea.seq < eb.seq
-}
-
-// push adds a slab index to the 4-ary heap.
-func (k *Kernel) push(idx int32) {
-	h := k.heap
-	h = append(h, idx)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !k.less(h[i], h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-	k.heap = h
-}
-
-// pop removes and returns the minimum slab index from the heap.
-func (k *Kernel) pop() int32 {
-	h := k.heap
-	root := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	i := 0
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		min := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if k.less(h[c], h[min]) {
-				min = c
-			}
-		}
-		if !k.less(h[min], h[i]) {
-			break
-		}
-		h[i], h[min] = h[min], h[i]
-		i = min
-	}
-	k.heap = h
-	return root
-}
-
-// At schedules fn to run at absolute time t with priority 0.
+// At schedules fn to run at absolute time t.
 // Scheduling in the past panics: it is always a model bug.
-func (k *Kernel) At(t units.Time, fn func()) Handle {
-	return k.AtPrio(t, 0, fn)
-}
-
-// AtPrio schedules fn at absolute time t with the given priority.
-// Lower priority values fire first among same-time events.
-func (k *Kernel) AtPrio(t units.Time, prio int, fn func()) Handle {
+func (k *Kernel) At(t units.Time, fn func()) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, k.now))
 	}
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	idx := k.alloc(t, prio, fn)
-	k.push(idx)
-	k.live++
-	return Handle{k: k, idx: idx, gen: k.slab[idx].gen}
+	ev := event{at: t, seq: k.seq, fn: fn}
+	k.seq++
+	h := append(k.heap, ev)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !ev.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = ev
+	k.heap = h
 }
 
 // After schedules fn to run d from now. Negative delays panic.
-func (k *Kernel) After(d units.Time, fn func()) Handle {
-	return k.AtPrio(k.now+d, 0, fn)
-}
+func (k *Kernel) After(d units.Time, fn func()) { k.At(k.now+d, fn) }
 
-// AfterPrio schedules fn to run d from now with the given priority.
-func (k *Kernel) AfterPrio(d units.Time, prio int, fn func()) Handle {
-	return k.AtPrio(k.now+d, prio, fn)
+// pop removes and returns the earliest event.
+func (k *Kernel) pop() event {
+	h := k.heap
+	root := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{} // drop the fired closure
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			first := 4*i + 1
+			if first >= n {
+				break
+			}
+			least, end := first, min(first+4, n)
+			for c := first + 1; c < end; c++ {
+				if h[c].before(&h[least]) {
+					least = c
+				}
+			}
+			if !h[least].before(&last) {
+				break
+			}
+			h[i] = h[least]
+			i = least
+		}
+		h[i] = last
+	}
+	k.heap = h
+	return root
 }
 
 // Stop makes the current Run return once the in-flight event completes.
@@ -231,90 +122,50 @@ func (k *Kernel) Stop() { k.stopped = true }
 // Step fires the next pending event, if any, advancing time to it.
 // It reports whether an event fired.
 func (k *Kernel) Step() bool {
-	for len(k.heap) > 0 {
-		idx := k.pop()
-		ev := &k.slab[idx]
-		if ev.fn == nil { // cancelled
-			k.release(idx)
-			continue
-		}
-		k.now = ev.at
-		fn := ev.fn
-		k.release(idx)
-		k.live--
-		fn()
-		k.fired++
-		return true
+	if len(k.heap) == 0 {
+		return false
 	}
-	return false
+	ev := k.pop()
+	k.now = ev.at
+	ev.fn()
+	return true
 }
 
 // Run fires events until the queue drains or Stop is called.
-func (k *Kernel) Run() {
-	k.RunUntil(units.Forever)
-}
+func (k *Kernel) Run() { k.RunUntil(units.Forever) }
 
 // RunUntil fires events with timestamps <= deadline, then sets the clock to
 // the deadline (if the simulation got that far) and returns. It also returns
 // early if the queue drains or Stop is called; in the drained case the clock
 // stays at the last event time.
-func (k *Kernel) RunUntil(deadline units.Time) {
-	k.RunUntilInterrupted(deadline, nil)
-}
+func (k *Kernel) RunUntil(deadline units.Time) { k.RunUntilInterrupted(deadline, nil) }
 
 // RunUntilInterrupted is RunUntil with an external abort signal: when done
 // becomes readable (or closed) the loop stops between two events — within
 // one event quantum of the signal — and the call reports true. A nil done
-// is the uninterruptible fast path, identical to RunUntil (no per-event
-// channel poll, no allocation). An interrupted kernel is resumable: the
-// clock and the pending queue are exactly as the last completed event left
-// them.
+// is never polled, so RunUntil pays nothing for it. An interrupted kernel
+// is resumable: the clock and the pending queue are exactly as the last
+// completed event left them.
 func (k *Kernel) RunUntilInterrupted(deadline units.Time, done <-chan struct{}) bool {
 	k.stopped = false
-	if done == nil {
-		for !k.stopped {
-			head := k.peek()
-			if head == noSlot {
-				return false
-			}
-			if k.slab[head].at > deadline {
-				k.now = deadline
-				return false
-			}
-			k.Step()
-		}
-		return false
-	}
 	for !k.stopped {
-		select {
-		case <-done:
-			return true
-		default:
+		if done != nil {
+			select {
+			case <-done:
+				return true
+			default:
+			}
 		}
-		head := k.peek()
-		if head == noSlot {
+		if len(k.heap) == 0 {
 			return false
 		}
-		if k.slab[head].at > deadline {
+		if k.heap[0].at > deadline {
 			k.now = deadline
 			return false
 		}
 		k.Step()
 	}
 	return false
-}
-
-// peek reaps cancelled heap heads and returns the live minimum slab index,
-// or noSlot if the queue is effectively empty.
-func (k *Kernel) peek() int32 {
-	for len(k.heap) > 0 {
-		head := k.heap[0]
-		if k.slab[head].fn != nil {
-			return head
-		}
-		k.release(k.pop())
-	}
-	return noSlot
 }
 
 // Ticker invokes fn every period until the returned stop function is called.

@@ -94,9 +94,6 @@ func TestBadOption(t *testing.T) {
 	if _, err := coest.Estimate(context.Background(), coest.TCPIP(quickTCPIP()), coest.WithDMASize(0)); err == nil {
 		t.Fatal("WithDMASize(0) must fail")
 	}
-	if _, err := coest.Estimate(context.Background(), coest.TCPIP(quickTCPIP()), coest.WithMacroModelTable(nil)); err == nil {
-		t.Fatal("nil macro table must fail")
-	}
 }
 
 func TestMacroModelSkipsISS(t *testing.T) {

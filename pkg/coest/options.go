@@ -19,8 +19,6 @@ type (
 	ECacheParams = ecache.Params
 	// SamplingParams tunes the §4.3 reaction-level statistical sampling.
 	SamplingParams = core.SamplingParams
-	// MacroTable is a characterized software power macro-model (§4.1).
-	MacroTable = macromodel.Table
 	// ShadowAuditParams tunes the shadow-sampling auditor (rate, divergence
 	// threshold, auto-invalidation).
 	ShadowAuditParams = audit.Params
@@ -166,22 +164,6 @@ func WithEnergyCacheParams(p ECacheParams) Option {
 // not once per point.
 func WithMacroModel() Option {
 	return configOption("WithMacroModel", func(st *settings) { st.macro = true })
-}
-
-// WithMacroModelTable enables macro-modeling with a pre-characterized table
-// (e.g. loaded from a POLIS-style parameter file), skipping
-// characterization entirely.
-func WithMacroModelTable(tbl *MacroTable) Option {
-	return configOption("WithMacroModelTable", func(st *settings) {
-		if tbl == nil {
-			st.fail(fmt.Errorf("nil macro-model table"))
-			return
-		}
-		st.config(func(c *core.Config) {
-			c.Accel.Macromodel = true
-			c.Accel.MacromodelTable = tbl
-		})
-	})
 }
 
 // WithMacroModelParams enables macro-modeling from a parsed parameter file
