@@ -6,9 +6,11 @@ import (
 
 	"repro/internal/cachesim"
 	"repro/internal/cfsm"
+	"repro/internal/gate"
 	"repro/internal/hwsyn"
 	"repro/internal/iss"
 	"repro/internal/swsyn"
+	"repro/internal/units"
 )
 
 // Clone returns an independent copy of the co-estimation subject: the CFSM
@@ -41,8 +43,10 @@ type Artifacts struct {
 
 	// Replay, if set, is the table of recorded hardware-execution courses
 	// that every run rebinding these artifacts replays from and records
-	// into (hwsyn.Replay). A sweep sets one per design; sessions leave it
-	// nil, so their runs simulate every execution.
+	// into (hwsyn.Replay). A sweep sets one per design, and a session one
+	// for its batches (coest.Session.EstimateBatch) on a copy of its
+	// artifacts; Compile leaves it nil, so a run of those artifacts
+	// simulates every execution.
 	Replay *hwsyn.Replay
 
 	// boot is Image made ready for the ISS: its text predecoded under the
@@ -50,6 +54,12 @@ type Artifacts struct {
 	// (program words, variables, event buffers) every run starts from.
 	// A run under a timing model of other values builds its own.
 	boot *iss.Image
+
+	// switchE holds, by machine name, the per-net switch energies of each
+	// HW module's netlist at the compiling run's HW supply voltage, which
+	// every run's gate simulators share. A run at another voltage builds
+	// its own.
+	switchE map[string]*gate.SwitchEnergies
 }
 
 // Compile synthesizes the system under cfg (Fig 2(a), the compilation
@@ -86,6 +96,7 @@ func Compile(sys *System, cfg Config) (*Artifacts, error) {
 	}
 	if len(hwMachines) > 0 {
 		a.HW = make(map[string]*hwsyn.Module, len(hwMachines))
+		a.switchE = make(map[string]*gate.SwitchEnergies, len(hwMachines))
 	}
 	for _, m := range hwMachines {
 		mHWSyntheses.Inc()
@@ -94,17 +105,29 @@ func Compile(sys *System, cfg Config) (*Artifacts, error) {
 			return nil, err
 		}
 		a.HW[m.Name] = mod
+		a.switchE[m.Name] = mod.SwitchEnergies(cfg.HWVdd)
 	}
 	return a, nil
 }
 
-// rebindHW returns the artifacts' module for machine m, bound to m.
-func (a *Artifacts) rebindHW(m *cfsm.CFSM) (*hwsyn.Module, error) {
+// newDriver returns a gate-level driver of the artifacts' module for
+// machine m, bound to m, at supply voltage vdd.
+func (a *Artifacts) newDriver(m *cfsm.CFSM, vdd units.Voltage) (*hwsyn.Driver, error) {
 	mod, ok := a.HW[m.Name]
 	if !ok {
 		return nil, fmt.Errorf("core: artifacts carry no HW module for %q", m.Name)
 	}
-	return mod.Rebind(m)
+	mod, err := mod.Rebind(m)
+	if err != nil {
+		return nil, err
+	}
+	sw := a.switchE[m.Name]
+	if sw == nil || sw.Vdd() != vdd {
+		sw = mod.SwitchEnergies(vdd)
+	}
+	d := hwsyn.NewDriver(mod, sw)
+	d.Replay = a.Replay
+	return d, nil
 }
 
 // A finished run's ISS memory, with its pages, and its I-cache simulator

@@ -276,12 +276,10 @@ func NewShared(sys *System, cfg Config, art *Artifacts) (*CoSim, error) {
 		if cs.procs[mi].Mapping != HW {
 			continue
 		}
-		mod, err := art.rebindHW(m)
+		d, err := art.newDriver(m, cfg.HWVdd)
 		if err != nil {
 			return nil, err
 		}
-		d := hwsyn.NewDriver(mod, cfg.HWVdd)
-		d.Replay = art.Replay
 		cs.hw[mi] = &hwExec{driver: d}
 	}
 

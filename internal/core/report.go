@@ -334,11 +334,6 @@ func (cs *CoSim) finishBusCompaction() *BusCompactionReport {
 	}
 }
 
-// SWCacheReport exposes the software energy cache's per-path rows (the Fig
-// 4(c) snapshot), nil when caching is off.
-func (cs *CoSim) SWCacheReport() []ecache.PathReport {
-	if cs.swCache == nil {
-		return nil
-	}
-	return cs.swCache.Report()
-}
+// SWCache returns the software energy cache the run used, whose Report is
+// the Fig 4(c) snapshot; nil when caching is off.
+func (cs *CoSim) SWCache() *ecache.Cache { return cs.swCache }

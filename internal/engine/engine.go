@@ -16,7 +16,9 @@
 //   - expensive one-time setup is shared across all points instead of
 //     being repeated per point: the macro-model characterization, and the
 //     compilation of each distinct design, whose points also share one
-//     table of recorded hardware executions (hwsyn.Replay);
+//     table of recorded hardware executions (hwsyn.Replay) — or, for a
+//     session's batch, the session's artifacts and the table that lives
+//     as long as the session;
 //   - a per-point metrics record feeds a progress callback so long sweeps
 //     are observable while they run.
 //
@@ -52,16 +54,17 @@ type Options struct {
 	OnPoint func(PointMetrics)
 
 	// Artifacts, if set, are compile-once synthesis products every point
-	// rebinds (the warm-session path). They must have been built from the
-	// same system with the same HWWidth as the points' configs. When nil,
-	// each distinct design of the points is compiled once, by its first
-	// point, with a replay table its points share (see RunReports).
+	// rebinds (the warm-session path), with the replay table they carry,
+	// if any. They must have been built from the same system with the same
+	// HWWidth as the points' configs. When nil, each distinct design of
+	// the points is compiled once, by its first point, with a replay table
+	// its points share (see RunReports).
 	Artifacts *core.Artifacts
 
 	// OnRun, if set, receives each point's completed co-simulation (after
 	// a successful run, before the point is reported done). Workers invoke
 	// it concurrently; the callback synchronizes itself. Sessions use it to
-	// retain the last run for cache-report inspection.
+	// keep the last run's SW energy cache for cache reports.
 	OnRun func(i int, cs *core.CoSim)
 }
 

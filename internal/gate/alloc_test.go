@@ -105,7 +105,7 @@ func TestSteadyZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := hwsyn.NewDriver(mod, 3.3)
+	d := hwsyn.NewDriver(mod, mod.SwitchEnergies(3.3))
 	m.Post(0, 0)
 	r, _ := m.React(zeroMem{})
 	e, err := d.Begin(r)

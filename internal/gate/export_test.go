@@ -32,7 +32,7 @@ func (n *Netlist) State() NetlistState {
 }
 
 // NetlistFromState rebuilds a netlist from its exported state. The driven
-// map (a build-time double-driver guard) is reconstructed, so the rebuilt
+// bits (a build-time double-driver guard) are reconstructed, so the rebuilt
 // netlist supports further building as well as simulation.
 func NetlistFromState(s NetlistState) *Netlist {
 	n := &Netlist{
@@ -44,21 +44,27 @@ func NetlistFromState(s NetlistState) *Netlist {
 		Outputs:   s.Outputs,
 		constZero: s.ConstZero,
 		constOne:  s.ConstOne,
-		driven:    make(map[NetID]bool, len(s.NetNames)),
+		driven:    make([]uint64, (len(s.NetNames)+63)/64),
 	}
 	if n.constZero == 0 && n.constOne == 0 {
 		// Zero-value state (e.g. a decoded empty netlist): keep the
 		// NewNetlist convention of "not yet created".
 		n.constZero, n.constOne = -1, -1
 	}
+	// A damaged state may name nets out of range; Compile refuses those.
+	drive := func(id NetID) {
+		if id >= 0 && int(id) < len(s.NetNames) {
+			n.setDriven(id, true)
+		}
+	}
 	for _, id := range n.Inputs {
-		n.driven[id] = true
+		drive(id)
 	}
 	for _, g := range n.Gates {
-		n.driven[g.Out] = true
+		drive(g.Out)
 	}
 	for _, ff := range n.DFFs {
-		n.driven[ff.Q] = true
+		drive(ff.Q)
 	}
 	return n
 }

@@ -103,16 +103,22 @@ type Netlist struct {
 	Inputs   []NetID
 	Outputs  []NetID
 
-	constZero NetID // lazily created constant-0 net
-	constOne  NetID // lazily created constant-1 net
-	driven    map[NetID]bool
+	constZero NetID    // lazily created constant-0 net
+	constOne  NetID    // lazily created constant-1 net
+	driven    []uint64 // per net, one bit: driven yet (the double-drive guard)
 }
 
 // NewNetlist returns an empty netlist.
 func NewNetlist(name string) *Netlist {
-	n := &Netlist{Name: name, constZero: -1, constOne: -1, driven: make(map[NetID]bool)}
+	n := &Netlist{Name: name, constZero: -1, constOne: -1}
 	return n
 }
+
+// isDriven reports whether something drives net id.
+func (n *Netlist) isDriven(id NetID) bool { return n.driven[uint32(id)>>6]>>(uint32(id)&63)&1 == 1 }
+
+// setDriven records whether something drives net id.
+func (n *Netlist) setDriven(id NetID, v bool) { setBit(n.driven, id, v) }
 
 // NumNets returns the number of nets.
 func (n *Netlist) NumNets() int { return len(n.netNames) }
@@ -123,6 +129,9 @@ func (n *Netlist) NetName(id NetID) string { return n.netNames[id] }
 // Net creates a new internal net.
 func (n *Netlist) Net(name string) NetID {
 	n.netNames = append(n.netNames, name)
+	if len(n.netNames) > 64*len(n.driven) {
+		n.driven = append(n.driven, 0)
+	}
 	return NetID(len(n.netNames) - 1)
 }
 
@@ -130,7 +139,7 @@ func (n *Netlist) Net(name string) NetID {
 func (n *Netlist) Input(name string) NetID {
 	id := n.Net(name)
 	n.Inputs = append(n.Inputs, id)
-	n.driven[id] = true
+	n.setDriven(id, true)
 	return id
 }
 
@@ -138,10 +147,10 @@ func (n *Netlist) Input(name string) NetID {
 func (n *Netlist) MarkOutput(id NetID) { n.Outputs = append(n.Outputs, id) }
 
 func (n *Netlist) addGate(k Kind, out NetID, ins ...NetID) NetID {
-	if n.driven[out] {
+	if n.isDriven(out) {
 		panic(fmt.Sprintf("gate: net %q driven twice", n.netNames[out]))
 	}
-	n.driven[out] = true
+	n.setDriven(out, true)
 	n.Gates = append(n.Gates, Gate{Kind: k, Ins: ins, Out: out})
 	return out
 }
@@ -179,7 +188,7 @@ func (n *Netlist) Const(v bool) NetID {
 		if n.constOne < 0 {
 			id := n.Net("const1")
 			zero := n.Const(false)
-			n.driven[id] = true
+			n.setDriven(id, true)
 			n.Gates = append(n.Gates, Gate{Kind: Not, Ins: []NetID{zero}, Out: id})
 			n.constOne = id
 		}
@@ -190,7 +199,7 @@ func (n *Netlist) Const(v bool) NetID {
 		// An XOR of a net with itself is always 0; feed it from the first
 		// input if any, else make it a self-standing settled net. We model
 		// it as a 0-input OR, which Eval treats as false.
-		n.driven[id] = true
+		n.setDriven(id, true)
 		n.Gates = append(n.Gates, Gate{Kind: Or, Ins: nil, Out: id})
 		n.constZero = id
 	}
@@ -200,7 +209,7 @@ func (n *Netlist) Const(v bool) NetID {
 // Flop adds a D flip-flop with the given initial value and returns its Q net.
 func (n *Netlist) Flop(d NetID, init bool, name string) NetID {
 	q := n.Net(name)
-	n.driven[q] = true
+	n.setDriven(q, true)
 	n.DFFs = append(n.DFFs, DFF{D: d, Q: q, Init: init})
 	return q
 }
@@ -234,10 +243,9 @@ func (n *Netlist) RegWord(d Word, en NetID, init uint64, name string) Word {
 	// placeholder D nets, then wire D = mux(en, d, q).
 	dn := make(Word, len(d))
 	for i := range d {
-		dn[i] = n.Net(fmt.Sprintf("%s_d[%d]", name, i))
-		n.driven[dn[i]] = false // will be driven by the mux below
+		dn[i] = n.Net(fmt.Sprintf("%s_d[%d]", name, i)) // driven by the mux below
 		q[i] = n.Net(fmt.Sprintf("%s[%d]", name, i))
-		n.driven[q[i]] = true
+		n.setDriven(q[i], true)
 		n.DFFs = append(n.DFFs, DFF{D: dn[i], Q: q[i], Init: init>>uint(i)&1 == 1})
 	}
 	for i := range d {

@@ -17,13 +17,12 @@ var (
 )
 
 // Program is a netlist compiled for simulation: the levelized evaluation
-// order, the CSR fanout, the packed gate records, the per-net capacitances
-// and the settled power-on state. Compile builds it once per netlist. It is
-// read-only afterwards, so any number of Sims, on any goroutines, can run
-// from one Program; each owns only its run state.
+// order, the CSR fanout, the packed gate records and the settled power-on
+// state. Compile builds it once per netlist. It is read-only afterwards, so
+// any number of Sims, on any goroutines, can run from one Program; each
+// owns only its run state.
 type Program struct {
-	n     *Netlist
-	order []int // gate evaluation order (indices into n.Gates)
+	n *Netlist
 
 	// Activity-driven evaluation: only gates whose inputs changed are
 	// re-evaluated, level by level (same fixpoint as full evaluation).
@@ -31,14 +30,13 @@ type Program struct {
 	// bitset, so whole words of clean gates are skipped; every hot-path
 	// lookup (dirty target, input bit) is precomputed into parallel flat
 	// arrays here.
-	levelGates [][]int32           // gate indices per level, in topo order
-	levelOff   []int32             // level -> first word in a Sim's dirtyBits
-	fanOff     []int32             // net -> [fanOff[n], fanOff[n+1]) fanout edges
-	fanIdx     []uint32            // edge -> global bit index into dirtyBits
-	hot        []hotGate           // gate -> packed hot-path record
-	insFlat    []NetID             // flattened gate inputs (N-ary fallback only)
-	dNets      []NetID             // flop -> D net, for the capture gather
-	cap_       []units.Capacitance // effective cap per net
+	levelGates [][]int32 // gate indices per level, in topo order
+	levelOff   []int32   // level -> first word in a Sim's dirtyBits
+	fanOff     []int32   // net -> [fanOff[n], fanOff[n+1]) fanout edges
+	fanIdx     []uint32  // edge -> global bit index into dirtyBits
+	hot        []hotGate // gate -> packed hot-path record
+	insFlat    []NetID   // flattened gate inputs (N-ary fallback only)
+	dNets      []NetID   // flop -> D net, for the capture gather
 
 	// Power-on state, which Reset copies: every flop at its Init value and
 	// the combinational logic settled, with qVal0 and nextQ0 laid out as a
@@ -62,7 +60,7 @@ type Sim struct {
 	Vdd units.Voltage
 
 	p       *Program
-	swE     []units.Energy // net -> SwitchEnergy(cap_[net], Vdd, 1)
+	swE     []units.Energy // net -> its switch energy at Vdd, shared
 	val     []uint64       // current net values, 64 nets per word
 	cycles  uint64
 	energy  units.Energy
@@ -212,7 +210,7 @@ func Compile(n *Netlist) (*Program, error) {
 	if len(order) != len(n.Gates) {
 		return nil, fmt.Errorf("gate: combinational cycle in netlist %q", n.Name)
 	}
-	p := &Program{n: n, order: order}
+	p := &Program{n: n}
 
 	// Levelize for activity-driven evaluation.
 	level := make([]int, len(n.Gates))
@@ -289,20 +287,6 @@ func Compile(n *Netlist) (*Program, error) {
 		p.dNets[i] = ff.D
 	}
 
-	// Effective capacitance: intrinsic wire cap + input load per fanout.
-	p.cap_ = make([]units.Capacitance, nn)
-	for i := range p.cap_ {
-		p.cap_[i] = DefaultWireCap
-	}
-	for _, g := range n.Gates {
-		for _, in := range g.Ins {
-			p.cap_[in] += DefaultInputCap
-		}
-	}
-	for _, ff := range n.DFFs {
-		p.cap_[ff.D] += DefaultInputCap
-	}
-
 	// Power-on state: flops at their initial values, then one settle of
 	// the combinational logic in evaluation order, charging no energy —
 	// power-on state is not switching activity.
@@ -315,32 +299,68 @@ func Compile(n *Netlist) (*Program, error) {
 			p.qVal0[uint32(i)>>6] |= 1 << (uint32(i) & 63)
 		}
 	}
-	for _, gi := range order {
-		setBit(p.val0, n.Gates[gi].Out, p.evalGate(p.val0, int32(gi)))
-	}
+	p.settle(p.val0)
 	p.capture(p.nextQ0, p.val0)
 
 	mCompiles.Inc()
 	return p, nil
 }
 
+// SwitchEnergies is a Program's per-net single-transition energy,
+// ½·C·Vdd², at one supply voltage, precomputed so the hot loops add a
+// cached float instead of recomputing it (bitwise identical — the inputs
+// never change during a run). It is read-only, so the Sims of one program
+// at one voltage may share it.
+type SwitchEnergies struct {
+	p   *Program
+	vdd units.Voltage
+	e   []units.Energy
+}
+
+// SwitchEnergies computes the program's per-net switch energies at vdd.
+// A net's effective capacitance is its intrinsic wire cap plus one input
+// load per gate input and flop D pin it drives, added one at a time.
+func (p *Program) SwitchEnergies(vdd units.Voltage) *SwitchEnergies {
+	nn := len(p.fanOff) - 1
+	loads := make([]int32, nn)
+	for i := range loads {
+		loads[i] = p.fanOff[i+1] - p.fanOff[i]
+	}
+	for _, d := range p.dNets {
+		loads[d]++
+	}
+	t := &SwitchEnergies{p: p, vdd: vdd, e: make([]units.Energy, nn)}
+	for i, k := range loads {
+		c := DefaultWireCap
+		for ; k > 0; k-- {
+			c += DefaultInputCap
+		}
+		t.e[i] = units.SwitchEnergy(c, vdd, 1)
+	}
+	return t
+}
+
+// Program returns the program the table belongs to.
+func (t *SwitchEnergies) Program() *Program { return t.p }
+
+// Vdd returns the supply voltage the table was computed at.
+func (t *SwitchEnergies) Vdd() units.Voltage { return t.vdd }
+
 // NewSim returns a simulator for the program at supply voltage vdd, in the
-// power-on state. It allocates only run state; the per-net switch energy
-// is part of it because it depends on vdd.
-func (p *Program) NewSim(vdd units.Voltage) *Sim {
+// power-on state, with switch energies of its own.
+func (p *Program) NewSim(vdd units.Voltage) *Sim { return p.SwitchEnergies(vdd).NewSim() }
+
+// NewSim returns a simulator for the table's program at the table's supply
+// voltage, in the power-on state. It allocates only run state.
+func (t *SwitchEnergies) NewSim() *Sim {
+	p := t.p
 	s := &Sim{
-		N: p.n, Vdd: vdd, p: p,
-		swE:       make([]units.Energy, len(p.cap_)),
+		N: p.n, Vdd: t.vdd, p: p,
+		swE:       t.e,
 		val:       make([]uint64, len(p.val0)),
 		qVal:      make([]uint64, len(p.qVal0)),
 		nextQ:     make([]uint64, len(p.nextQ0)),
 		dirtyBits: make([]uint64, p.levelOff[len(p.levelOff)-1]),
-	}
-	// Per-net single-transition energy, precomputed so the hot loops add a
-	// cached float instead of recomputing ½·C·Vdd² (bitwise identical — the
-	// inputs never change during a run).
-	for i, c := range p.cap_ {
-		s.swE[i] = units.SwitchEnergy(c, vdd, 1)
 	}
 	s.Reset()
 	return s
@@ -365,29 +385,44 @@ func setBit(val []uint64, id NetID, v bool) {
 	}
 }
 
+// settle evaluates every gate once, level by level, over the packed net
+// values val, whose sources (primary inputs and flop outputs) are set: the
+// combinational logic then holds the values those sources drive. It
+// charges no energy and counts no evaluation — it builds a state, it does
+// not simulate switching.
+func (p *Program) settle(val []uint64) {
+	for _, gates := range p.levelGates {
+		for _, gi := range gates {
+			setBit(val, p.hot[gi].out, p.evalGate(val, gi))
+		}
+	}
+}
+
 // evalGate computes gate gi's function over the packed net values val
 // (cold path — the power-on settle; the settle loop inlines the same
 // dispatch).
 func (p *Program) evalGate(val []uint64, gi int32) bool {
 	h := p.hot[gi]
-	va := val[uint32(h.a)>>6] >> (uint32(h.a) & 63)
+	// a and b are nets only for the 1- and 2-input forms; a wide gate's
+	// are offsets into insFlat.
+	a, b := uint32(h.a), uint32(h.b)
 	switch h.op {
 	case opAnd2:
-		return va&(val[uint32(h.b)>>6]>>(uint32(h.b)&63))&1 != 0
+		return val[a>>6]>>(a&63)&(val[b>>6]>>(b&63))&1 != 0
 	case opNand2:
-		return va&(val[uint32(h.b)>>6]>>(uint32(h.b)&63))&1 == 0
+		return val[a>>6]>>(a&63)&(val[b>>6]>>(b&63))&1 == 0
 	case opOr2:
-		return (va|val[uint32(h.b)>>6]>>(uint32(h.b)&63))&1 != 0
+		return (val[a>>6]>>(a&63)|val[b>>6]>>(b&63))&1 != 0
 	case opNor2:
-		return (va|val[uint32(h.b)>>6]>>(uint32(h.b)&63))&1 == 0
+		return (val[a>>6]>>(a&63)|val[b>>6]>>(b&63))&1 == 0
 	case opXor2:
-		return (va^val[uint32(h.b)>>6]>>(uint32(h.b)&63))&1 != 0
+		return (val[a>>6]>>(a&63)^val[b>>6]>>(b&63))&1 != 0
 	case opXnor2:
-		return (va^val[uint32(h.b)>>6]>>(uint32(h.b)&63))&1 == 0
+		return (val[a>>6]>>(a&63)^val[b>>6]>>(b&63))&1 == 0
 	case opNot:
-		return va&1 == 0
+		return val[a>>6]>>(a&63)&1 == 0
 	case opBuf:
-		return va&1 != 0
+		return val[a>>6]>>(a&63)&1 != 0
 	case opAndN, opNandN:
 		r := true
 		for _, in := range p.insFlat[h.a:h.b] {
@@ -576,30 +611,32 @@ func (s *Sim) Cycle(in InputVector) units.Energy {
 
 				// Evaluate gate gi over the packed values (manually
 				// inlined, branchless for the dominant 1/2-input forms:
-				// this is the hottest loop in the co-estimator).
+				// this is the hottest loop in the co-estimator). a and b
+				// are nets only for those forms; a wide gate's are
+				// offsets into insFlat.
 				h := hot[gi]
-				va := val[uint32(h.a)>>6] >> (uint32(h.a) & 63)
+				a, b := uint32(h.a), uint32(h.b)
 				var v uint64
 				switch h.op {
 				case opAnd2:
-					v = va & (val[uint32(h.b)>>6] >> (uint32(h.b) & 63)) & 1
+					v = val[a>>6] >> (a & 63) & (val[b>>6] >> (b & 63)) & 1
 				case opNand2:
-					v = ^(va & (val[uint32(h.b)>>6] >> (uint32(h.b) & 63))) & 1
+					v = ^(val[a>>6] >> (a & 63) & (val[b>>6] >> (b & 63))) & 1
 				case opOr2:
-					v = (va | val[uint32(h.b)>>6]>>(uint32(h.b)&63)) & 1
+					v = (val[a>>6]>>(a&63) | val[b>>6]>>(b&63)) & 1
 				case opNor2:
-					v = ^(va | val[uint32(h.b)>>6]>>(uint32(h.b)&63)) & 1
+					v = ^(val[a>>6]>>(a&63) | val[b>>6]>>(b&63)) & 1
 				case opXor2:
-					v = (va ^ val[uint32(h.b)>>6]>>(uint32(h.b)&63)) & 1
+					v = (val[a>>6]>>(a&63) ^ val[b>>6]>>(b&63)) & 1
 				case opXnor2:
-					v = ^(va ^ val[uint32(h.b)>>6]>>(uint32(h.b)&63)) & 1
+					v = ^(val[a>>6]>>(a&63) ^ val[b>>6]>>(b&63)) & 1
 				case opNot:
-					v = ^va & 1
+					v = ^(val[a>>6] >> (a & 63)) & 1
 				case opBuf:
-					v = va & 1
+					v = val[a>>6] >> (a & 63) & 1
 				case opAndN, opNandN:
 					v = 1
-					for _, in := range insFlat[h.a:h.b] {
+					for _, in := range insFlat[a:b] {
 						v &= val[uint32(in)>>6] >> (uint32(in) & 63)
 					}
 					v &= 1
@@ -608,7 +645,7 @@ func (s *Sim) Cycle(in InputVector) units.Energy {
 					}
 				case opOrN, opNorN:
 					v = 0
-					for _, in := range insFlat[h.a:h.b] {
+					for _, in := range insFlat[a:b] {
 						v |= val[uint32(in)>>6] >> (uint32(in) & 63) & 1
 					}
 					if h.op == opNorN {
@@ -616,7 +653,7 @@ func (s *Sim) Cycle(in InputVector) units.Energy {
 					}
 				default: // opXorN, opXnorN
 					v = 0
-					for _, in := range insFlat[h.a:h.b] {
+					for _, in := range insFlat[a:b] {
 						v ^= val[uint32(in)>>6] >> (uint32(in) & 63)
 					}
 					v &= 1
@@ -734,6 +771,61 @@ func (s *Sim) SetState(st []uint64) {
 	n := copy(s.val, st)
 	n += copy(s.qVal, st[n:])
 	copy(s.nextQ, st[n:])
+	s.forced = false
+	clear(s.dirtyBits)
+}
+
+// CompactWords returns the length of a compact state: the flop Q values,
+// then the primary-input net values, 64 bits to a word.
+func (s *Sim) CompactWords() int { return len(s.qVal) + (len(s.N.Inputs)+63)/64 }
+
+// AppendCompact appends the compact state to dst: the flop Q values, then
+// the values the primary-input nets hold (the inputs of the last cycle).
+// An unforced state is settled — every other net is the logic's function
+// of those sources and the captured next state is what the flops' D nets
+// hold — so its compact state determines it whole, and two unforced
+// states are equal exactly when their compact states are.
+func (s *Sim) AppendCompact(dst []uint64) []uint64 {
+	dst = append(dst, s.qVal...)
+	var w uint64
+	for i, id := range s.N.Inputs {
+		if s.bit(id) {
+			w |= 1 << (i & 63)
+		}
+		if i&63 == 63 || i == len(s.N.Inputs)-1 {
+			dst = append(dst, w)
+			w = 0
+		}
+	}
+	return dst
+}
+
+// SetCompact restores the unforced state that AppendCompact took from a
+// Sim of the same Program: the flops and primary inputs take their values,
+// and one settle of the logic in evaluation order, as Compile makes the
+// power-on state, rebuilds every other net and the captured next state.
+// The settle charges no energy and counts no evaluation; the counts and
+// the history stay as they are. It costs a pass over every gate, where
+// SetState only copies.
+func (s *Sim) SetCompact(st []uint64) {
+	if len(st) != s.CompactWords() {
+		panic(fmt.Sprintf("gate: compact state of %d words, want %d", len(st), s.CompactWords()))
+	}
+	n := copy(s.qVal, st)
+	in := st[n:]
+	clear(s.val)
+	for i, ff := range s.N.DFFs {
+		if s.qVal[uint32(i)>>6]>>(uint32(i)&63)&1 == 1 {
+			setBit(s.val, ff.Q, true)
+		}
+	}
+	for i, id := range s.N.Inputs {
+		if in[i>>6]>>(i&63)&1 == 1 {
+			setBit(s.val, id, true)
+		}
+	}
+	s.p.settle(s.val)
+	s.p.capture(s.nextQ, s.val)
 	s.forced = false
 	clear(s.dirtyBits)
 }

@@ -61,12 +61,22 @@ type Driver struct {
 	key         []uint64
 }
 
-// NewDriver starts a simulator of the module's compiled netlist at the given
-// supply voltage. It allocates only run state.
-func NewDriver(mod *Module, vdd units.Voltage) *Driver {
+// SwitchEnergies returns the per-net switch energies of the module's
+// netlist at supply voltage vdd, which its Drivers at that voltage share.
+func (mod *Module) SwitchEnergies(vdd units.Voltage) *gate.SwitchEnergies {
+	return mod.prog.SwitchEnergies(vdd)
+}
+
+// NewDriver starts a simulator of the module's compiled netlist at the
+// supply voltage of sw, switch energies the module built (SwitchEnergies).
+// It allocates only run state.
+func NewDriver(mod *Module, sw *gate.SwitchEnergies) *Driver {
+	if sw.Program() != mod.prog {
+		panic("hwsyn: switch energies of another module")
+	}
 	return &Driver{
 		Mod:       mod,
-		Sim:       mod.prog.NewSim(vdd),
+		Sim:       sw.NewSim(),
 		MaxCycles: 10_000_000,
 		in:        make(gate.InputVector, len(mod.N.Inputs)),
 		mask:      uint32(1)<<uint(mod.Width) - 1,
@@ -186,22 +196,22 @@ func (d *Driver) Begin(r *cfsm.Reaction) (*Exec, error) {
 			return e, nil
 		}
 		if !d.Replay.full() {
-			e.rec = &course{prog: mod.prog, key: slices.Clone(d.key), words: d.Sim.StateWords()}
+			e.rec = &course{prog: mod.prog, key: slices.Clone(d.key), words: d.Sim.CompactWords()}
 		}
 	}
 	e.cycle()
 	if e.rec != nil {
-		e.rec.states = d.Sim.AppendState(e.rec.states)
+		e.rec.states = d.Sim.AppendCompact(e.rec.states)
 	}
 	d.set(mod.Go, false)
 	return e, nil
 }
 
 // appendKey appends the replay key of the execution Begin is about to
-// start: the simulator's packed state, the input vector and the supply
+// start: the simulator's compact state, the input vector and the supply
 // voltage.
 func (d *Driver) appendKey(dst []uint64) []uint64 {
-	dst = d.Sim.AppendState(dst)
+	dst = d.Sim.AppendCompact(dst)
 	var w uint64
 	for i, v := range d.in {
 		if v {
@@ -254,17 +264,17 @@ func (e *Exec) book(stop int) {
 }
 
 // leave ends a replay at the current position: the simulator takes the
-// state recorded there, the memory port the values it held, and the
-// execution goes on as a real simulation. Every replay position is one
-// where Run's loop would next look at the engine, so the loop resumes
-// there exactly.
+// state recorded there, rebuilt from its compact form by one settle, the
+// memory port the values it held, and the execution goes on as a real
+// simulation. Every replay position is one where Run's loop would next
+// look at the engine, so the loop resumes there exactly.
 func (e *Exec) leave() {
 	pos := 0
 	if e.started {
 		pos = e.acc + 1
 	}
 	d := e.d
-	d.Sim.SetState(e.course.state(pos))
+	d.Sim.SetCompact(e.course.state(pos))
 	d.setWord(d.Mod.MemRData, e.rdata)
 	d.set(d.Mod.MemAck, false)
 	e.course = nil
@@ -514,7 +524,7 @@ func (e *Exec) record(addr uint32, write bool) {
 		a.data = uint32(d.Sim.WordValue(d.Mod.MemWData))
 	}
 	e.rec.access = append(e.rec.access, a)
-	e.rec.states = d.Sim.AppendState(e.rec.states)
+	e.rec.states = d.Sim.AppendCompact(e.rec.states)
 	e.recOpen = true
 }
 

@@ -21,7 +21,7 @@ func hw(t *testing.T, m *cfsm.CFSM) *Driver {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewDriver(mod, 3.3)
+	return NewDriver(mod, mod.SwitchEnergies(3.3))
 }
 
 // replay runs one behavioral reaction and its hardware execution, checking

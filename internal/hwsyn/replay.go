@@ -37,6 +37,14 @@ var (
 // takes the state recorded at that access, and the execution goes on as a
 // real simulation. One that left at a read records its own course, which
 // shares the prefix it replayed.
+//
+// A course keeps the states at its accesses compact
+// (gate.Sim.AppendCompact): the flop values and the primary-input values,
+// a few words where the whole net state is tens. Leaving a replay, which
+// is rare, rebuilds the whole state from them with one settle of the
+// netlist (gate.Sim.SetCompact). The state at Done, which every replay
+// that stays on its course ends in, is kept whole (gate.Sim.AppendState),
+// so finishing a replay only copies it back.
 type Replay struct {
 	limit int
 
@@ -52,17 +60,18 @@ func NewReplay(limit int) *Replay {
 	return &Replay{limit: limit, courses: make(map[uint64][]*course)}
 }
 
-// course is one recorded execution. Its key is the simulator's packed state
-// at Begin, the input vector Begin drives and the supply voltage; a course
-// is only ever matched on the whole key and on the module's gate program.
+// course is one recorded execution. Its key is the simulator's compact
+// state at Begin, the input vector Begin drives and the supply voltage; a
+// course is only ever matched on the whole key and on the module's gate
+// program.
 type course struct {
 	prog   *gate.Program
 	key    []uint64
 	cycles []units.Energy // every compute cycle, the Go cycle first
 	emits  []courseEmit
 	access []courseAccess
-	words  int      // words of one packed state
-	states []uint64 // packed state after the Go cycle, then at each access
+	words  int      // words of one compact state
+	states []uint64 // compact state after the Go cycle, then at each access
 	final  []uint64 // packed state at Done
 }
 
@@ -94,10 +103,19 @@ func (c *course) stop(i int) int {
 	return len(c.cycles)
 }
 
-// state returns the packed state at position pos: 0 is after the Go cycle,
+// state returns the compact state at position pos: 0 is after the Go cycle,
 // i+1 is at access i.
 func (c *course) state(pos int) []uint64 {
 	return c.states[pos*c.words : (pos+1)*c.words]
+}
+
+// trim drops the append slack of a recorded course, which the table keeps
+// for its whole life.
+func (c *course) trim() {
+	c.cycles = slices.Clone(c.cycles)
+	c.emits = slices.Clone(c.emits)
+	c.access = slices.Clone(c.access)
+	c.states = slices.Clone(c.states)
 }
 
 // size approximates the bytes a course holds.
@@ -156,6 +174,7 @@ func (t *Replay) full() bool {
 // course that would take the table past its limit stops the recording for
 // good.
 func (t *Replay) insert(c *course) {
+	c.trim()
 	size := c.size()
 	h := hashKey(c.key)
 	t.mu.Lock()

@@ -112,7 +112,7 @@ func (rg *replayRig) driver(tab *Replay) *Driver {
 	if err != nil {
 		rg.t.Fatal(err)
 	}
-	d := NewDriver(m, 3.3)
+	d := NewDriver(m, m.SwitchEnergies(3.3))
 	d.Replay = tab
 	d.Sim.Record(true)
 	return d

@@ -151,7 +151,7 @@ func TestStallMatchesCycleByCycle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			d := NewDriver(m, 3.3)
+			d := NewDriver(m, m.SwitchEnergies(3.3))
 			var res []transResult
 			if cycleByCycle {
 				res, err = runSeqWaits(cycleDriver{d}, m.M, seed, 12, 300)
@@ -189,7 +189,7 @@ func TestStallKeepsEmittingPulses(t *testing.T) {
 	if err := mod.compile(); err != nil {
 		t.Fatal(err)
 	}
-	d := NewDriver(mod, 3.3)
+	d := NewDriver(mod, mod.SwitchEnergies(3.3))
 	d.set(hold, true)
 	d.setWord(val, 9)
 	e := &Exec{d: d}

@@ -266,3 +266,74 @@ func TestRestoreRejectsCorruptSnapshot(t *testing.T) {
 		})
 	}
 }
+
+// TestWarmRequestReplaysHardware: a warm repeat of a request replays the
+// hardware executions the first one recorded in the session, and answers
+// the same energy. CI's fleet-e2e job checks the same through a router.
+func TestWarmRequestReplaysHardware(t *testing.T) {
+	_, ts := startServer(t, serve.Config{})
+	replays := telemetry.Default.Counter("coest_hw_replays_total", "")
+	req := coestapi.Request{Packets: 2}
+	code, _, r1 := post(t, ts.URL, req)
+	if code != http.StatusOK {
+		t.Fatalf("first request: status %d", code)
+	}
+	r0 := replays.Value()
+	code, _, r2 := post(t, ts.URL, req)
+	if code != http.StatusOK || !r2.Warm {
+		t.Fatalf("second request: status %d, warm %v", code, r2 != nil && r2.Warm)
+	}
+	if replays.Value() == r0 {
+		t.Fatal("the warm repeat replayed no hardware execution")
+	}
+	if r2.Points[0].TotalJ != r1.Points[0].TotalJ {
+		t.Fatalf("warm repeat answered %v J, first request %v J", r2.Points[0].TotalJ, r1.Points[0].TotalJ)
+	}
+}
+
+// TestRestoreOntoWarmKeyCompilesNothing: restoring a snapshot onto a shard
+// whose session of the design is already warm keeps that session and
+// compiles nothing, however often it is repeated; a damaged snapshot is
+// still refused there, also without compiling.
+func TestRestoreOntoWarmKeyCompilesNothing(t *testing.T) {
+	_, origin := startServer(t, serve.Config{})
+	req := coestapi.Request{Packets: 2, Points: []coestapi.PointSpec{{ECache: true}}}
+	if code, _, _ := post(t, origin.URL, req); code != http.StatusOK {
+		t.Fatalf("origin estimate: status %d", code)
+	}
+	code, _, env := postRaw(t, origin.URL, "/snapshot", coestapi.SnapshotRequest{Packets: 2})
+	if code != http.StatusOK {
+		t.Fatalf("snapshot: status %d: %s", code, env)
+	}
+	var damaged coestapi.SnapshotEnvelope
+	if err := gob.NewDecoder(bytes.NewReader(env)).Decode(&damaged); err != nil {
+		t.Fatal(err)
+	}
+	damaged.Blob = append([]byte(nil), damaged.Blob...)
+	damaged.Blob[8] = 1 // format version 1
+	var bad bytes.Buffer
+	if err := gob.NewEncoder(&bad).Encode(&damaged); err != nil {
+		t.Fatal(err)
+	}
+
+	_, warm := startServer(t, serve.Config{})
+	if code, _, _ := post(t, warm.URL, req); code != http.StatusOK {
+		t.Fatalf("warm-up estimate: status %d", code)
+	}
+	sw := telemetry.Default.Counter("coest_sw_compiles_total", "")
+	hw := telemetry.Default.Counter("coest_hw_syntheses_total", "")
+	sw0, hw0 := sw.Value(), hw.Value()
+	for i := 0; i < 3; i++ {
+		if code, out := postSnapshot(t, warm.URL, env); code != http.StatusOK {
+			t.Fatalf("restore %d onto a warm key: status %d: %s", i, code, out)
+		}
+	}
+	if code, out := postSnapshot(t, warm.URL, bad.Bytes()); code != http.StatusBadRequest ||
+		!strings.Contains(string(out), "format v1 not supported") {
+		t.Fatalf("damaged restore onto a warm key: status %d: %s", code, out)
+	}
+	if sw.Value() != sw0 || hw.Value() != hw0 {
+		t.Fatalf("restores onto a warm key compiled %d SW images and synthesized %d HW modules, want none",
+			sw.Value()-sw0, hw.Value()-hw0)
+	}
+}

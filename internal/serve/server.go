@@ -892,9 +892,10 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request, st *trac
 // (checkDesign) before anything is built, the design is rebuilt from its
 // name and compiled once (coest.RestoreSession), the snapshot's learned
 // energy caches are checked and loaded into it, and the session is
-// registered under its key — unless the key is already warm, in which case
-// the existing session (and its locally learned state) wins. Used by both
-// POST /restore and the daemon's restore-on-boot.
+// registered under its key. When the key is already warm, the existing
+// session (and its locally learned state) wins: the snapshot is checked
+// as a restore would check it (coest.CheckSnapshot), and nothing is
+// compiled. Used by both POST /restore and the daemon's restore-on-boot.
 func (s *Server) RestoreSnapshot(data []byte) (coestapi.RestoreResponse, error) {
 	var env coestapi.SnapshotEnvelope
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&env); err != nil {
@@ -908,19 +909,28 @@ func (s *Server) RestoreSnapshot(data []byte) (coestapi.RestoreResponse, error) 
 	if err != nil {
 		return coestapi.RestoreResponse{}, err
 	}
-	sess, err := coest.RestoreSession(sys, bytes.NewReader(env.Blob))
+	key := sessionKey{system: canonicalSystem(env.System), packets: env.Packets}
+	sess := s.sessionFor(env.System, env.Packets)
+	if sess != nil {
+		// Warm already: check the envelope as a restore would, but
+		// compile nothing — the existing session wins anyway.
+		err = coest.CheckSnapshot(sys, bytes.NewReader(env.Blob))
+	} else {
+		var restored *coest.Session
+		restored, err = coest.RestoreSession(sys, bytes.NewReader(env.Blob))
+		if err == nil {
+			s.mu.Lock()
+			if sess = s.sessions[key]; sess == nil {
+				sess = restored
+				s.installSessionLocked(key, sess)
+				mRestored.Inc()
+			}
+			s.mu.Unlock()
+		}
+	}
 	if err != nil {
 		return coestapi.RestoreResponse{}, err
 	}
-	key := sessionKey{system: canonicalSystem(env.System), packets: env.Packets}
-	s.mu.Lock()
-	if existing, ok := s.sessions[key]; ok {
-		sess = existing
-	} else {
-		s.installSessionLocked(key, sess)
-		mRestored.Inc()
-	}
-	s.mu.Unlock()
 	return coestapi.RestoreResponse{
 		Version: coestapi.Version, System: key.system, Packets: key.packets,
 		Paths: sess.SnapshotPaths(),

@@ -211,9 +211,11 @@ type PointResult struct {
 // where the bus serves it other data, it follows another recorded course
 // that read the same data; failing that, or where the bus stalls it at a
 // point the recording could not be stretched, it goes on as a real
-// simulation from the state recorded there. Reports are bit-identical to
-// one Estimate per point. Session.Estimate, Session.EstimateBatch and
-// Estimate do not replay.
+// simulation from the state recorded there, rebuilt from the flop and
+// input values the course keeps. Reports are bit-identical to one
+// Estimate per point. Session.EstimateBatch replays the same way, from a
+// table that lives as long as its session; Estimate and Session.Estimate
+// do not replay.
 func Sweep(ctx context.Context, grid Grid, opts ...Option) ([]PointResult, error) {
 	st := newSettings(nil)
 	if err := st.applyAll("Sweep", scopeConfig|scopeRun, opts); err != nil {

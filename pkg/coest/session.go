@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ecache"
 	"repro/internal/engine"
+	"repro/internal/hwsyn"
 	"repro/internal/telemetry"
 )
 
@@ -27,24 +28,38 @@ import (
 //     persistent cache pair per parameter setting, so paths characterized
 //     by earlier requests are served from the cache in later ones;
 //   - macro tables (§4.1): shared process-wide (see WithMacroModel), so a
-//     session never re-characterizes.
+//     session never re-characterizes;
+//   - recorded hardware executions: the points of every EstimateBatch call
+//     replay from, and record into, one table of hardware-execution
+//     courses that lives as long as the session, as the points of a Sweep
+//     share one per design (see EstimateBatch). The table stops recording
+//     at a fixed byte cap; Estimate neither reads nor grows it.
 //
 // Persistent caches trade strict run-to-run determinism for warmth: a
 // cache-enabled run's exact energies depend on how warm the session cache
 // already is. Runs without WithEnergyCache are unaffected and remain
-// bit-identical to a cold Estimate of the same configuration.
+// bit-identical to a cold Estimate of the same configuration; the replay
+// table changes no answer, only the time it takes.
 //
 // All methods are safe for concurrent use.
 type Session struct {
 	spec *core.System // session-private clone of the subject
 	base core.Config  // resolved baseline configuration
 	art  *core.Artifacts
+	// batch are art with the session's replay table, what EstimateBatch
+	// runs; art without one is what Estimate runs. A design without
+	// hardware gets no table, and batch is art.
+	batch *core.Artifacts
 
 	mu     sync.Mutex
 	caches map[ECacheParams]*cachePair
 	onPair func(p ECacheParams, sw, hw *ecache.Cache)
-	last   *core.CoSim // most recently completed run, for cache reports
+	lastSW *ecache.Cache // the SW energy cache of the last completed run
 }
+
+// sessionReplayBytes caps the recorded hardware executions a session
+// keeps: a 12-packet tcpip session's checksum courses take under 100 kB.
+const sessionReplayBytes = 1 << 20
 
 // cachePair is one persistent SW/HW energy-cache pair.
 type cachePair struct {
@@ -64,10 +79,17 @@ func NewSession(sys *System, opts ...Option) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
+	batch := art
+	if len(art.HW) > 0 {
+		withTable := *art
+		withTable.Replay = hwsyn.NewReplay(sessionReplayBytes)
+		batch = &withTable
+	}
 	return &Session{
 		spec:   spec,
 		base:   cfg,
 		art:    art,
+		batch:  batch,
 		caches: make(map[ECacheParams]*cachePair),
 	}, nil
 }
@@ -97,12 +119,19 @@ func (s *Session) HWNetlists() map[string]*Netlist {
 // across the runs that shared the cache.
 func (s *Session) SWCacheReport() []CachePathReport {
 	s.mu.Lock()
-	last := s.last
+	c := s.lastSW
 	s.mu.Unlock()
-	if last == nil {
+	if c == nil {
 		return nil
 	}
-	return last.SWCacheReport()
+	return c.Report()
+}
+
+// finished records a completed run's SW energy cache for SWCacheReport.
+func (s *Session) finished(cs *core.CoSim) {
+	s.mu.Lock()
+	s.lastSW = cs.SWCache()
+	s.mu.Unlock()
 }
 
 // runConfig resolves per-run options on top of the session baseline and
@@ -210,9 +239,7 @@ func (s *Session) run(ctx context.Context, cfg core.Config) (*Report, error) {
 	}
 	rep, err := cs.RunContext(ctx)
 	if err == nil {
-		s.mu.Lock()
-		s.last = cs
-		s.mu.Unlock()
+		s.finished(cs)
 	}
 	return rep, err
 }
@@ -222,6 +249,15 @@ func (s *Session) run(ctx context.Context, cfg core.Config) (*Report, error) {
 // option list of point i, applied on top of the batch-wide options. opts
 // accepts both scopes — config options are applied to every point, run
 // options (WithWorkers, WithProgress) steer the batch.
+//
+// The points of every batch share the session's table of recorded
+// hardware executions, across batches: an execution of a hardware process
+// that starts from a gate state and input vector that an earlier batch
+// point started from replays the recorded course, exactly as in a Sweep
+// (see Sweep), and every point's report is bit-identical to
+// Session.Estimate of the same options. Session.Estimate does not replay:
+// it stays the reference that accelerated runs of a session are timed
+// against.
 //
 // Unlike Sweep, a failing point does not abort the batch: its error lands
 // in the point's PointResult.Err and the other points complete. The
@@ -255,12 +291,8 @@ func (s *Session) EstimateBatch(ctx context.Context, points [][]Option, opts ...
 	outs, err := engine.RunOutcomes(ctx, n, engine.Options{
 		Workers:   st.workers,
 		OnPoint:   st.onPoint,
-		Artifacts: s.art,
-		OnRun: func(_ int, cs *core.CoSim) {
-			s.mu.Lock()
-			s.last = cs
-			s.mu.Unlock()
-		},
+		Artifacts: s.batch,
+		OnRun:     func(_ int, cs *core.CoSim) { s.finished(cs) },
 	}, func(i int) (*core.System, core.Config, error) {
 		merged := points[i]
 		if len(common) > 0 {

@@ -121,17 +121,54 @@ func readSnap(r io.Reader) (*sessionSnap, error) {
 // take the same config-scope options as NewSession.
 //
 // The restored session has compiled the design once, as a cold session
-// does, and starts with every energy-cache path the origin had learned. A
-// snapshot is refused with an error when its machine list differs from
-// sys, when its HW width differs from the session's compiled width, or when
-// any cached path's statistics could not come from a real run.
+// does, and starts with every energy-cache path the origin had learned and
+// an empty table of recorded hardware executions. A snapshot is refused
+// with an error, before anything is compiled, when its machine list
+// differs from sys, when its HW width differs from the width the session
+// would compile at, or when any cached path's statistics could not come
+// from a real run.
 func RestoreSession(sys *System, r io.Reader, opts ...Option) (*Session, error) {
+	caches, err := loadSnapshot(sys, r, opts)
+	if err != nil {
+		return nil, err
+	}
+	s, err := NewSession(sys, opts...)
+	if err != nil {
+		return nil, err
+	}
+	s.caches = caches
+	return s, nil
+}
+
+// CheckSnapshot refuses a snapshot exactly as RestoreSession would, and
+// accepts what it would accept, without compiling the design: it reads the
+// header, compares the machine list and the HW width, and validates every
+// cached path's statistics. A server whose session of the design is
+// already warm checks a restore this way instead of building a session it
+// would throw away.
+func CheckSnapshot(sys *System, r io.Reader, opts ...Option) error {
+	_, err := loadSnapshot(sys, r, opts)
+	return err
+}
+
+// loadSnapshot reads a snapshot of sys's design under opts into fresh
+// energy-cache pairs, with every check RestoreSession makes.
+func loadSnapshot(sys *System, r io.Reader, opts []Option) (map[ECacheParams]*cachePair, error) {
 	snap, err := readSnap(r)
 	if err != nil {
 		return nil, err
 	}
 	if want := machineIDs(sys.spec.Net.Machines); !slices.Equal(snap.Machines, want) {
 		return nil, fmt.Errorf("coest: RestoreSession: snapshot is of another design (the system's machines are %v)", want)
+	}
+	cfg, err := sys.configured("RestoreSession", scopeConfig, opts)
+	if err != nil {
+		return nil, err
+	}
+	if snap.HWWidth != cfg.HWWidth {
+		return nil, fmt.Errorf(
+			"coest: RestoreSession: snapshot was taken at HW width %d, the session compiles at %d",
+			snap.HWWidth, cfg.HWWidth)
 	}
 	caches := make(map[ECacheParams]*cachePair, len(snap.Caches))
 	for _, cs := range snap.Caches {
@@ -147,17 +184,7 @@ func RestoreSession(sys *System, r io.Reader, opts ...Option) (*Session, error) 
 		}
 		caches[cs.Params] = pair
 	}
-	s, err := NewSession(sys, opts...)
-	if err != nil {
-		return nil, err
-	}
-	if snap.HWWidth != s.art.HWWidth {
-		return nil, fmt.Errorf(
-			"coest: RestoreSession: snapshot was taken at HW width %d, the session compiles at %d",
-			snap.HWWidth, s.art.HWWidth)
-	}
-	s.caches = caches
-	return s, nil
+	return caches, nil
 }
 
 // SnapshotPaths returns the number of energy-cache path entries a restored

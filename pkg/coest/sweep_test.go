@@ -2,6 +2,7 @@ package coest_test
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -19,6 +20,17 @@ var (
 	fallbacks = telemetry.Default.Counter("coest_hw_replay_fallbacks_total", "")
 )
 
+// identical requires got to equal want bit for bit, wall time aside: every
+// energy, the simulated time, the ISS calls, every per-machine row.
+func identical(t *testing.T, what string, got, want *coest.Report) {
+	t.Helper()
+	a, b := *want, *got
+	a.Wall, b.Wall = 0, 0
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("%s differs:\n%v\nvs\n%v", what, b.String(), a.String())
+	}
+}
+
 // sameReports requires every Sweep result to equal a cold Estimate of its
 // grid point under the same options, bit for bit.
 func sameReports(t *testing.T, grid coest.Grid, results []coest.PointResult, opts ...coest.Option) {
@@ -35,45 +47,32 @@ func sameReports(t *testing.T, grid coest.Grid, results []coest.PointResult, opt
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, b := *want, *r.Report
-		a.Wall, b.Wall = 0, 0
-		if r.Index != i || !reflect.DeepEqual(a, b) {
-			t.Fatalf("point %d: sweep report differs from Estimate:\n%v\nvs\n%v", i, b.String(), a.String())
+		if r.Index != i {
+			t.Fatalf("result %d carries index %d", i, r.Index)
 		}
+		identical(t, fmt.Sprintf("point %d: sweep report against Estimate", i), r.Report, want)
 	}
 }
 
 // readerSystem is one hardware process that, on each of ticks ticks,
-// counts the tick and sums words words of shared memory: every execution
-// starts from a state of its own (the count), and each records a long
-// course of large states.
-func readerSystem(ticks, words int) *coest.System {
+// counts the tick and reads a word of shared memory words times: every
+// execution starts from a state of its own (the count), and records a
+// course with a state at each read, about 4 cycles apart. idle registers
+// that no execution moves cost no gate evaluation, only recorded state:
+// each puts 16 flops into every state. A tick comes every
+// words*readerTick, time enough for the execution before it;
+// readerTime(ticks, words) bounds a run that serves them all.
+func readerSystem(ticks, words, idle int) *coest.System {
 	b := cfsm.NewBuilder("reader")
 	s := b.State("s")
 	in := b.Input("TICK")
-	cnt, i, w, acc := b.Var("CNT", 0), b.Var("I", 0), b.Var("W", 0), b.Var("ACC", 0)
-	// Wide logic that no execution moves: it costs no gate evaluation, only
-	// recorded state.
-	idle, never := b.Var("IDLE", 0), b.Input("NEVER")
-	terms := make([]*cfsm.Expr, 512)
-	for k := range terms {
-		terms[k] = cfsm.And(b.V(idle), cfsm.Const(cfsm.Value(k*2654435761)))
+	cnt, w := b.Var("CNT", 0), b.Var("W", 0)
+	for k := 0; k < idle; k++ {
+		b.Var(fmt.Sprintf("IDLE%d", k), cfsm.Value(k))
 	}
-	for len(terms) > 1 {
-		for k := range terms[:len(terms)/2] {
-			terms[k] = cfsm.Or(terms[2*k], terms[2*k+1])
-		}
-		terms = terms[:len(terms)/2]
-	}
-	b.On(s, never).Do(cfsm.Set(idle, terms[0]))
 	b.On(s, in).Do(
 		cfsm.Set(cnt, cfsm.Add(b.V(cnt), cfsm.Const(1))),
-		cfsm.Set(i, cfsm.Const(0)),
-		cfsm.Repeat(cfsm.Const(cfsm.Value(words)),
-			cfsm.MemRead(w, b.V(i)),
-			cfsm.Set(acc, cfsm.Add(b.V(acc), b.V(w))),
-			cfsm.Set(i, cfsm.Add(b.V(i), cfsm.Const(1))),
-		),
+		cfsm.Repeat(cfsm.Const(cfsm.Value(words)), cfsm.MemRead(w, cfsm.Const(0))),
 	)
 	net := cfsm.NewNet()
 	net.Add(b.MustBuild())
@@ -82,13 +81,19 @@ func readerSystem(ticks, words int) *coest.System {
 		Name:       "reader",
 		Net:        net,
 		Procs:      map[string]coest.ProcessConfig{"reader": {Mapping: coest.HW}},
-		Periodic:   []coest.PeriodicStimulus{{Input: "TICK", Period: 20 * units.Microsecond, Count: ticks}},
-		SharedInit: map[uint32]cfsm.Value{},
-	}
-	for a := 0; a < words; a++ {
-		spec.SharedInit[uint32(a)] = cfsm.Value(a*97 + 5)
+		Periodic:   []coest.PeriodicStimulus{{Input: "TICK", Period: units.Time(words) * readerTick, Count: ticks}},
+		SharedInit: map[uint32]cfsm.Value{0: 5},
 	}
 	return coest.New(spec)
+}
+
+// readerTick is the reader's tick period per word read.
+const readerTick = 400 * units.Nanosecond
+
+// readerTime is a simulated-time limit past the last of ticks ticks of a
+// reader of words words.
+func readerTime(ticks, words int) coest.Option {
+	return coest.WithMaxSimTime(time.Duration(int64(ticks+1) * int64(words) * int64(readerTick)))
 }
 
 // TestSweepCompilesOncePerDesign: a grid that mixes two networks, two
@@ -125,34 +130,39 @@ func TestSweepCompilesOncePerDesign(t *testing.T) {
 	sameReports(t, grid, results, opts...)
 }
 
-// TestSessionAndEstimateDoNotReplay: Estimate, Session.Estimate and
-// Session.EstimateBatch simulate every hardware execution, however often
-// it repeats; a Sweep of the same points replays.
+// TestSessionAndEstimateDoNotReplay: Estimate and Session.Estimate
+// simulate every hardware execution, however often it repeats — also on a
+// session whose batches have recorded it; a Sweep of the same points and
+// the session's batches replay.
 func TestSessionAndEstimateDoNotReplay(t *testing.T) {
 	ctx := context.Background()
 	sys := coest.TCPIP(quickTCPIP())
+	sess, err := coest.NewSession(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := [][]coest.Option{{coest.WithDMASize(2)}, {coest.WithDMASize(2)}, {coest.WithDMASize(16)}}
+	r0 := replays.Value()
+	res, err := sess.EstimateBatch(ctx, points, coest.WithWorkers(1))
+	if err != nil || coest.Errors(res) != nil {
+		t.Fatal(err, coest.Errors(res))
+	}
+	if replays.Value() == r0 {
+		t.Fatal("a batch of one point twice replayed nothing")
+	}
 	r0, f0 := replays.Value(), fallbacks.Value()
 	for k := 0; k < 2; k++ {
 		if _, err := coest.Estimate(ctx, sys); err != nil {
 			t.Fatal(err)
 		}
-	}
-	sess, err := coest.NewSession(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < 2; k++ {
-		if _, err := sess.Estimate(ctx); err != nil {
-			t.Fatal(err)
-		}
-		points := [][]coest.Option{{coest.WithDMASize(2)}, {coest.WithDMASize(2)}, {coest.WithDMASize(16)}}
-		res, err := sess.EstimateBatch(ctx, points, coest.WithWorkers(2))
-		if err != nil || coest.Errors(res) != nil {
-			t.Fatal(err, coest.Errors(res))
+		for _, p := range points {
+			if _, err := sess.Estimate(ctx, p...); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if r, f := replays.Value()-r0, fallbacks.Value()-f0; r != 0 || f != 0 {
-		t.Fatalf("Estimate and sessions replayed %d executions (%d fallbacks), want none", r, f)
+		t.Fatalf("Estimate and Session.Estimate replayed %d executions (%d fallbacks), want none", r, f)
 	}
 	grid := coest.Grid{N: 3, Build: func(int) (*coest.System, error) { return sys, nil }}
 	if _, err := coest.Sweep(ctx, grid, coest.WithWorkers(1)); err != nil {
@@ -165,13 +175,17 @@ func TestSessionAndEstimateDoNotReplay(t *testing.T) {
 
 // TestSweepFillingReplayCapStaysExact: a design whose executions record
 // more than the replay table holds stops recording at the cap and goes on
-// simulating, exactly. The second point replays the executions the first
-// recorded and simulates the rest; both equal a cold Estimate.
+// simulating, exactly. Each of the 90 executions records a course of about
+// 114 kB (50 compact states of 258 words, for 16,416 flops and the inputs,
+// and a packed final state of 1,039 words), so the 8 MiB table stops after
+// about 73. The second point replays the
+// executions the first recorded and simulates the rest; both equal a cold
+// Estimate.
 func TestSweepFillingReplayCapStaysExact(t *testing.T) {
-	const ticks = 90
-	sys := readerSystem(ticks, 48)
+	const ticks, words = 90, 48
+	sys := readerSystem(ticks, words, 1024)
 	grid := coest.Grid{N: 2, Build: func(int) (*coest.System, error) { return sys, nil }}
-	opts := []coest.Option{coest.WithMaxSimTime(3 * time.Millisecond)}
+	opts := []coest.Option{readerTime(ticks, words)}
 	r0, f0 := replays.Value(), fallbacks.Value()
 	results, err := coest.Sweep(context.Background(), grid, append(opts, coest.WithWorkers(1))...)
 	if err != nil {
@@ -184,5 +198,7 @@ func TestSweepFillingReplayCapStaysExact(t *testing.T) {
 	if r == 0 || r >= ticks || f != 0 {
 		t.Fatalf("%d replays, %d fallbacks: want the cap to stop recording short of all %d executions, and no fallback", r, f, ticks)
 	}
-	sameReports(t, grid, results, opts...)
+	// Both points are one: one cold Estimate is the answer of each.
+	sameReports(t, coest.Grid{N: 1, Build: grid.Build}, results[:1], opts...)
+	identical(t, "point 1", results[1].Report, results[0].Report)
 }
